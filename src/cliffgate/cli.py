@@ -27,7 +27,6 @@ from .algebra import (
 )
 from .closure import Certificate, GeneratorSet, UnreachableTargetError, certificate, close
 from .matrices import (
-    format_matrix,
     hermiticity_defect,
     parse_matrix,
     replay_certificate,
@@ -50,7 +49,6 @@ class RunConfig:
     records: bool
     tolerance: float
     seed: int
-    threads: int
     cap: int | None
 
     def fmt(self, value: float) -> str:
@@ -79,18 +77,22 @@ class Reporter:
 
 
 def _angle_value(text: str) -> float:
-    """Accept a float or a simple multiple of pi such as pi/2 or -2*pi/3."""
+    """Accept a finite float or a simple multiple of pi such as pi/2 or -2*pi/3."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    m = re.fullmatch(r"\s*(-)?(\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?\s*", text)
-    if m is None:
-        raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m")
-    sign = -1.0 if m.group(1) else 1.0
-    num = float(m.group(2)) if m.group(2) else 1.0
-    den = float(m.group(3)) if m.group(3) else 1.0
-    return sign * num * math.pi / den
+        m = re.fullmatch(r"\s*(-)?(\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?\s*", text)
+        if m is None:
+            raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None
+        sign = -1.0 if m.group(1) else 1.0
+        num = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0:
+            raise ParseError(f"angle {text!r} divides by zero") from None
+        value = sign * num * math.pi / den
+    if not math.isfinite(value):
+        raise ParseError(f"angle {text!r} is not finite")
+    return value
 
 
 def _parse_generators(texts, ambient):
@@ -175,7 +177,6 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
         args.qubits,
         seed=config.seed,
         tol_pipeline=config.tolerance,
-        threads=config.threads,
     )
     rep = Reporter(config)
     failed = 0
@@ -267,8 +268,8 @@ def cmd_synth(args, config: RunConfig) -> int:
 
 def cmd_power(args, config: RunConfig) -> int:
     angle = _angle_value(args.angle)
-    if args.eps <= 0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise UsageError(f"--eps must be positive and finite, got {args.eps}")
     cap = config.cap if config.cap is not None else 10**9
     result = irrational_power(angle, args.eps, cap=cap)
     rep = Reporter(config)
@@ -298,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--tolerance", type=float, default=1e-10, help="numeric tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    common.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
     common.add_argument("--cap", type=int, default=None, help="override the size/search cap")
 
     parser = argparse.ArgumentParser(
@@ -347,14 +347,10 @@ def main(argv=None) -> int:
     if args.tolerance <= 0:
         print("error: --tolerance must be positive", file=sys.stderr)
         return EXIT_PARSE
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
     config = RunConfig(
         records=args.format == "records",
         tolerance=args.tolerance,
         seed=args.seed,
-        threads=args.threads,
         cap=args.cap,
     )
     try:

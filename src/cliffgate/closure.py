@@ -337,7 +337,10 @@ class Certificate:
                 continue
             kind, _, rest = line.partition(" ")
             if kind == "ambient":
-                ambient = int(rest)
+                try:
+                    ambient = int(rest)
+                except ValueError:
+                    raise ParseError(f"line {ln}: bad ambient {rest!r}") from None
             elif ambient is None:
                 raise ParseError(f"line {ln}: ambient must come first")
             elif kind == "target":

@@ -1,4 +1,4 @@
-"""Dense matrix representation on qubits: the brute-force oracle.
+"""Dense matrix representation on qubits.
 
 Generators are realized as Kronecker products of Pauli matrices,
 
@@ -6,19 +6,19 @@ Generators are realized as Kronecker products of Pauli matrices,
     G_{2k+1} = I^(n-k-1) (x) sy (x) sz^k,
 
 read left to right with the leftmost factor acting on the highest-index
-qubit (qubit 0 is the rightmost factor).  All 2n generators are Hermitian,
-square to the identity and pairwise anticommute, so symbolic values from
-:mod:`cliffgate.algebra` map onto 2^n x 2^n complex matrices by an exact
-homomorphism.  This module is the independent check for the symbolic side
-and the arena for gate synthesis.
+qubit (qubit 0 is the rightmost factor and bit 0 of a row index).  All 2n
+generators are Hermitian, square to the identity and pairwise anticommute,
+so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
+complex matrices by an exact homomorphism.  Every matrix here is built from
+a basis element's Pauli monomial i^phase X^x Z^z (:func:`pauli_monomial`);
+the Kronecker chains of :func:`gamma` serve only as the checks' oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from functools import reduce
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .algebra import (
     ParseError,
     ScaledElement,
     all_labels,
-    canonical_key,
     commutator,
     commutes,
+    hermitization_phase,
     hermitize,
     product,
 )
@@ -48,6 +48,7 @@ __all__ = [
     "hermitized_matrix",
     "parse_matrix",
     "pauli_factorization",
+    "pauli_monomial",
     "pauli_support",
     "qubit_count",
     "random_hermitian",
@@ -55,6 +56,7 @@ __all__ = [
     "reconstruct",
     "replay_certificate",
     "represent",
+    "signed_permutations",
     "unitarity_defect",
     "verify_representation",
 ]
@@ -65,12 +67,6 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
-# Single-qubit Pauli products: (left, right) -> (i^phase, result letter).
-_PAULI_MUL = {
-    ("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
-    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
-    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y"),
-}
 
 
 def qubit_count(ambient: int) -> int:
@@ -88,51 +84,73 @@ def _kron_chain(factors) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _gammas(n: int) -> tuple[np.ndarray, ...]:
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
-    mats = []
-    for k in range(n):
-        for head in (_SX, _SY):
-            m = _kron_chain([_I2] * (n - k - 1) + [head] + [_SZ] * k)
-            m.setflags(write=False)
-            mats.append(m)
-    return tuple(mats)
-
-
 def gamma(k: int, n: int) -> np.ndarray:
-    """Matrix of the k-th generator on n qubits, 0 <= k < 2n."""
+    """Matrix of the k-th generator on n qubits, 0 <= k < 2n (the oracle)."""
     if not 0 <= k < 2 * n:
         raise ValueError(f"generator index {k} out of range for {n} qubits")
-    return _gammas(n)[k].copy()
+    q = k // 2
+    return _kron_chain([_I2] * (n - q - 1) + [_SY if k % 2 else _SX] + [_SZ] * q)
 
 
-@lru_cache(maxsize=None)
-def _basis_matrix(mask: int, n: int) -> np.ndarray:
-    # Ordered product of generator matrices; entries stay in {0, +-1, +-i}
-    # times a power of two, so everything downstream is float-exact.
-    gammas = _gammas(n)
-    out = np.eye(2**n, dtype=complex)
-    k = 0
+def pauli_monomial(label: BasisLabel) -> tuple[int, int, int]:
+    """(xmask, zmask, phase) with M(label) = i^phase X^xmask Z^zmask.
+
+    Generator 2k is X_k Z_{<k} and generator 2k+1 is i X_k Z_{<=k}; the
+    ordered product follows from (X^a Z^b)(X^c Z^d) = (-1)^|b & c|
+    X^(a ^ c) Z^(b ^ d).  Bit q of either mask refers to qubit q.
+    """
+    x = z = phase = 0
+    mask = label.mask
     while mask:
-        if mask & 1:
-            out = out @ gammas[k]
-        mask >>= 1
-        k += 1
-    out.setflags(write=False)
-    return out
+        j = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        k = j >> 1
+        phase += (j & 1) + 2 * (z >> k & 1)
+        x ^= 1 << k
+        z ^= (1 << (k + (j & 1))) - 1
+    return x, z, phase % 4
 
 
-def represent(elem: ScaledElement, n: int) -> np.ndarray:
-    """Dense matrix of a scaled basis element on n qubits."""
+def _signs(a, b) -> np.ndarray:
+    # (-1)^|a & b| elementwise: entries of the Sylvester-Hadamard matrix.
+    return 1.0 - 2.0 * (np.bitwise_count(a & b) & 1)
+
+
+def _require_qubits(elem: ScaledElement, n: int) -> None:
     if elem.ambient != 2 * n:
         raise AmbientMismatchError(
             f"element over {elem.ambient} generators cannot live on {n} qubits"
         )
-    if elem.is_zero:
-        return np.zeros((2**n, 2**n), dtype=complex)
-    return elem.coefficient * _basis_matrix(elem.label.mask, n)
+
+
+def signed_permutations(
+    elems: Sequence[ScaledElement], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of scaled elements: M_k[perms[k, c], c] = values[k, c], else 0.
+
+    So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
+    c ^ xmask, and the zero element has all-zero values.
+    """
+    for el in elems:
+        _require_qubits(el, n)
+    forms = [pauli_monomial(el.label) for el in elems]
+    coeffs = np.array([el.coefficient * 1j ** f[2] for el, f in zip(elems, forms)], dtype=complex)
+    masks = np.array(forms, dtype=np.int64).reshape(-1, 3)
+    idx = np.arange(2**n)
+    return idx ^ masks[:, :1], coeffs[:, None] * _signs(idx, masks[:, 1:2])
+
+
+def _stack(elems: Sequence[ScaledElement], n: int) -> np.ndarray:
+    # dense matrices of the elements, stacked along a new first axis
+    perms, values = signed_permutations(elems, n)
+    out = np.zeros((len(elems), 2**n, 2**n), dtype=complex)
+    out[np.arange(len(elems))[:, None], perms, np.arange(2**n)] = values
+    return out
+
+
+def represent(elem: ScaledElement, n: int) -> np.ndarray:
+    """Dense matrix of a scaled basis element on n qubits (a fresh array)."""
+    return _stack([elem], n)[0]
 
 
 def hermitized_matrix(label: BasisLabel, n: int) -> np.ndarray:
@@ -194,34 +212,13 @@ class PauliFactorization:
 
 def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
     """Factor a scaled basis element into per-qubit Paulis symbolically."""
-    if elem.ambient != 2 * n:
-        raise AmbientMismatchError(
-            f"element over {elem.ambient} generators cannot live on {n} qubits"
-        )
+    _require_qubits(elem, n)
     if elem.is_zero:
         raise ValueError("the zero element has no Pauli factorization")
-    phase = elem.phase
-    letters = []
-    for q in range(n):
-        cur = "I"
-        for j in elem.label.indices:
-            if j == 2 * q:
-                nxt = "X"
-            elif j == 2 * q + 1:
-                nxt = "Y"
-            elif j >= 2 * (q + 1):
-                nxt = "Z"
-            else:
-                continue
-            if cur == "I":
-                cur = nxt
-            elif cur == nxt:
-                cur = "I"
-            else:
-                ph, cur = _PAULI_MUL[(cur, nxt)]
-                phase += ph
-        letters.append(cur)
-    return PauliFactorization(phase % 4, elem.pow2, "".join(reversed(letters)))
+    x, z, phase = pauli_monomial(elem.label)
+    # a qubit in both masks is X Z = -i Y
+    letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in reversed(range(n)))
+    return PauliFactorization((elem.phase + phase - (x & z).bit_count()) % 4, elem.pow2, letters)
 
 
 def pauli_support(elem: ScaledElement, n: int) -> tuple[int, ...]:
@@ -254,7 +251,9 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     """Coefficients of a Hermitian matrix over the hermitized basis.
 
     alpha_I = trace(h @ M(I)) / 2^n for every label I; the coefficients are
-    real and reconstruct h exactly up to floating error.
+    real and reconstruct h exactly up to floating error.  All the traces
+    trace(h X^x Z^z) = sum_c h[c, c ^ x] (-1)^|z & c| are one gather and one
+    Sylvester-Hadamard product (Hantzko, Binkowski & Gupta 2023).
     """
     dim = 2**n
     if h.shape != (dim, dim):
@@ -262,18 +261,23 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     defect = hermiticity_defect(h)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")
+    idx = np.arange(dim)
+    traces = h[idx, idx ^ idx[:, None]] @ _signs(idx[:, None], idx)
     coeffs = {}
     for label in all_labels(2 * n):
-        val = np.einsum("ij,ji->", h, hermitized_matrix(label, n)) / dim
-        coeffs[label] = float(val.real)
+        x, z, phase = pauli_monomial(label)
+        phase += hermitization_phase(label.order)
+        coeffs[label] = float(((1j ** (phase % 4)) * traces[x, z]).real) / dim
     return coeffs
 
 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:
+    terms = [(label, alpha) for label, alpha in coeffs.items() if alpha]
+    perms, values = signed_permutations([hermitize(label) for label, _ in terms], n)
+    idx = np.arange(2**n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for label, alpha in coeffs.items():
-        if alpha:
-            out += alpha * hermitized_matrix(label, n)
+    for (_, alpha), perm, vals in zip(terms, perms, values):
+        out[perm, idx] += alpha * vals
     return out
 
 
@@ -372,15 +376,13 @@ class CheckResult:
 
 def _label_pairs(n: int, rng: np.random.Generator, cap: int):
     labels = list(all_labels(2 * n))
-    total = len(labels) ** 2
-    if total <= cap:
-        for a in labels:
-            for b in labels:
-                yield a, b
-    else:
-        idx = rng.integers(0, len(labels), size=(cap, 2))
-        for i, j in idx:
-            yield labels[i], labels[j]
+    if len(labels) ** 2 <= cap:
+        return [(a, b) for a in labels for b in labels]
+    return [(labels[i], labels[j]) for i, j in rng.integers(0, len(labels), size=(cap, 2))]
+
+
+def _maxabs(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m)))
 
 
 def verify_representation(
@@ -391,13 +393,12 @@ def verify_representation(
     tol_exact: float = 1e-12,
     tol_pipeline: float = 1e-10,
     sample_cap: int = 4096,
-    threads: int = 1,
 ) -> list[CheckResult]:
     """Run the full symbolic-vs-dense property sweep at a given size.
 
     Exhaustive over all label pairs when their square fits under
-    ``sample_cap``, seeded random sampling beyond that.  Deterministic for
-    a fixed seed regardless of ``threads``.
+    ``sample_cap``, seeded random sampling beyond that; deterministic for
+    a fixed seed.  Pairs are checked as stacks of matrices, a chunk at a time.
     """
     rng = np.random.default_rng(seed)
     eye = np.eye(2**n)
@@ -418,62 +419,52 @@ def verify_representation(
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), tol_strict)
 
     labels = list(all_labels(2 * n))
-    herm_dev = 0.0
-    square_dev = 0.0
+    herm_dev = square_dev = 0.0
     for label in labels:
         m = hermitized_matrix(label, n)
         herm_dev = max(herm_dev, hermiticity_defect(m))
-        square_dev = max(square_dev, float(np.max(np.abs(m @ m - eye))))
+        square_dev = max(square_dev, _maxabs(m @ m - eye))
     add("hermitized-hermiticity", herm_dev, tol_exact)
     add("hermitized-squares", square_dev, tol_exact)
 
-    pairs = list(_label_pairs(n, rng, sample_cap))
-
-    def sweep(chunk):
-        prod_dev = comm_dev = dich_dev = trace_dev = 0.0
-        dich_ok = True
-        for a, b in chunk:
-            ea, eb = ScaledElement.of(a), ScaledElement.of(b)
-            ma, mb = represent(ea, n), represent(eb, n)
-            ab, ba = ma @ mb, mb @ ma
-            prod_dev = max(prod_dev, float(np.max(np.abs(ab - represent(product(ea, eb), n)))))
-            comm_dev = max(
-                comm_dev, float(np.max(np.abs(ab - ba - represent(commutator(ea, eb), n))))
-            )
-            c_norm = float(np.max(np.abs(ab - ba)))
-            a_norm = float(np.max(np.abs(ab + ba)))
-            dich_dev = max(dich_dev, min(c_norm, a_norm))
-            dich_ok &= (c_norm <= tol_exact) == commutes(a, b)
-            ta = np.einsum("ij,ji->", hermitized_matrix(a, n), hermitized_matrix(b, n))
-            expect = 2.0**n if a == b else 0.0
-            trace_dev = max(trace_dev, abs(ta - expect))
-        return prod_dev, comm_dev, dich_dev, dich_ok, trace_dev
-
-    if threads > 1:
-        chunks = [pairs[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(sweep, chunks))
-    else:
-        partials = [sweep(pairs)]
-    prod_dev = max(p[0] for p in partials)
-    comm_dev = max(p[1] for p in partials)
-    dich_dev = max(p[2] for p in partials)
-    dich_ok = all(p[3] for p in partials)
-    trace_dev = max(p[4] for p in partials)
+    pairs = _label_pairs(n, rng, sample_cap)
+    prod_dev = comm_dev = dich_dev = trace_dev = 0.0
+    dich_ok = True
+    chunk = max(1, (1 << 14) // 4**n)  # ~2^14 entries a stack: memory stays flat
+    for start in range(0, len(pairs), chunk):
+        part = pairs[start : start + chunk]
+        ea = [ScaledElement.of(a) for a, _ in part]
+        eb = [ScaledElement.of(b) for _, b in part]
+        ma, mb = _stack(ea, n), _stack(eb, n)
+        ab, ba = ma @ mb, mb @ ma
+        prod_dev = max(prod_dev, _maxabs(ab - _stack(list(map(product, ea, eb)), n)))
+        comm_dev = max(comm_dev, _maxabs(ab - ba - _stack(list(map(commutator, ea, eb)), n)))
+        c_norm = np.max(np.abs(ab - ba), axis=(1, 2))
+        a_norm = np.max(np.abs(ab + ba), axis=(1, 2))
+        dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
+        dich_ok &= all((c <= tol_exact) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
+        ha = _stack([hermitize(a) for a, _ in part], n)
+        hb = _stack([hermitize(b) for _, b in part], n)
+        expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
+        trace_dev = max(trace_dev, _maxabs(np.einsum("kij,kji->k", ha, hb) - expect))
     add("product-homomorphism", prod_dev, tol_exact)
     add("commutator-homomorphism", comm_dev, tol_exact)
     add("commutation-dichotomy", dich_dev, tol_exact, extra_ok=dich_ok)
     add("trace-orthogonality", trace_dev, tol_exact)
 
+    # the monomial form and the Pauli letters read off it, both against the
+    # ordered product of Kronecker-chain generators
     fact_dev = 0.0
     fact_labels = labels if len(labels) <= sample_cap else [
         labels[i] for i in rng.integers(0, len(labels), size=sample_cap)
     ]
     for label in fact_labels:
         el = hermitize(label)
+        oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in label.indices], eye)
         fact_dev = max(
             fact_dev,
-            float(np.max(np.abs(pauli_factorization(el, n).matrix() - represent(el, n)))),
+            _maxabs(represent(el, n) - oracle),
+            _maxabs(pauli_factorization(el, n).matrix() - oracle),
         )
     add("factorization-consistency", fact_dev, tol_exact)
 
@@ -492,11 +483,7 @@ def verify_representation(
 
     h = random_hermitian(n, rng)
     coeffs = decompose(h, n, tol=tol_pipeline)
-    add(
-        "decompose-roundtrip",
-        float(np.max(np.abs(reconstruct(coeffs, n) - h))),
-        tol_pipeline,
-    )
+    add("decompose-roundtrip", _maxabs(reconstruct(coeffs, n) - h), tol_pipeline)
     return results
 
 

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .algebra import (
     BasisLabel,
+    ParseError,
     ScaledElement,
     canonical_key,
     commutes,
-    format_element,
     hermitize,
     parse_label,
 )
@@ -41,6 +40,7 @@ from .matrices import (
     hermitized_matrix,
     pauli_factorization,
     reconstruct,
+    signed_permutations,
 )
 
 __all__ = [
@@ -90,6 +90,13 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     return operator_distance(a, np.exp(1j * phi) * b)
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r} in gate-sequence text") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     """exp(i*angle*h(label)): one closed-form basis gate."""
@@ -128,9 +135,16 @@ class GateSequence:
     error: float | None = None
 
     def matrix(self) -> np.ndarray:
+        # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
+        # O(4^n) per gate; product formulas repeat labels, so each is built once.
+        labels = list(dict.fromkeys(gate.label for gate in self.gates))
+        perms, values = signed_permutations([hermitize(l) for l in labels], self.qubits)
+        values = 1j * values
+        row = {label: k for k, label in enumerate(labels)}
         out = np.eye(2**self.qubits, dtype=complex)
         for gate in self.gates:
-            out = out @ gate.matrix()
+            k = row[gate.label]
+            out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perms[k]] * values[k]
         return out
 
     def to_text(self) -> str:
@@ -150,11 +164,11 @@ class GateSequence:
             kind, _, rest = line.partition(" ")
             if kind == "gate":
                 label_text, _, angle_text = rest.rpartition(" ")
-                gates.append(Gate(parse_label(label_text, 2 * qubits), float(angle_text)))
+                gates.append(Gate(parse_label(label_text, 2 * qubits), _float(angle_text)))
             elif kind == "error":
-                error = float(rest)
+                error = _float(rest)
             else:
-                raise ValueError(f"unknown gate-sequence record {kind!r}")
+                raise ParseError(f"unknown gate-sequence record {kind!r}")
         return cls(gates=tuple(gates), qubits=qubits, error=error)
 
 

@@ -230,6 +230,16 @@ class TestPowerCommand:
         code, _, err = run(capsys, "power", "--angle", "two-pi", "--eps", "0.1")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "angle, eps",
+        [("pi/0", "0.1"), ("-2*pi/0", "0.1"), ("inf", "0.1"), ("-inf", "0.1"), ("nan", "0.1"),
+         ("1e999", "0.1"), ("1.0", "nan"), ("1.0", "inf")],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, angle, eps):
+        code, _, err = run(capsys, "power", f"--angle={angle}", f"--eps={eps}", "--cap", "1000")
+        assert code == EXIT_PARSE
+        assert err.startswith(("error:", "parse error:"))
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "power", "--angle", "0.6435011087932844", "--eps", "1e-9",
@@ -242,13 +252,3 @@ class TestGlobalFlags:
     def test_bad_tolerance(self, capsys):
         code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", "-1")
         assert code == EXIT_PARSE
-
-    def test_bad_threads(self, capsys):
-        code, _, err = run(capsys, "verify-rep", "-n", "1", "--threads", "0")
-        assert code == EXIT_PARSE
-
-    def test_threads_do_not_change_output(self, capsys):
-        base = run(capsys, "verify-rep", "-n", "2", "--format", "records")
-        threaded = run(capsys, "verify-rep", "-n", "2", "--format", "records",
-                       "--threads", "4")
-        assert base == threaded

@@ -7,6 +7,7 @@ from cliffgate import (
     BasisLabel,
     Certificate,
     GeneratorSet,
+    ParseError,
     ScaledElement,
     UnreachableTargetError,
     all_labels,
@@ -219,6 +220,10 @@ class TestCertificates:
         bad = cert.to_text().replace("* 2^1", "* -2^1")
         with pytest.raises(ValueError):
             Certificate.from_text(bad)
+
+    def test_from_text_rejects_bad_ambient_as_parse_error(self):
+        with pytest.raises(ParseError):
+            Certificate.from_text("ambient x")
 
     def test_replay_rejects_odd_ambient(self):
         cert = certificate(universal_generators(5), label([0, 1], 5))

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cliffgate import (
     CoefficientVector,
     Gate,
     GateSequence,
+    ParseError,
     ScaledElement,
     all_labels,
     basis_gate,
@@ -250,9 +252,28 @@ class TestGateSequenceText:
         ]
         assert back.error == seq.error
 
+    @pytest.mark.parametrize(
+        "text", ["gate e[0] 0.5\nbogus 1\n", "gate e[0] half\n", "gate e[0] 0.5\nerror x\n"]
+    )
+    def test_malformed_text_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            GateSequence.from_text(text, qubits=2)
+
     def test_seventeen_digit_angles(self):
         g = Gate(label([0], 2), 0.1)
         assert str(g) == "gate e[0] 0.10000000000000001"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_equals_dense_gate_product(self, n):
+        # The dense product may fuse multiply-adds, so agreement is to
+        # rounding: a few ulps per gate over 40 gates.
+        rng = np.random.default_rng(50 + n)
+        labs = labels_upto(2 * n)
+        for _ in range(5):
+            picks = rng.integers(0, len(labs), size=40)
+            gates = tuple(Gate(labs[i], float(rng.uniform(-np.pi, np.pi))) for i in picks)
+            want = reduce(np.matmul, [g.matrix() for g in gates], np.eye(2**n, dtype=complex))
+            assert maxabs(GateSequence(gates, n).matrix() - want) < 1e-14
 
     def test_sequence_product_is_unitary(self):
         seq = commutator_gate(label([0], 4), label([3], 4), 1.2)
