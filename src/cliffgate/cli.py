@@ -202,6 +202,9 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
 
 
 def cmd_gateset(args, config: RunConfig) -> int:
+    cap = config.cap if config.cap is not None else DEFAULT_MATRIX_CAP
+    if args.qubits > cap:
+        raise CapExceededError(f"{args.qubits} qubits exceeds the matrix cap {cap}")
     gens, report = local_gate_set(args.qubits)
     rep = Reporter(config)
     for entry in report.entries:
@@ -344,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print("error: --tolerance must be positive and finite", file=sys.stderr)
         return EXIT_PARSE
     config = RunConfig(
         records=args.format == "records",

@@ -1,9 +1,13 @@
 """Commutator closure over basis labels, with replayable derivations.
 
 A commutator of two scaled basis terms is either exactly zero or an exact
-scalar times a single basis term, so the Lie algebra generated by a set of
-basis terms is spanned by the labels reachable from the generator labels.
-That turns the usual rank computation into set closure.
+scalar times a single basis term.  The Lie algebra generated by a set S is
+spanned by the right-normed brackets [s1, [s2, ..., [s_{k-1}, s_k]]] with
+every s_i in S (Jacobson, *Lie Algebras*), and each of those is zero or a
+scalar times one label, so the algebra is spanned by the labels reached
+from the generators by repeatedly bracketing a reached label with a
+generator.  That turns the usual rank computation into set closure, and
+each label's derivation into a chain of generator brackets.
 
 Counting convention.  Commutators of distinct basis terms never land on
 the unit label, and the unit commutes with everything, so a generating set
@@ -19,7 +23,7 @@ this rule fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .algebra import (
@@ -44,7 +48,6 @@ __all__ = [
     "CertificateStep",
     "ClosureResult",
     "GeneratorSet",
-    "Provenance",
     "UnreachableTargetError",
     "certificate",
     "chain_generators",
@@ -130,9 +133,11 @@ def chain_generators(ambient: int) -> GeneratorSet:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """First-discovery record: [rep(parent_a), rep(parent_b)] = element."""
+class CertificateStep:
+    """One bracket: [rep(parent_a), rep(parent_b)] = element, whose label is
+    ``result``.  In a closure's provenance ``parent_b`` is a generator."""
 
+    result: BasisLabel
     parent_a: BasisLabel
     parent_b: BasisLabel
     element: ScaledElement
@@ -143,7 +148,7 @@ class ClosureResult:
     ambient: int
     initial: tuple[BasisLabel, ...]
     representatives: dict[BasisLabel, ScaledElement]
-    provenance: dict[BasisLabel, Provenance]
+    provenance: dict[BasisLabel, CertificateStep]
     depth: dict[BasisLabel, int]
     unit_vacuous: bool = False
 
@@ -197,37 +202,39 @@ def close(gens: GeneratorSet) -> ClosureResult:
     """Smallest label set containing the generators and closed under
     nonvanishing pairwise commutators.
 
-    Layered breadth-first worklist: each layer commutes the newest labels
-    against everything reached so far, in ascending canonical order, so the
-    first recorded derivation of a label is minimal-depth and the whole run
-    is reproducible (ties are broken by label order, never by arrival
-    time).
+    Layered breadth-first worklist: each layer brackets the newest labels,
+    in ascending canonical order, with the generators only, and records
+    ``[previous label, generator]`` for each label it finds first.  That
+    suffices: the algebra is spanned by the right-normed brackets
+    ``[s1, [s2, ..., [s_{k-1}, s_k]]]`` with every ``s_i`` a generator, and
+    each such bracket is zero or a scalar times one label, so every label
+    in the algebra is reached this way.  ``depth`` is the minimal number of
+    generator brackets that produce a label, and the run is reproducible
+    (ties are broken by label order, never by arrival time).
     """
     ambient = gens.ambient
     reps: dict[BasisLabel, ScaledElement] = {el.label: el for el in gens.elements}
     initial = tuple(sorted(reps, key=canonical_key))
     depth = {label: 0 for label in initial}
-    provenance: dict[BasisLabel, Provenance] = {}
+    provenance: dict[BasisLabel, CertificateStep] = {}
     frontier = list(initial)
-    reached_sorted = list(initial)
     while frontier:
-        found: dict[BasisLabel, Provenance] = {}
+        found: dict[BasisLabel, CertificateStep] = {}
         for a in frontier:
             rep_a = reps[a]
-            for b in reached_sorted:
+            for b in initial:
                 c = commutator(rep_a, reps[b])
                 if c.is_zero or c.label in reps or c.label in found:
                     continue
-                found[c.label] = Provenance(a, b, c)
+                found[c.label] = CertificateStep(c.label, a, b, c)
         if not found:
             break
         layer = sorted(found, key=canonical_key)
         for label in layer:
-            pr = found[label]
-            reps[label] = pr.element
-            provenance[label] = pr
-            depth[label] = depth[pr.parent_a] + 1
-        reached_sorted = sorted(reps, key=canonical_key)
+            step = found[label]
+            reps[label] = step.element
+            provenance[label] = step
+            depth[label] = depth[step.parent_a] + 1
         frontier = layer
     unit = BasisLabel.unit(ambient)
     unit_vacuous = False
@@ -263,16 +270,11 @@ def is_universal(gens: GeneratorSet) -> bool:
 
 
 @dataclass(frozen=True)
-class CertificateStep:
-    result: BasisLabel
-    parent_a: BasisLabel
-    parent_b: BasisLabel
-    element: ScaledElement  # exact value of [rep(parent_a), rep(parent_b)]
-
-
-@dataclass(frozen=True)
 class Certificate:
-    """Topologically ordered commutator derivation of one target label.
+    """Chain of generator brackets that derives one target label.
+
+    Each step brackets the previous step's result (a generator for the
+    first step) with a generator.
 
     Replaying the steps from the generator elements reproduces the target's
     representative exactly; the recorded scalar relates that representative
@@ -382,8 +384,14 @@ class Certificate:
 
 
 def certificate(source: Union[GeneratorSet, ClosureResult], target: BasisLabel) -> Certificate:
-    """Minimal-depth derivation of ``target`` extracted from the closure's
-    breadth-first provenance."""
+    """Minimal-depth derivation of ``target`` read off the closure's
+    provenance.
+
+    Every recorded step is ``[previous label, generator]``, so the
+    derivation is the chain found by walking ``parent_a`` back from the
+    target to a generator; it has ``depth[target]`` steps, the minimal
+    number of generator brackets that produce the target.
+    """
     result = source if isinstance(source, ClosureResult) else close(source)
     if target.ambient != result.ambient:
         raise AmbientMismatchError(
@@ -391,32 +399,17 @@ def certificate(source: Union[GeneratorSet, ClosureResult], target: BasisLabel) 
         )
     if target not in result.representatives:
         raise UnreachableTargetError(target, result.dimension)
-    needed: set[BasisLabel] = set()
-    stack = [target]
-    while stack:
-        label = stack.pop()
-        pr = result.provenance.get(label)
-        if pr is None or label in needed:
-            continue
-        needed.add(label)
-        stack.append(pr.parent_a)
-        stack.append(pr.parent_b)
-    ordered = sorted(needed, key=lambda lab: (result.depth[lab], canonical_key(lab)))
-    steps = tuple(
-        CertificateStep(
-            result=label,
-            parent_a=result.provenance[label].parent_a,
-            parent_b=result.provenance[label].parent_b,
-            element=result.provenance[label].element,
-        )
-        for label in ordered
-    )
+    steps = []
+    label = target
+    while label in result.provenance:
+        steps.append(result.provenance[label])
+        label = steps[-1].parent_a
     rep = result.representatives[target]
     return Certificate(
         ambient=result.ambient,
         target=target,
         generators=tuple(result.representatives[label] for label in result.initial),
-        steps=steps,
+        steps=tuple(reversed(steps)),
         scalar_phase=(rep.phase - hermitization_phase(target.order)) % 4,
         scalar_pow2=rep.pow2,
     )

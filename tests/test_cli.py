@@ -153,6 +153,13 @@ class TestGatesetCommand:
         code, _, err = run(capsys, "gateset", "-n", "1")
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv", [["-n", "40"], ["-n", "3", "--cap", "2"]])
+    def test_cap_error(self, capsys, argv):
+        code, out, err = run(capsys, "gateset", *argv)
+        assert code == EXIT_CAP
+        assert "cap" in err
+        assert out == ""
+
 
 class TestSynthCommand:
     def test_single_basis_target(self, capsys, tmp_path):
@@ -250,5 +257,7 @@ class TestPowerCommand:
 
 class TestGlobalFlags:
     def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", "-1")
-        assert code == EXIT_PARSE
+        for tol in ("-1", "0", "nan", "inf"):
+            code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", tol)
+            assert code == EXIT_PARSE, tol
+            assert "--tolerance" in err

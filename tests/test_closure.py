@@ -38,8 +38,8 @@ class TestClose:
         assert dimension(generators_only(6)) == 21
 
     def test_adding_order3_reaches_everything(self):
-        assert dimension(universal_generators(4)) == 16
-        assert dimension(universal_generators(6)) == 64
+        for m in (4, 6, 8, 10, 12):
+            assert dimension(universal_generators(m)) == 1 << m
 
     def test_odd_ambient_misses_top_element(self):
         result = close(universal_generators(5))
@@ -69,7 +69,12 @@ class TestClose:
         assert again.reached == first.reached
 
     def test_closedness_audit(self):
-        for gens in (generators_only(5), universal_generators(4), chain_generators(6)):
+        for gens in (
+            generators_only(5),
+            universal_generators(4),
+            chain_generators(6),
+            universal_generators(8),
+        ):
             assert close(gens).audit_closed()
 
     def test_deterministic_under_input_order(self):
@@ -122,8 +127,8 @@ class TestStockSets:
             universal_generators(2)
 
     def test_chain_closure_is_full(self):
-        assert dimension(chain_generators(4)) == 16
-        assert dimension(chain_generators(6)) == 64
+        for m in (4, 6, 8, 10, 12):
+            assert dimension(chain_generators(m)) == 1 << m
 
     def test_chain_without_extra_element_stays_quadratic(self):
         gens = chain_generators(4)
@@ -229,6 +234,21 @@ class TestCertificates:
         cert = certificate(universal_generators(5), label([0, 1], 5))
         with pytest.raises(ValueError):
             replay_certificate(cert)
+
+    @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
+    def test_certificates_are_generator_bracket_chains(self, stock):
+        result = close(stock(6))
+        for lab in result.labels():
+            cert = certificate(result, lab)
+            assert len(cert.steps) == result.depth[lab]
+            previous = None
+            for step in cert.steps:
+                assert step.parent_b in result.initial
+                if previous is None:
+                    assert step.parent_a in result.initial
+                else:
+                    assert step.parent_a == previous
+                previous = step.result
 
     def test_certificates_survive_serialization_and_replay(self):
         result = close(chain_generators(6))
