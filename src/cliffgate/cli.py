@@ -1,9 +1,17 @@
 """Command-line front end: closure, certification, representation checks,
 gate-set listing, synthesis and power search as reproducible batch commands.
 
-Two output styles: ``human`` (6 significant digits) and ``records`` (one
-space-separated key=value record per line, full 17-digit precision).  With
-fixed flags and seed the records output is byte-identical across runs.
+Every subcommand prints one stream of records, one ``kind key=value ...``
+record per line; ``certify`` and ``synth`` also print the certificate or
+gate-sequence text.  ``--format records`` writes floats at full 17-digit
+precision and ``--format human`` (the default) the same lines with floats
+at 6 significant digits.  With fixed flags and seed the output is
+byte-identical across runs.
+
+``--cap`` bounds the ambient count for ``closure`` (default 64), the qubit
+count for ``verify-rep``, ``gateset`` and ``synth`` (default 6), the replay
+in ``certify`` (skipped above 2*cap generators, default 6 qubits) and the
+search in ``power`` (default 10^9 applications).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
 4 verification failure, 5 cap exceeded.
@@ -18,20 +26,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import (
-    AmbientMismatchError,
-    ParseError,
-    format_element,
-    parse_element,
-    parse_label,
-)
-from .closure import Certificate, GeneratorSet, UnreachableTargetError, certificate, close
-from .matrices import (
-    hermiticity_defect,
-    parse_matrix,
-    replay_certificate,
-    verify_representation,
-)
+from .algebra import ParseError, format_element, parse_element, parse_label
+from .closure import Certificate, GeneratorSet, certificate, close
+from .matrices import parse_matrix, replay_certificate, verify_representation
 from .synthesis import CapExceededError, irrational_power, local_gate_set, synthesize
 
 EXIT_OK = 0
@@ -42,38 +39,33 @@ EXIT_CAP = 5
 
 DEFAULT_AMBIENT_CAP = 64
 DEFAULT_MATRIX_CAP = 6  # qubits
+DEFAULT_CAP = {
+    "closure": DEFAULT_AMBIENT_CAP,
+    "certify": DEFAULT_MATRIX_CAP,
+    "verify-rep": DEFAULT_MATRIX_CAP,
+    "gateset": DEFAULT_MATRIX_CAP,
+    "synth": DEFAULT_MATRIX_CAP,
+    "power": 10**9,
+}
 
 
 @dataclass
 class RunConfig:
-    records: bool
+    digits: int  # significant digits of printed floats
     tolerance: float
     seed: int
-    cap: int | None
+    cap: int
 
-    def fmt(self, value: float) -> str:
-        return f"{value:.17g}" if self.records else f"{value:.6g}"
-
-
-class Reporter:
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    def record(self, kind: str, **fields) -> None:
-        if not self.config.records:
-            return
-        parts = [kind]
+    def emit(self, kind: str, *words, **fields) -> None:
+        """Print one record: the kind, bare words, then key=value fields."""
+        parts = [kind, *map(str, words)]
         for key, value in fields.items():
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, float):
-                value = self.config.fmt(value)
+                value = f"{value:.{self.digits}g}"
             parts.append(f"{key}={value}")
         print(" ".join(parts))
-
-    def human(self, text: str) -> None:
-        if not self.config.records:
-            print(text)
 
 
 def _angle_value(text: str) -> float:
@@ -105,10 +97,14 @@ def _parse_generators(texts, ambient):
     return GeneratorSet(ambient, tuple(elements))
 
 
+def _check_qubits(qubits: int, cap: int) -> None:
+    if qubits > cap:
+        raise CapExceededError(f"{qubits} qubits exceeds the matrix cap {cap}")
+
+
 def cmd_closure(args, config: RunConfig) -> int:
-    cap = config.cap if config.cap is not None else DEFAULT_AMBIENT_CAP
-    if args.ambient > cap:
-        raise CapExceededError(f"ambient {args.ambient} exceeds the symbolic cap {cap}")
+    if args.ambient > config.cap:
+        raise CapExceededError(f"ambient {args.ambient} exceeds the symbolic cap {config.cap}")
     if args.ambient < 1:
         raise ValueError("ambient must be >= 1")
     gens = _parse_generators(args.generators, args.ambient)
@@ -118,24 +114,14 @@ def cmd_closure(args, config: RunConfig) -> int:
         verdict = "unsupported"
     else:
         verdict = "true" if dim == 1 << args.ambient else "false"
-    rep = Reporter(config)
-    rep.record(
-        "closure",
-        ambient=args.ambient,
-        generators=len(gens.elements),
-        **{"dim": dim, "universal": verdict},
+    config.emit(
+        "closure", ambient=args.ambient, generators=len(gens.elements), dim=dim, universal=verdict
     )
-    rep.human(f"dim={dim} universal={verdict}")
     if dim <= args.list_limit:
-        labels = result.labels()
-        if config.records:
-            for label in labels:
-                print(f"label {label}")
-        else:
-            print("reached: " + " ".join(str(l) for l in labels))
+        for label in result.labels():
+            config.emit("label", label)
     else:
-        rep.record("labels", suppressed=True, count=dim)
-        rep.human(f"(label list suppressed: {dim} > limit {args.list_limit})")
+        config.emit("labels", suppressed=True, count=dim)
     return EXIT_OK
 
 
@@ -147,125 +133,70 @@ def cmd_certify(args, config: RunConfig) -> int:
     # the replay consumes the serialized form, so the text format itself is
     # exercised on every run
     cert = Certificate.from_text(serialized)
-    rep = Reporter(config)
-    cap = config.cap if config.cap is not None else DEFAULT_MATRIX_CAP
     if args.ambient % 2:
-        rep.record("replay", skipped=True, reason="odd-ambient")
-        rep.human("replay skipped: odd ambient has no matrix form")
+        config.emit("replay", skipped=True, reason="odd-ambient")
         return EXIT_OK
-    if args.ambient > 2 * cap:
-        rep.record("replay", skipped=True, reason="cap", cap=2 * cap)
-        rep.human(f"replay skipped: ambient {args.ambient} above matrix cap {2 * cap}")
+    if args.ambient > 2 * config.cap:
+        config.emit("replay", skipped=True, reason="cap", cap=2 * config.cap)
         return EXIT_OK
     report = replay_certificate(cert, tol=config.tolerance)
     ok = report.deviation <= config.tolerance
-    rep.record("replay", deviation=report.deviation, steps=report.steps, ok=ok)
-    rep.human(
-        f"replay deviation {config.fmt(report.deviation)} over {report.steps} steps: "
-        + ("ok" if ok else "FAILED")
-    )
+    config.emit("replay", deviation=report.deviation, steps=report.steps, ok=ok)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify_rep(args, config: RunConfig) -> int:
-    cap = config.cap if config.cap is not None else DEFAULT_MATRIX_CAP
-    if args.qubits > cap:
-        raise CapExceededError(f"{args.qubits} qubits exceeds the matrix cap {cap}")
+    _check_qubits(args.qubits, config.cap)
     if args.qubits < 1:
         raise ValueError("qubit count must be >= 1")
-    checks = verify_representation(
-        args.qubits,
-        seed=config.seed,
-        tol_pipeline=config.tolerance,
-    )
-    rep = Reporter(config)
-    failed = 0
+    checks = verify_representation(args.qubits, seed=config.seed, tol_pipeline=config.tolerance)
     for check in checks:
-        status = "pass" if check.passed else "fail"
-        failed += not check.passed
-        if config.records:
-            rep.record(
-                "check",
-                name=check.name,
-                deviation=check.deviation,
-                tolerance=check.tolerance,
-                status=status,
-            )
-        else:
-            print(
-                f"{status.upper():4s} {check.name:26s} max deviation {config.fmt(check.deviation)}"
-                f" (tolerance {config.fmt(check.tolerance)})"
-            )
-    rep.record("verify", qubits=args.qubits, checks=len(checks), failed=failed)
-    rep.human(f"{len(checks) - failed}/{len(checks)} checks passed at n={args.qubits}")
+        config.emit(
+            "check",
+            name=check.name,
+            deviation=check.deviation,
+            tolerance=check.tolerance,
+            status="pass" if check.passed else "fail",
+        )
+    failed = sum(not check.passed for check in checks)
+    config.emit("verify", qubits=args.qubits, checks=len(checks), failed=failed)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
 def cmd_gateset(args, config: RunConfig) -> int:
-    cap = config.cap if config.cap is not None else DEFAULT_MATRIX_CAP
-    if args.qubits > cap:
-        raise CapExceededError(f"{args.qubits} qubits exceeds the matrix cap {cap}")
-    gens, report = local_gate_set(args.qubits)
-    rep = Reporter(config)
+    _check_qubits(args.qubits, config.cap)
+    _, report = local_gate_set(args.qubits)
     for entry in report.entries:
-        support = ",".join(str(q) for q in entry.support)
-        if config.records:
-            rep.record(
-                "element",
-                label=format_element(entry.element),
-                pauli=str(entry.factorization),
-                support=support or "-",
-                local=entry.local,
-            )
-        else:
-            print(
-                f"{format_element(entry.element):16s} {str(entry.factorization):12s} "
-                f"qubits [{support}] {'local' if entry.local else 'NONLOCAL'}"
-            )
-    rep.record(
+        config.emit(
+            "element",
+            label=format_element(entry.element),
+            pauli=str(entry.factorization),
+            support=",".join(str(q) for q in entry.support) or "-",
+            local=entry.local,
+        )
+    config.emit(
         "gateset",
         qubits=args.qubits,
         count=len(report.entries),
-        **{"dim": report.dimension, "universal": report.universal, "local": report.all_local},
-    )
-    rep.human(
-        f"{len(report.entries)} elements, closure dim={report.dimension}, "
-        f"universal={'true' if report.universal else 'false'}"
+        dim=report.dimension,
+        universal=report.universal,
+        local=report.all_local,
     )
     return EXIT_OK
 
 
 def cmd_synth(args, config: RunConfig) -> int:
-    cap = config.cap if config.cap is not None else DEFAULT_MATRIX_CAP
-    if args.qubits > cap:
-        raise CapExceededError(f"{args.qubits} qubits exceeds the matrix cap {cap}")
-    text = Path(args.input).read_text()
-    h = parse_matrix(text)
-    if h.shape[0] != 2**args.qubits:
-        raise ValueError(
-            f"matrix dimension {h.shape[0]} does not match {args.qubits} qubits (need {2**args.qubits})"
-        )
-    defect = hermiticity_defect(h)
-    if defect > config.tolerance:
-        raise ValueError(
-            f"input matrix is not Hermitian: defect {config.fmt(defect)} exceeds "
-            f"tolerance {config.fmt(config.tolerance)}"
-        )
+    _check_qubits(args.qubits, config.cap)
+    h = parse_matrix(Path(args.input).read_text())
     seq = synthesize(h, args.steps, args.qubits, tol=config.tolerance)
     serialized = seq.to_text()
     if args.output:
         Path(args.output).write_text(serialized)
     else:
         sys.stdout.write(serialized)
-    rep = Reporter(config)
-    rep.record(
-        "synth",
-        qubits=args.qubits,
-        steps=args.steps,
-        gates=len(seq.gates),
-        error=float(seq.error),
+    config.emit(
+        "synth", qubits=args.qubits, steps=args.steps, gates=len(seq.gates), error=float(seq.error)
     )
-    rep.human(f"{len(seq.gates)} gates, measured error {config.fmt(float(seq.error))}")
     return EXIT_OK
 
 
@@ -273,20 +204,14 @@ def cmd_power(args, config: RunConfig) -> int:
     angle = _angle_value(args.angle)
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise UsageError(f"--eps must be positive and finite, got {args.eps}")
-    cap = config.cap if config.cap is not None else 10**9
-    result = irrational_power(angle, args.eps, cap=cap)
-    rep = Reporter(config)
-    rep.record(
+    result = irrational_power(angle, args.eps, cap=config.cap)
+    config.emit(
         "power",
         angle=angle,
         eps=float(args.eps),
         N=result.applications,
         residual=result.residual,
         signed=result.signed_angle,
-    )
-    rep.human(
-        f"N={result.applications} residual={config.fmt(result.residual)} "
-        f"(signed {config.fmt(result.signed_angle)})"
     )
     return EXIT_OK
 
@@ -298,11 +223,14 @@ class UsageError(ValueError):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("human", "records"), default="human", help="output style"
+        "--format", choices=("human", "records"), default="human",
+        help="float precision of the records: 6 (human) or 17 (records) significant digits",
     )
     common.add_argument("--tolerance", type=float, default=1e-10, help="numeric tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    common.add_argument("--cap", type=int, default=None, help="override the size/search cap")
+    common.add_argument(
+        "--cap", type=int, default=None, help="size/search cap (default per subcommand)"
+    )
 
     parser = argparse.ArgumentParser(
         prog="cliffgate",
@@ -345,18 +273,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        print("error: --tolerance must be positive and finite", file=sys.stderr)
-        return EXIT_PARSE
-    config = RunConfig(
-        records=args.format == "records",
-        tolerance=args.tolerance,
-        seed=args.seed,
-        cap=args.cap,
-    )
+    args = _build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise UsageError("--tolerance must be positive and finite")
+        config = RunConfig(
+            digits=17 if args.format == "records" else 6,
+            tolerance=args.tolerance,
+            seed=args.seed,
+            cap=DEFAULT_CAP[args.command] if args.cap is None else args.cap,
+        )
         return args.handler(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -367,10 +293,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (AmbientMismatchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # unreachable targets and ambient mismatches too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

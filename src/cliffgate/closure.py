@@ -163,12 +163,6 @@ class ClosureResult:
     def labels(self) -> list[BasisLabel]:
         return sorted(self.representatives, key=canonical_key)
 
-    def order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for label in self.representatives:
-            hist[label.order] = hist.get(label.order, 0) + 1
-        return dict(sorted(hist.items()))
-
     def order_report(self) -> str:
         """Didactic walkthrough: one derivation per non-initial label, sorted
         by order so the listing climbs through the orders the way the

@@ -67,6 +67,11 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
+# verify_representation: tolerances of the generator and the label checks,
+# and the pair count above which label pairs are sampled
+TOL_STRICT = 1e-14
+TOL_EXACT = 1e-12
+SAMPLE_CAP = 4096
 
 
 def qubit_count(ambient: int) -> int:
@@ -234,15 +239,21 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
+def _require_hermitian(h: np.ndarray, tol: float) -> None:
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has a non-finite entry")
+    defect = hermiticity_defect(h)
+    if defect > tol:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")
+
+
 def expm_hermitian(h: np.ndarray, tau: float, *, tol: float = 1e-10) -> np.ndarray:
     """exp(i * tau * h) for Hermitian h, via eigendecomposition.
 
     Unitary up to floating error by construction; raises on non-Hermitian
     input (defect above ``tol``).
     """
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")
+    _require_hermitian(h, tol)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * tau * w)) @ v.conj().T
 
@@ -258,9 +269,7 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     dim = 2**n
     if h.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {h.shape}")
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")
+    _require_hermitian(h, tol)
     idx = np.arange(dim)
     traces = h[idx, idx ^ idx[:, None]] @ _signs(idx[:, None], idx)
     coeffs = {}
@@ -385,20 +394,25 @@ def _maxabs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def _anticommutation_defect(gens: list[np.ndarray], eye: np.ndarray) -> float:
+    # worst deviation from g_i g_j + g_j g_i = 2 delta_ij
+    return max(
+        float(np.max(np.abs(g1 @ g2 + g2 @ g1 - (2.0 if i == j else 0.0) * eye)))
+        for i, g1 in enumerate(gens)
+        for j, g2 in enumerate(gens)
+    )
+
+
 def verify_representation(
-    n: int,
-    *,
-    seed: int = 0,
-    tol_strict: float = 1e-14,
-    tol_exact: float = 1e-12,
-    tol_pipeline: float = 1e-10,
-    sample_cap: int = 4096,
+    n: int, *, seed: int = 0, tol_pipeline: float = 1e-10
 ) -> list[CheckResult]:
     """Run the full symbolic-vs-dense property sweep at a given size.
 
     Exhaustive over all label pairs when their square fits under
-    ``sample_cap``, seeded random sampling beyond that; deterministic for
-    a fixed seed.  Pairs are checked as stacks of matrices, a chunk at a time.
+    SAMPLE_CAP, seeded random sampling beyond that; deterministic for a
+    fixed seed.  Pairs are checked as stacks of matrices, a chunk at a time.
+    Generator checks use TOL_STRICT, label checks TOL_EXACT and the
+    decomposition round trip ``tol_pipeline``.
     """
     rng = np.random.default_rng(seed)
     eye = np.eye(2**n)
@@ -410,13 +424,8 @@ def verify_representation(
         )
 
     gammas = [gamma(k, n) for k in range(2 * n)]
-    dev = max(
-        float(np.max(np.abs(g1 @ g2 + g2 @ g1 - (2.0 if i == j else 0.0) * eye)))
-        for i, g1 in enumerate(gammas)
-        for j, g2 in enumerate(gammas)
-    )
-    add("clifford-relations", dev, tol_strict)
-    add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), tol_strict)
+    add("clifford-relations", _anticommutation_defect(gammas, eye), TOL_STRICT)
+    add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
 
     labels = list(all_labels(2 * n))
     herm_dev = square_dev = 0.0
@@ -424,10 +433,10 @@ def verify_representation(
         m = hermitized_matrix(label, n)
         herm_dev = max(herm_dev, hermiticity_defect(m))
         square_dev = max(square_dev, _maxabs(m @ m - eye))
-    add("hermitized-hermiticity", herm_dev, tol_exact)
-    add("hermitized-squares", square_dev, tol_exact)
+    add("hermitized-hermiticity", herm_dev, TOL_EXACT)
+    add("hermitized-squares", square_dev, TOL_EXACT)
 
-    pairs = _label_pairs(n, rng, sample_cap)
+    pairs = _label_pairs(n, rng, SAMPLE_CAP)
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
     chunk = max(1, (1 << 14) // 4**n)  # ~2^14 entries a stack: memory stays flat
@@ -442,21 +451,21 @@ def verify_representation(
         c_norm = np.max(np.abs(ab - ba), axis=(1, 2))
         a_norm = np.max(np.abs(ab + ba), axis=(1, 2))
         dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
-        dich_ok &= all((c <= tol_exact) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
+        dich_ok &= all((c <= TOL_EXACT) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
         ha = _stack([hermitize(a) for a, _ in part], n)
         hb = _stack([hermitize(b) for _, b in part], n)
         expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
         trace_dev = max(trace_dev, _maxabs(np.einsum("kij,kji->k", ha, hb) - expect))
-    add("product-homomorphism", prod_dev, tol_exact)
-    add("commutator-homomorphism", comm_dev, tol_exact)
-    add("commutation-dichotomy", dich_dev, tol_exact, extra_ok=dich_ok)
-    add("trace-orthogonality", trace_dev, tol_exact)
+    add("product-homomorphism", prod_dev, TOL_EXACT)
+    add("commutator-homomorphism", comm_dev, TOL_EXACT)
+    add("commutation-dichotomy", dich_dev, TOL_EXACT, extra_ok=dich_ok)
+    add("trace-orthogonality", trace_dev, TOL_EXACT)
 
     # the monomial form and the Pauli letters read off it, both against the
     # ordered product of Kronecker-chain generators
     fact_dev = 0.0
-    fact_labels = labels if len(labels) <= sample_cap else [
-        labels[i] for i in rng.integers(0, len(labels), size=sample_cap)
+    fact_labels = labels if len(labels) <= SAMPLE_CAP else [
+        labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)
     ]
     for label in fact_labels:
         el = hermitize(label)
@@ -466,20 +475,16 @@ def verify_representation(
             _maxabs(represent(el, n) - oracle),
             _maxabs(pauli_factorization(el, n).matrix() - oracle),
         )
-    add("factorization-consistency", fact_dev, tol_exact)
+    add("factorization-consistency", fact_dev, TOL_EXACT)
 
     rec = recursive_construct(n)
-    rec_dev = max(
-        float(np.max(np.abs(g1 @ g2 + g2 @ g1 - (2.0 if i == j else 0.0) * eye)))
-        for i, g1 in enumerate(rec)
-        for j, g2 in enumerate(rec)
-    )
+    rec_dev = _anticommutation_defect(rec, eye)
     rec_trace = max(
         abs(np.trace(g1 @ g2) - (2.0**n if i == j else 0.0))
         for i, g1 in enumerate(rec)
         for j, g2 in enumerate(rec)
     )
-    add("recursive-generators", max(rec_dev, rec_trace), tol_strict)
+    add("recursive-generators", max(rec_dev, rec_trace), TOL_STRICT)
 
     h = random_hermitian(n, rng)
     coeffs = decompose(h, n, tol=tol_pipeline)

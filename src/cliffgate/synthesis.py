@@ -36,7 +36,6 @@ from .matrices import (
     PauliFactorization,
     decompose,
     expm_hermitian,
-    hermiticity_defect,
     hermitized_matrix,
     pauli_factorization,
     reconstruct,
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+ATOL = 1e-12  # synthesize drops coefficients at or below this
 
 
 class CapExceededError(RuntimeError):
@@ -234,8 +234,18 @@ class CoefficientVector:
             if self.coeffs[label] != 0.0
         ]
 
-    def sum_of_squares(self) -> float:
-        return float(sum(a * a for a in self.coeffs.values()))
+
+def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
+    # the gate list of trotter and synthesize, before its error is measured
+    if steps < 1:
+        raise ValueError(f"step count must be >= 1, got {steps}")
+    terms = coeffs.terms()
+    block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
+    return GateSequence(
+        gates=block * steps,
+        qubits=coeffs.qubits,
+        target=f"exp(i*H) for the {len(terms)}-term coefficient vector",
+    )
 
 
 def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
@@ -246,41 +256,25 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
     reported error is the operator-norm distance to the exact exponential
     and shrinks like (sum alpha^2)/steps.
     """
-    if steps < 1:
-        raise ValueError(f"step count must be >= 1, got {steps}")
-    n = coeffs.qubits
-    terms = coeffs.terms()
-    block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
-    seq = GateSequence(
-        gates=block * steps,
-        qubits=n,
-        target=f"exp(i*H) for the {len(terms)}-term coefficient vector",
-    )
-    target = expm_hermitian(reconstruct(dict(terms), n), 1.0)
+    seq = _product_formula(coeffs, steps)
+    target = expm_hermitian(reconstruct(dict(coeffs.terms()), coeffs.qubits), 1.0)
     seq.error = operator_distance(seq.matrix(), target)
     return seq
 
 
-def synthesize(
-    h: np.ndarray, steps: int, qubits: int, *, atol: float = 1e-12, tol: float = 1e-10
-) -> GateSequence:
-    """Decompose a Hermitian target and hand the coefficients to trotter.
+def synthesize(h: np.ndarray, steps: int, qubits: int, *, tol: float = 1e-10) -> GateSequence:
+    """Decompose a Hermitian target and build the trotter gate list.
 
-    Coefficients with |alpha| <= atol are dropped.  The reported error is
-    measured against exp(i*h).
+    Coefficients with |alpha| <= ATOL are dropped.  The reported error is
+    measured against exp(i*h).  :func:`decompose` rejects a matrix of the
+    wrong shape or with a Hermiticity defect above ``tol``.
     """
-    dim = 2**qubits
-    if h.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for {qubits} qubits, got {h.shape}")
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")
     coeffs = CoefficientVector(
         qubits,
-        {label: a for label, a in decompose(h, qubits, tol=tol).items() if abs(a) > atol},
+        {label: a for label, a in decompose(h, qubits, tol=tol).items() if abs(a) > ATOL},
     )
-    seq = trotter(coeffs, steps)
-    seq.target = f"exp(i*H) for the supplied {dim}x{dim} Hermitian matrix"
+    seq = _product_formula(coeffs, steps)
+    seq.target = f"exp(i*H) for the supplied {2**qubits}x{2**qubits} Hermitian matrix"
     seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0, tol=tol))
     return seq
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ class TestVerifyRepCommand:
         code, out, _ = run(capsys, "verify-rep", "-n", n)
         assert code == EXIT_OK
         assert "clifford-relations" in out
-        assert "FAIL" not in out
+        assert "status=fail" not in out
 
     def test_cap_error(self, capsys):
         code, _, err = run(capsys, "verify-rep", "-n", "20")
@@ -208,6 +210,13 @@ class TestSynthCommand:
         assert code == EXIT_PRECONDITION
         assert "defect" in err
 
+    def test_non_finite_entry_rejected(self, capsys, tmp_path):
+        infile = tmp_path / "nan.mat"
+        infile.write_text("nan,0 0,0\n0,0 inf,0\n")
+        code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "error: matrix has a non-finite entry\n"
+
     def test_dimension_mismatch(self, capsys, tmp_path):
         infile = tmp_path / "small.mat"
         infile.write_text(format_matrix(np.zeros((2, 2))))
@@ -261,3 +270,85 @@ class TestGlobalFlags:
             code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", tol)
             assert code == EXIT_PARSE, tol
             assert "--tolerance" in err
+
+
+# The records form is the command line's output contract: these calls must
+# keep printing exactly this.
+GOLDEN_RECORDS = {
+    ("closure", "-m", "4", "e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1,2]"): (
+        "closure ambient=4 generators=5 dim=16 universal=true\n"
+        + "".join(
+            f"label {t}\n"
+            for t in (
+                "e[] e[0] e[1] e[2] e[3] e[0,1] e[0,2] e[1,2] e[0,3] e[1,3] e[2,3] "
+                "e[0,1,2] e[0,1,3] e[0,2,3] e[1,2,3] e[0,1,2,3]"
+            ).split()
+        )
+    ),
+    ("certify", "-m", "4", "--target", "e[0,1,2,3]",
+     "e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1,2]"): (
+        "ambient 4\n"
+        "target e[0,1,2,3]\n"
+        "generator e[0]\n"
+        "generator e[1]\n"
+        "generator e[2]\n"
+        "generator e[3]\n"
+        "generator i*e[0,1,2]\n"
+        "step e[0,1,2,3] := [e[3], e[0,1,2]] * -i*2^1\n"
+        "scalar -i*2^1\n"
+        "replay deviation=0 steps=1 ok=true\n"
+    ),
+    ("gateset", "-n", "2"): (
+        "element label=e[0] pauli=IX support=0 local=true\n"
+        "element label=i*e[0,1] pauli=-IZ support=0 local=true\n"
+        "element label=i*e[1,2] pauli=-XX support=0,1 local=true\n"
+        "element label=i*e[2,3] pauli=-ZI support=1 local=true\n"
+        "element label=i*e[0,1,2] pauli=-XI support=1 local=true\n"
+        "gateset qubits=2 count=5 dim=16 universal=true local=true\n"
+    ),
+    ("power", "--angle", "pi/2", "--eps", "0.1"): (
+        "power angle=1.5707963267948966 eps=0.10000000000000001 N=4 residual=0 signed=0\n"
+    ),
+}
+
+
+def _six_digits(line):
+    # a records line with every float field re-rounded to 6 significant digits
+    def reround(m):
+        return f"{m.group(1)}={float(m.group(2)):.6g}"
+
+    return re.sub(r"(\w+)=(-?\d+\.\d*(?:e[-+]\d+)?|-?\d+e[-+]\d+)(?= |$)", reround, line)
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("argv", list(GOLDEN_RECORDS), ids=lambda a: a[0])
+    def test_records_match_golden(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "records")
+        assert (code, out, err) == (EXIT_OK, GOLDEN_RECORDS[argv], "")
+
+    def test_human_is_default(self, capsys):
+        argv = ["power", "--angle", "pi/2", "--eps", "0.1"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_OK, "power angle=1.5708 eps=0.1 N=4 residual=0 signed=0\n")
+
+    def test_human_lines_are_records_at_six_digits(self, capsys):
+        argv = ["verify-rep", "-n", "2", "--seed", "3"]
+        _, records, _ = run(capsys, *argv, "--format", "records")
+        code, human, _ = run(capsys, *argv, "--format", "human")
+        assert code == EXIT_OK
+        assert "tolerance=9.9999999999999998e-13" in records
+        assert "tolerance=1e-12" in human
+        assert human.splitlines() == [_six_digits(line) for line in records.splitlines()]
+
+    def test_human_synth_keeps_sequence_text(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        infile = tmp_path / "h.mat"
+        infile.write_text(format_matrix((a + a.conj().T) / 2))
+        argv = ["synth", "-n", "2", "-N", "2", "-i", str(infile)]
+        _, records, _ = run(capsys, *argv, "--format", "records")
+        code, human, _ = run(capsys, *argv, "--format", "human")
+        assert code == EXIT_OK
+        *sequence, record = records.splitlines()
+        assert human.splitlines() == sequence + [_six_digits(record)]
+        assert record != _six_digits(record)
