@@ -18,6 +18,7 @@ from .algebra import (
     product,
 )
 from .closure import (
+    CapExceededError,
     Certificate,
     ClosureResult,
     GeneratorSet,
@@ -46,7 +47,6 @@ from .matrices import (
     verify_representation,
 )
 from .synthesis import (
-    CapExceededError,
     CoefficientVector,
     Gate,
     GateSequence,

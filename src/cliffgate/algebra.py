@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -89,7 +90,13 @@ class BasisLabel:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.ambient) if self.mask >> i & 1)
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     @property
     def order(self) -> int:
@@ -128,7 +135,8 @@ class ScaledElement:
 
     @classmethod
     def zero(cls, ambient: int) -> "ScaledElement":
-        return cls(BasisLabel.unit(ambient), is_zero=True)
+        """The exact zero over ``ambient``; one shared (immutable) value per ambient."""
+        return _zero(ambient)
 
     @classmethod
     def unit(cls, ambient: int) -> "ScaledElement":
@@ -152,28 +160,56 @@ class ScaledElement:
         return format_element(self)
 
 
+@lru_cache(maxsize=None)
+def _zero(ambient: int) -> ScaledElement:
+    return ScaledElement(BasisLabel.unit(ambient), is_zero=True)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _scaled(mask: int, ambient: int, phase: int, pow2: int) -> ScaledElement:
+    # Internal constructor for a value derived from validated operands: the
+    # XOR of two in-range masks is in range and ``phase`` is already reduced
+    # mod 4, so the checks of the public constructors are skipped.
+    label = _new(BasisLabel)
+    _set(label, "mask", mask)
+    _set(label, "ambient", ambient)
+    elem = _new(ScaledElement)
+    _set(elem, "label", label)
+    _set(elem, "phase", phase)
+    _set(elem, "pow2", pow2)
+    _set(elem, "is_zero", False)
+    return elem
+
+
 def generator(k: int, ambient: int) -> ScaledElement:
     """The k-th generator as a scaled element."""
     return ScaledElement(BasisLabel.from_indices([k], ambient))
 
 
-def _require_same_ambient(a, b) -> None:
+def _require_same_ambient(a, b) -> int:
+    """The common ambient of two labels or elements; raises if they differ."""
     if a.ambient != b.ambient:
         raise AmbientMismatchError(
             f"ambient generator counts differ: {a.ambient} vs {b.ambient}"
         )
+    return a.ambient
 
 
-def _inversions(a_mask: int, b_mask: int) -> int:
-    # Transpositions of the stable sorted merge of the two ascending index
-    # sequences: pairs (i in a, j in b) with i > j.
-    count = 0
-    b = b_mask
-    while b:
-        low = b & -b
-        count += (a_mask >> low.bit_length()).bit_count()
-        b ^= low
-    return count
+def _swap_parity(a_mask: int, b_mask: int, ambient: int) -> int:
+    # Parity of the transpositions of the stable sorted merge of the two
+    # ascending index sequences, i.e. of the pairs (i in a, j in b) with
+    # i > j.  Bit i of the prefix XOR of b is the parity of b's bits 0..i,
+    # so after a shift by one each bit i of a picks up the parity of the
+    # b indices below i.
+    prefix = b_mask
+    shift = 1
+    while shift < ambient:
+        prefix ^= prefix << shift
+        shift += shift
+    return (a_mask & (prefix << 1)).bit_count() & 1
 
 
 def product(a: ScaledElement, b: ScaledElement) -> ScaledElement:
@@ -184,14 +220,22 @@ def product(a: ScaledElement, b: ScaledElement) -> ScaledElement:
     contributes a factor -1, and the adjacent equal pairs left afterwards
     cancel to +1.
     """
-    _require_same_ambient(a, b)
+    ambient = _require_same_ambient(a.label, b.label)
     if a.is_zero or b.is_zero:
-        return ScaledElement.zero(a.ambient)
-    swaps = _inversions(a.label.mask, b.label.mask)
-    return ScaledElement(
-        BasisLabel(a.label.mask ^ b.label.mask, a.ambient),
-        phase=a.phase + b.phase + 2 * swaps,
-        pow2=a.pow2 + b.pow2,
+        return _zero(ambient)
+    return _nonzero_product(a, b, ambient, 0)
+
+
+def _nonzero_product(
+    a: ScaledElement, b: ScaledElement, ambient: int, pow2: int
+) -> ScaledElement:
+    # ab times 2^pow2, for nonzero operands over ``ambient``
+    ma, mb = a.label.mask, b.label.mask
+    return _scaled(
+        ma ^ mb,
+        ambient,
+        (a.phase + b.phase + 2 * _swap_parity(ma, mb, ambient)) & 3,
+        a.pow2 + b.pow2 + pow2,
     )
 
 
@@ -203,16 +247,19 @@ def commutes(a: BasisLabel, b: BasisLabel) -> bool:
     even; otherwise it anticommutes.  There is no third option.
     """
     _require_same_ambient(a, b)
-    return (a.order * b.order - (a.mask & b.mask).bit_count()) % 2 == 0
+    return _masks_commute(a.mask, b.mask)
+
+
+def _masks_commute(a_mask: int, b_mask: int) -> bool:
+    return (a_mask.bit_count() * b_mask.bit_count() - (a_mask & b_mask).bit_count()) & 1 == 0
 
 
 def commutator(a: ScaledElement, b: ScaledElement) -> ScaledElement:
     """[a, b] = ab - ba: the exact zero, or 2ab for anticommuting terms."""
-    _require_same_ambient(a, b)
-    if a.is_zero or b.is_zero or commutes(a.label, b.label):
-        return ScaledElement.zero(a.ambient)
-    p = product(a, b)
-    return ScaledElement(p.label, p.phase, p.pow2 + 1)
+    ambient = _require_same_ambient(a.label, b.label)
+    if a.is_zero or b.is_zero or _masks_commute(a.label.mask, b.label.mask):
+        return _zero(ambient)
+    return _nonzero_product(a, b, ambient, 1)
 
 
 def hermitization_phase(order: int) -> int:
@@ -283,7 +330,8 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
     m = _LABEL_RE.match(stripped, pos)
     if m is None:
         raise ParseError(f"expected a label like e[0,1] in {text!r}", offset + pos)
-    indices: list[int] = []
+    mask = 0
+    last = -1
     body = m.group(1)
     if body:
         col = offset + pos + 2
@@ -295,16 +343,16 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
                 raise ParseError(
                     f"generator index {idx} out of range for ambient {ambient}", col
                 )
-            if indices and idx <= indices[-1]:
+            if idx <= last:
                 raise ParseError(
-                    f"indices must be strictly ascending, got {idx} after {indices[-1]}",
-                    col,
+                    f"indices must be strictly ascending, got {idx} after {last}", col
                 )
-            indices.append(idx)
+            mask |= 1 << idx
+            last = idx
             col += len(part) + 1
     if m.end() != len(stripped):
         raise ParseError(f"trailing text after label in {text!r}", offset + m.end())
-    return ScaledElement(BasisLabel.from_indices(indices, ambient), phase=phase, pow2=pow2)
+    return ScaledElement(BasisLabel(mask, ambient), phase=phase, pow2=pow2)
 
 
 def parse_label(text: str, ambient: int) -> BasisLabel:

@@ -8,10 +8,12 @@ precision and ``--format human`` (the default) the same lines with floats
 at 6 significant digits.  With fixed flags and seed the output is
 byte-identical across runs.
 
-``--cap`` bounds the ambient count for ``closure`` (default 64), the qubit
-count for ``verify-rep``, ``gateset`` and ``synth`` (default 6), the replay
-in ``certify`` (skipped above 2*cap generators, default 6 qubits) and the
-search in ``power`` (default 10^9 applications).
+``--cap`` bounds the labels a ``closure`` may reach (default 2^16; an
+ambient above 64 is refused whatever the cap), the qubit count for
+``verify-rep``, ``gateset`` and ``synth`` (default 6), the replay in
+``certify`` (skipped above 2*cap generators, default 6 qubits; its closure
+runs under the default label cap) and the search in ``power`` (default
+10^9 applications).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
 4 verification failure, 5 cap exceeded.
@@ -27,9 +29,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import ParseError, format_element, parse_element, parse_label
-from .closure import Certificate, GeneratorSet, certificate, close
+from .closure import (
+    DEFAULT_LABEL_CAP,
+    CapExceededError,
+    Certificate,
+    GeneratorSet,
+    certificate,
+    close,
+)
 from .matrices import parse_matrix, replay_certificate, verify_representation
-from .synthesis import CapExceededError, irrational_power, local_gate_set, synthesize
+from .synthesis import irrational_power, local_gate_set, synthesize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,10 +46,10 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_CAP = 5
 
-DEFAULT_AMBIENT_CAP = 64
+MAX_AMBIENT = 64  # generators; a larger closure ambient exits 5 whatever --cap says
 DEFAULT_MATRIX_CAP = 6  # qubits
 DEFAULT_CAP = {
-    "closure": DEFAULT_AMBIENT_CAP,
+    "closure": DEFAULT_LABEL_CAP,
     "certify": DEFAULT_MATRIX_CAP,
     "verify-rep": DEFAULT_MATRIX_CAP,
     "gateset": DEFAULT_MATRIX_CAP,
@@ -103,12 +112,12 @@ def _check_qubits(qubits: int, cap: int) -> None:
 
 
 def cmd_closure(args, config: RunConfig) -> int:
-    if args.ambient > config.cap:
-        raise CapExceededError(f"ambient {args.ambient} exceeds the symbolic cap {config.cap}")
+    if args.ambient > MAX_AMBIENT:
+        raise CapExceededError(f"ambient {args.ambient} exceeds the symbolic cap {MAX_AMBIENT}")
     if args.ambient < 1:
         raise ValueError("ambient must be >= 1")
     gens = _parse_generators(args.generators, args.ambient)
-    result = close(gens)
+    result = close(gens, cap=config.cap)
     dim = result.dimension
     if args.ambient % 2:
         verdict = "unsupported"

@@ -44,6 +44,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "CapExceededError",
     "Certificate",
     "CertificateStep",
     "ClosureResult",
@@ -56,6 +57,12 @@ __all__ = [
     "is_universal",
     "universal_generators",
 ]
+
+DEFAULT_LABEL_CAP = 1 << 16  # labels; a universal set over 16 generators still closes
+
+
+class CapExceededError(RuntimeError):
+    """A configured search or size cap was hit before the answer."""
 
 
 class UnreachableTargetError(ValueError):
@@ -192,7 +199,7 @@ class ClosureResult:
         return True
 
 
-def close(gens: GeneratorSet) -> ClosureResult:
+def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
     """Smallest label set containing the generators and closed under
     nonvanishing pairwise commutators.
 
@@ -205,21 +212,37 @@ def close(gens: GeneratorSet) -> ClosureResult:
     in the algebra is reached this way.  ``depth`` is the minimal number of
     generator brackets that produce a label, and the run is reproducible
     (ties are broken by label order, never by arrival time).
+
+    Each pair is first tested on its masks alone: it is skipped when the
+    two labels commute or when its label ``a ^ b`` was already reached, so
+    only a label's first finder costs a commutator.  Raises
+    :class:`CapExceededError` once the closure would hold more than ``cap``
+    labels, the vacuous unit included.
     """
     ambient = gens.ambient
     reps: dict[BasisLabel, ScaledElement] = {el.label: el for el in gens.elements}
     initial = tuple(sorted(reps, key=canonical_key))
     depth = {label: 0 for label in initial}
     provenance: dict[BasisLabel, CertificateStep] = {}
+    seen = {label.mask for label in initial}
+    brackets = [(b, b.mask, b.order, reps[b]) for b in initial]
     frontier = list(initial)
     while frontier:
         found: dict[BasisLabel, CertificateStep] = {}
         for a in frontier:
             rep_a = reps[a]
-            for b in initial:
-                c = commutator(rep_a, reps[b])
-                if c.is_zero or c.label in reps or c.label in found:
+            mask_a = a.mask
+            order_a = a.order
+            for b, mask_b, order_b, rep_b in brackets:
+                # the pair commutes iff |a|*|b| - |a & b| is even (algebra.commutes)
+                if (order_a * order_b - (mask_a & mask_b).bit_count()) & 1 == 0:
                     continue
+                if (mask_a ^ mask_b) in seen:
+                    continue
+                seen.add(mask_a ^ mask_b)
+                if len(seen) > cap:
+                    raise _label_cap_exceeded(cap)
+                c = commutator(rep_a, rep_b)
                 found[c.label] = CertificateStep(c.label, a, b, c)
         if not found:
             break
@@ -236,6 +259,8 @@ def close(gens: GeneratorSet) -> ClosureResult:
         reps[unit] = ScaledElement.unit(ambient)
         depth[unit] = 0
         unit_vacuous = True
+    if len(reps) > cap:
+        raise _label_cap_exceeded(cap)
     return ClosureResult(
         ambient=ambient,
         initial=initial,
@@ -244,6 +269,10 @@ def close(gens: GeneratorSet) -> ClosureResult:
         depth=depth,
         unit_vacuous=unit_vacuous,
     )
+
+
+def _label_cap_exceeded(cap: int) -> CapExceededError:
+    return CapExceededError(f"the closure has more than {cap} labels")
 
 
 def dimension(gens: GeneratorSet) -> int:

@@ -242,6 +242,15 @@ def unitarity_defect(u: np.ndarray) -> float:
 def _require_hermitian(h: np.ndarray, tol: float) -> None:
     if not np.isfinite(h).all():
         raise ValueError("matrix has a non-finite entry")
+    # Every trace, row sum and eigenvalue is bounded by rows * max |entry|,
+    # so below this limit none of them overflows.
+    largest = float(np.max(np.abs(h), initial=0.0))
+    limit = np.finfo(float).max / max(len(h), 1)
+    if largest > limit:
+        raise ValueError(
+            f"matrix entry of magnitude {largest:.3g} is too large: sums of "
+            f"{len(h)} entries can overflow (limit {limit:.3g})"
+        )
     defect = hermiticity_defect(h)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {tol:.3g})")

@@ -31,7 +31,7 @@ from .algebra import (
     hermitize,
     parse_label,
 )
-from .closure import GeneratorSet, chain_generators, close
+from .closure import CapExceededError, GeneratorSet, chain_generators, close
 from .matrices import (
     PauliFactorization,
     decompose,
@@ -64,10 +64,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ATOL = 1e-12  # synthesize drops coefficients at or below this
-
-
-class CapExceededError(RuntimeError):
-    """A configured search or size cap was hit before the answer."""
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:

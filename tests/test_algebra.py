@@ -20,7 +20,7 @@ from cliffgate import (
     represent,
 )
 from cliffgate.algebra import format_scalar, parse_scalar
-from conftest import elem, label, labels_upto, maxabs
+from conftest import elem, inversions, label, labels_upto, maxabs, oracle_product
 
 
 class TestProduct:
@@ -85,6 +85,80 @@ class TestCommutator:
 
     def test_zero_operand(self):
         assert commutator(ScaledElement.zero(4), generator(0, 4)).is_zero
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two elements over one ambient in 1..64, either possibly the zero,
+    with any phase and positive or negative powers of two."""
+    ambient = draw(st.integers(1, 64))
+
+    def one():
+        if draw(st.integers(0, 9)) == 0:
+            return ScaledElement.zero(ambient)
+        return ScaledElement(
+            BasisLabel(draw(st.integers(0, (1 << ambient) - 1)), ambient),
+            phase=draw(st.integers(0, 3)),
+            pow2=draw(st.integers(-70, 70)),
+        )
+
+    return one(), one()
+
+
+class TestFastPathOracle:
+    """``product`` and ``commutator`` work on the masks and build through an
+    internal constructor; these tests hold them to the public-constructor
+    oracle with the full inversion count."""
+
+    @given(wide_pairs())
+    @settings(max_examples=400)
+    def test_commutator_and_product_match_the_oracle(self, pair):
+        a, b = pair
+        ab, ba = product(a, b), product(b, a)
+        assert ab == oracle_product(a, b) and ba == oracle_product(b, a)
+        c = commutator(a, b)
+        assert c.is_zero == (ab == ba)
+        if not c.is_zero:
+            assert c == ScaledElement(ab.label, ab.phase, ab.pow2 + 1)
+        else:
+            assert c == ScaledElement.zero(a.ambient)
+
+    def test_swap_parity_matches_the_inversion_count(self):
+        rng = np.random.default_rng(5)
+        for ambient in range(1, 65):
+            for _ in range(300):
+                a, b = (int(x) for x in rng.integers(0, 1 << ambient, size=2, dtype=np.uint64))
+                p = product(
+                    ScaledElement(BasisLabel(a, ambient)), ScaledElement(BasisLabel(b, ambient))
+                )
+                assert p.phase == 2 * (inversions(a, b) % 2)
+
+    def test_zero_is_shared_and_immutable(self):
+        z = ScaledElement.zero(6)
+        assert z is ScaledElement.zero(6) and z is commutator(generator(0, 6), generator(0, 6))
+        assert z == ScaledElement(BasisLabel.unit(6), is_zero=True)
+        with pytest.raises(AttributeError):
+            z.phase = 1
+        assert ScaledElement.zero(7) != z
+
+    def test_derived_values_equal_validated_ones(self):
+        c = commutator(generator(0, 4), generator(1, 4))
+        assert c == elem([0, 1], 4, pow2=1) and hash(c) == hash(elem([0, 1], 4, pow2=1))
+        assert c.label.indices == (0, 1) and str(c) == "2^1*e[0,1]"
+
+    @pytest.mark.parametrize("mask, ambient", [(1 << 4, 4), (-1, 4), (0, 0), (1 << 64, 64)])
+    def test_out_of_range_masks_still_raise(self, mask, ambient):
+        with pytest.raises(ValueError):
+            BasisLabel(mask, ambient)
+
+    def test_ambient_mismatch_still_raises(self):
+        for op in (product, commutator):
+            with pytest.raises(AmbientMismatchError):
+                op(generator(0, 4), generator(0, 6))
+            with pytest.raises(AmbientMismatchError):
+                op(ScaledElement.zero(4), generator(0, 6))
+            with pytest.raises(AmbientMismatchError):
+                op(generator(1, 64), ScaledElement.zero(3))
 
 
 class TestHermitize:

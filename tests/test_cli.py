@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ class TestSynthCommand:
         code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert err == "error: matrix has a non-finite entry\n"
+
+    def test_overflowing_entries_rejected(self, capsys, tmp_path):
+        # finite entries whose sums overflow: numpy used to warn on stderr and
+        # the run ended in "SVD did not converge"
+        infile = tmp_path / "huge.mat"
+        infile.write_text("1e308,0 1e308,0\n1e308,0 1e308,0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err.startswith("error: matrix entry of magnitude 1e+308 is too large")
+        assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
     def test_dimension_mismatch(self, capsys, tmp_path):
         infile = tmp_path / "small.mat"

@@ -2,10 +2,12 @@
 
 Each subcommand gets argv drawn from valid values mixed with malformed
 elements, non-finite or zero-denominator numbers and negative or zero
-sizes, in both output formats.  Sizes stay small (ambient <= 10, qubits
-<= 3, power search cap <= 10^5) so that every call is quick; ``closure``
-above that ambient can still run for a very long time, which no cap
-bounds yet.
+sizes, in both output formats.  Drawn sizes stay small (ambient <= 10,
+qubits <= 3, power search cap <= 10^5), except that ``closure`` and
+``certify`` also draw, about one time in ten, the stock universal set at
+any ambient up to 64 or at 70.  Its closure has 2^m labels, so it is the
+label cap (``closure --cap``, default 2^16) that bounds such a call:
+about a second at ambient 64, ending in exit 5.
 """
 
 import contextlib
@@ -70,8 +72,16 @@ LABELS = _mostly(
 )
 
 
+def stock_universal(m):
+    """The stock universal set (``universal_generators``) as argv."""
+    return ["-m", str(m), "--", *(f"e[{k}]" for k in range(m)), "i*e[0,1,2]"]
+
+
+STOCK = st.one_of(st.integers(3, 64), st.just(70)).map(stock_universal)
+
+
 def closure_argv():
-    return st.tuples(
+    small = st.tuples(
         st.just(["closure"]),
         _given("-m", _number(-2, 10)),
         _flag("--list-limit", _number(-1, 20)),
@@ -79,10 +89,12 @@ def closure_argv():
         COMMON,
         GENERATORS,
     )
+    stock = st.tuples(st.just(["closure"]), _flag("--cap", _number(-1, 5000)), COMMON, STOCK)
+    return _mostly(small, stock)
 
 
 def certify_argv():
-    return st.tuples(
+    small = st.tuples(
         st.just(["certify"]),
         _given("-m", _number(-2, 10)),
         _given("--target", LABELS),
@@ -90,6 +102,8 @@ def certify_argv():
         COMMON,
         GENERATORS,
     )
+    stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), COMMON, STOCK)
+    return _mostly(small, stock)
 
 
 def qubits_argv(command):
@@ -176,3 +190,15 @@ def test_every_argv_ends_in_a_documented_exit(command, data, workdir):
     code, _, err = run_main(argv, workdir)
     assert code in DOCUMENTED_EXITS, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("cap, code", [("4096", 0), ("4095", 5)])
+def test_closure_label_cap_counts_every_label(cap, code, tmp_path):
+    # the universal closure over 12 generators has exactly 2^12 labels,
+    # the vacuous unit included
+    code_seen, out, err = run_main(["closure", "--cap", cap, *stock_universal(12)], tmp_path)
+    assert code_seen == code, err
+    if code:
+        assert (out, err) == ("", "cap exceeded: the closure has more than 4095 labels\n")
+    else:
+        assert "dim=4096 universal=true" in out

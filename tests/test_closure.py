@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from cliffgate import (
     BasisLabel,
+    CapExceededError,
     Certificate,
     GeneratorSet,
     ParseError,
@@ -22,7 +25,9 @@ from cliffgate import (
     replay_certificate,
     universal_generators,
 )
-from conftest import elem, label
+from cliffgate.algebra import canonical_key
+from cliffgate.closure import CertificateStep
+from conftest import elem, label, oracle_commutator
 
 
 def generators_only(ambient):
@@ -89,6 +94,99 @@ class TestClose:
         report = result.order_report()
         for lab in result.labels():
             assert str(lab) in report
+
+
+def oracle_close(gens):
+    """The closure loop without mask pre-tests: every pair of a frontier
+    label and a generator is bracketed in full (by the oracle commutator)
+    and the first finder of each label in iteration order is kept."""
+    reps = {el.label: el for el in gens.elements}
+    initial = tuple(sorted(reps, key=canonical_key))
+    depth = {lab: 0 for lab in initial}
+    provenance = {}
+    frontier = list(initial)
+    while frontier:
+        found = {}
+        for a in frontier:
+            for b in initial:
+                c = oracle_commutator(reps[a], reps[b])
+                if c.is_zero or c.label in reps or c.label in found:
+                    continue
+                found[c.label] = CertificateStep(c.label, a, b, c)
+        if not found:
+            break
+        layer = sorted(found, key=canonical_key)
+        for lab in layer:
+            reps[lab] = found[lab].element
+            provenance[lab] = found[lab]
+            depth[lab] = depth[found[lab].parent_a] + 1
+        frontier = layer
+    unit = BasisLabel.unit(gens.ambient)
+    unit_vacuous = unit not in reps and any(lab.order >= 3 for lab in reps)
+    if unit_vacuous:
+        reps[unit] = ScaledElement.unit(gens.ambient)
+        depth[unit] = 0
+    return reps, provenance, depth, unit_vacuous
+
+
+def random_generator_sets(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ambient = rng.randint(2, 7)
+        masks = rng.sample(range(1, 1 << ambient), rng.randint(1, min(5, (1 << ambient) - 1)))
+        yield GeneratorSet.of(
+            [
+                ScaledElement(BasisLabel(mask, ambient), rng.randrange(4), rng.randint(-3, 3))
+                for mask in masks
+            ]
+        )
+
+
+class TestCloseMatchesOracle:
+    """``close`` skips pairs on their masks before building anything; it
+    must find exactly what the full loop finds, in the same order."""
+
+    @staticmethod
+    def assert_same(gens):
+        result = close(gens)
+        reps, provenance, depth, unit_vacuous = oracle_close(gens)
+        assert list(result.representatives.items()) == list(reps.items())
+        assert result.provenance == provenance
+        assert result.depth == depth
+        assert result.unit_vacuous == unit_vacuous
+
+    @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
+    def test_stock_sets(self, stock):
+        for m in range(3, 13):
+            self.assert_same(stock(m))
+
+    def test_generators_only(self):
+        for m in range(1, 25):
+            self.assert_same(generators_only(m))
+
+    def test_random_sets(self):
+        for gens in random_generator_sets(200, seed=11):
+            self.assert_same(gens)
+
+
+class TestLabelCap:
+    def test_cap_counts_the_vacuous_unit(self):
+        assert close(universal_generators(8), cap=256).dimension == 256
+        with pytest.raises(CapExceededError, match="has more than 255 labels"):
+            close(universal_generators(8), cap=255)
+
+    def test_cap_counts_the_generators(self):
+        commuting = GeneratorSet.of([elem([0, 1], 4), elem([2, 3], 4)])
+        assert close(commuting, cap=2).dimension == 2
+        with pytest.raises(CapExceededError):
+            close(commuting, cap=1)
+
+    def test_default_cap_still_closes_a_universal_set_at_ambient_16(self):
+        assert close(universal_generators(16)).dimension == 1 << 16
+
+    def test_default_cap_stops_a_universal_set_at_ambient_64(self):
+        with pytest.raises(CapExceededError, match=f"more than {1 << 16} labels"):
+            close(universal_generators(64))
 
 
 class TestUniversality:
