@@ -1,6 +1,8 @@
 """Exact Clifford basis-element algebra, commutator closure with replayable
 certificates, a dense matrix oracle, and quantum gate synthesis."""
 
+import importlib
+
 from .algebra import (
     AmbientMismatchError,
     BasisLabel,
@@ -30,36 +32,40 @@ from .closure import (
     is_universal,
     universal_generators,
 )
-from .matrices import (
-    PauliFactorization,
-    decompose,
-    expm_hermitian,
-    format_matrix,
-    gamma,
-    hermitized_matrix,
-    parse_matrix,
-    pauli_factorization,
-    pauli_support,
-    reconstruct,
-    recursive_construct,
-    replay_certificate,
-    represent,
-    verify_representation,
-)
-from .synthesis import (
-    CoefficientVector,
-    Gate,
-    GateSequence,
-    PowerResult,
-    basis_gate,
-    commutator_gate,
-    irrational_power,
-    local_gate_set,
-    minimal_power_scan,
-    operator_distance,
-    phase_aligned_distance,
-    synthesize,
-    trotter,
-)
+
+# Names resolved on first use (PEP 562), so that importing the package
+# loads neither numpy nor the matrix and synthesis layers; ``pauli`` and
+# ``power`` need no numpy either.
+_LAZY = {
+    **dict.fromkeys(
+        ("PauliFactorization", "local_gate_set", "pauli_factorization", "pauli_support",
+         "replay_certificate"),
+        "pauli",
+    ),
+    **dict.fromkeys(("PowerResult", "irrational_power", "minimal_power_scan"), "power"),
+    **dict.fromkeys(
+        ("decompose", "expm_hermitian", "format_matrix", "gamma", "hermitized_matrix",
+         "parse_matrix", "reconstruct", "recursive_construct", "represent",
+         "verify_representation"),
+        "matrices",
+    ),
+    **dict.fromkeys(
+        ("CoefficientVector", "Gate", "GateSequence", "basis_gate", "commutator_gate",
+         "operator_distance", "phase_aligned_distance", "synthesize", "trotter"),
+        "synthesis",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -12,8 +12,12 @@ byte-identical across runs.
 ambient above 64 is refused whatever the cap), the qubit count for
 ``verify-rep``, ``gateset`` and ``synth`` (default 6), the replay in
 ``certify`` (skipped above 2*cap generators, default 6 qubits; its closure
-runs under the default label cap) and the search in ``power`` (default
-10^9 applications).
+runs under the default label cap, and an ambient above 64 is refused) and
+the search in ``power`` (default 10^9 applications).
+
+Only ``verify-rep``, ``synth`` and a ``power`` search that falls back to
+the scan load numpy; ``closure``, ``certify`` (which replays on integer
+Pauli monomials) and ``gateset`` run on integers.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
 4 verification failure, 5 cap exceeded.
@@ -37,8 +41,8 @@ from .closure import (
     certificate,
     close,
 )
-from .matrices import parse_matrix, replay_certificate, verify_representation
-from .synthesis import irrational_power, local_gate_set, synthesize
+from .pauli import local_gate_set, replay_certificate
+from .power import irrational_power
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -106,14 +110,18 @@ def _parse_generators(texts, ambient):
     return GeneratorSet(ambient, tuple(elements))
 
 
+def _check_ambient(ambient: int) -> None:
+    if ambient > MAX_AMBIENT:
+        raise CapExceededError(f"ambient {ambient} exceeds the symbolic cap {MAX_AMBIENT}")
+
+
 def _check_qubits(qubits: int, cap: int) -> None:
     if qubits > cap:
         raise CapExceededError(f"{qubits} qubits exceeds the matrix cap {cap}")
 
 
 def cmd_closure(args, config: RunConfig) -> int:
-    if args.ambient > MAX_AMBIENT:
-        raise CapExceededError(f"ambient {args.ambient} exceeds the symbolic cap {MAX_AMBIENT}")
+    _check_ambient(args.ambient)
     if args.ambient < 1:
         raise ValueError("ambient must be >= 1")
     gens = _parse_generators(args.generators, args.ambient)
@@ -135,6 +143,7 @@ def cmd_closure(args, config: RunConfig) -> int:
 
 
 def cmd_certify(args, config: RunConfig) -> int:
+    _check_ambient(args.ambient)
     gens = _parse_generators(args.generators, args.ambient)
     target = parse_label(args.target, args.ambient)
     serialized = certificate(gens, target).to_text()
@@ -158,6 +167,8 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
     _check_qubits(args.qubits, config.cap)
     if args.qubits < 1:
         raise ValueError("qubit count must be >= 1")
+    from .matrices import verify_representation  # loads numpy
+
     checks = verify_representation(args.qubits, seed=config.seed, tol_pipeline=config.tolerance)
     for check in checks:
         config.emit(
@@ -196,6 +207,9 @@ def cmd_gateset(args, config: RunConfig) -> int:
 
 def cmd_synth(args, config: RunConfig) -> int:
     _check_qubits(args.qubits, config.cap)
+    from .matrices import parse_matrix  # loads numpy
+    from .synthesis import synthesize
+
     h = parse_matrix(Path(args.input).read_text())
     seq = synthesize(h, args.steps, args.qubits, tol=config.tolerance)
     serialized = seq.to_text()

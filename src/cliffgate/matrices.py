@@ -10,8 +10,10 @@ qubit (qubit 0 is the rightmost factor and bit 0 of a row index).  All 2n
 generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
-a basis element's Pauli monomial i^phase X^x Z^z (:func:`pauli_monomial`);
-the Kronecker chains of :func:`gamma` serve only as the checks' oracle.
+a basis element's Pauli monomial i^phase X^x Z^z (:func:`pauli_monomial`,
+from the numpy-free :mod:`cliffgate.pauli`, as are the factorization and
+certificate replay re-exported here); the Kronecker chains of
+:func:`gamma` serve only as the checks' oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    AmbientMismatchError,
     BasisLabel,
     ParseError,
     ScaledElement,
@@ -33,6 +34,16 @@ from .algebra import (
     hermitization_phase,
     hermitize,
     product,
+)
+from .pauli import (
+    PauliFactorization,
+    ReplayReport,
+    _require_qubits,
+    pauli_factorization,
+    pauli_monomial,
+    pauli_support,
+    qubit_count,
+    replay_certificate,
 )
 
 __all__ = [
@@ -74,14 +85,6 @@ TOL_EXACT = 1e-12
 SAMPLE_CAP = 4096
 
 
-def qubit_count(ambient: int) -> int:
-    if ambient % 2:
-        raise ValueError(
-            f"ambient {ambient} is odd; a matrix form needs two generators per qubit"
-        )
-    return ambient // 2
-
-
 def _kron_chain(factors) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for f in factors:
@@ -97,35 +100,9 @@ def gamma(k: int, n: int) -> np.ndarray:
     return _kron_chain([_I2] * (n - q - 1) + [_SY if k % 2 else _SX] + [_SZ] * q)
 
 
-def pauli_monomial(label: BasisLabel) -> tuple[int, int, int]:
-    """(xmask, zmask, phase) with M(label) = i^phase X^xmask Z^zmask.
-
-    Generator 2k is X_k Z_{<k} and generator 2k+1 is i X_k Z_{<=k}; the
-    ordered product follows from (X^a Z^b)(X^c Z^d) = (-1)^|b & c|
-    X^(a ^ c) Z^(b ^ d).  Bit q of either mask refers to qubit q.
-    """
-    x = z = phase = 0
-    mask = label.mask
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        k = j >> 1
-        phase += (j & 1) + 2 * (z >> k & 1)
-        x ^= 1 << k
-        z ^= (1 << (k + (j & 1))) - 1
-    return x, z, phase % 4
-
-
 def _signs(a, b) -> np.ndarray:
     # (-1)^|a & b| elementwise: entries of the Sylvester-Hadamard matrix.
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & 1)
-
-
-def _require_qubits(elem: ScaledElement, n: int) -> None:
-    if elem.ambient != 2 * n:
-        raise AmbientMismatchError(
-            f"element over {elem.ambient} generators cannot live on {n} qubits"
-        )
 
 
 def signed_permutations(
@@ -180,55 +157,6 @@ def recursive_construct(n: int) -> list[np.ndarray]:
         eye = np.eye(2**m, dtype=complex)
         gens = [np.kron(eye, _SX), np.kron(eye, _SY)] + [np.kron(g, h) for g in gens]
     return gens
-
-
-@dataclass(frozen=True)
-class PauliFactorization:
-    """Per-qubit Pauli letters plus a global coefficient i^phase * 2^pow2.
-
-    ``factors`` is written leftmost = highest qubit, matching the Kronecker
-    convention above, so ``factors[-1]`` acts on qubit 0.
-    """
-
-    phase: int
-    pow2: int
-    factors: str
-
-    @property
-    def qubits(self) -> int:
-        return len(self.factors)
-
-    def support(self) -> tuple[int, ...]:
-        n = len(self.factors)
-        return tuple(sorted(n - 1 - i for i, f in enumerate(self.factors) if f != "I"))
-
-    def matrix(self) -> np.ndarray:
-        coeff = (1j ** self.phase) * 2.0 ** self.pow2
-        return coeff * _kron_chain([PAULI[f] for f in self.factors])
-
-    def __str__(self) -> str:
-        from .algebra import _PREFIX_BY_PHASE  # canonical coefficient spelling
-
-        head = _PREFIX_BY_PHASE[self.phase % 4]
-        if self.pow2:
-            head += f"2^{self.pow2}*"
-        return head + self.factors
-
-
-def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
-    """Factor a scaled basis element into per-qubit Paulis symbolically."""
-    _require_qubits(elem, n)
-    if elem.is_zero:
-        raise ValueError("the zero element has no Pauli factorization")
-    x, z, phase = pauli_monomial(elem.label)
-    # a qubit in both masks is X Z = -i Y
-    letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in reversed(range(n)))
-    return PauliFactorization((elem.phase + phase - (x & z).bit_count()) % 4, elem.pow2, letters)
-
-
-def pauli_support(elem: ScaledElement, n: int) -> tuple[int, ...]:
-    """Qubit positions whose Pauli factor is not the identity."""
-    return pauli_factorization(elem, n).support()
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -338,46 +266,6 @@ def parse_matrix(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows) or width != len(rows):
         raise ParseError(f"expected a square matrix, got rows of widths {[len(r) for r in rows]}")
     return np.array(rows, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# Certificate replay.
-
-
-@dataclass
-class ReplayReport:
-    deviation: float
-    matrix: np.ndarray
-    steps: int
-
-
-def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
-    """Re-run a derivation in matrix form and compare against its target.
-
-    Each step recomputes the commutator of its parents' matrices and is
-    checked against the recorded exact coefficient; the final matrix must
-    equal the recorded scalar times the hermitized target.  Raises on odd
-    ambient (no matrix form) and returns the worst absolute deviation.
-    """
-    n = qubit_count(cert.ambient)
-    mats = {g.label: represent(g, n) for g in cert.generators}
-    worst = 0.0
-    for step in cert.steps:
-        for parent in (step.parent_a, step.parent_b):
-            if parent not in mats:
-                raise ValueError(f"step parent {parent} appears before its derivation")
-        m = mats[step.parent_a] @ mats[step.parent_b] - mats[step.parent_b] @ mats[step.parent_a]
-        worst = max(worst, float(np.max(np.abs(m - represent(step.element, n)))))
-        mats[step.result] = m
-    final = mats.get(cert.target)
-    if final is None:
-        if cert.target.order:
-            raise ValueError("certificate never derives its target")
-        final = np.eye(2**n, dtype=complex)  # the unit is the empty derivation
-    scalar = (1j ** cert.scalar_phase) * 2.0 ** cert.scalar_pow2
-    expected = scalar * hermitized_matrix(cert.target, n)
-    worst = max(worst, float(np.max(np.abs(final - expected))))
-    return ReplayReport(deviation=worst, matrix=final, steps=len(cert.steps))
 
 
 # ---------------------------------------------------------------------------

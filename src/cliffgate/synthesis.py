@@ -8,11 +8,12 @@ the closed form
 valid because every hermitized element squares to the identity.  The +i
 sign convention is used throughout.  On top of that closed form this
 module builds: an exact three-gate conjugation realizing the exponential
-of a commutator (no small-angle approximation), first-order product
-formulas with measured operator-norm error, a power trick that turns one
-fixed-angle gate into arbitrarily fine rotations when the angle is an
-irrational multiple of pi, and the stock gate set whose members act on at
-most two adjacent qubits.
+of a commutator (no small-angle approximation) and first-order product
+formulas with measured operator-norm error.  The power trick that turns
+one fixed-angle gate into arbitrarily fine rotations
+(:mod:`cliffgate.power`) and the stock gate set whose members act on at
+most two adjacent qubits (:mod:`cliffgate.pauli`) need no matrices; they
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,21 +26,25 @@ import numpy as np
 from .algebra import (
     BasisLabel,
     ParseError,
-    ScaledElement,
     canonical_key,
     commutes,
     hermitize,
     parse_label,
 )
-from .closure import CapExceededError, GeneratorSet, chain_generators, close
+from .closure import CapExceededError
 from .matrices import (
-    PauliFactorization,
     decompose,
     expm_hermitian,
     hermitized_matrix,
-    pauli_factorization,
     reconstruct,
     signed_permutations,
+)
+from .pauli import GateSetEntry, GateSetReport, local_gate_set
+from .power import (
+    PowerResult,
+    irrational_power,
+    minimal_power_scan,
+    signed_residual,
 )
 
 __all__ = [
@@ -62,7 +67,6 @@ __all__ = [
     "trotter",
 ]
 
-TWO_PI = 2.0 * math.pi
 ATOL = 1e-12  # synthesize drops coefficients at or below this
 
 
@@ -273,127 +277,3 @@ def synthesize(h: np.ndarray, steps: int, qubits: int, *, tol: float = 1e-10) ->
     seq.target = f"exp(i*H) for the supplied {2**qubits}x{2**qubits} Hermitian matrix"
     seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0, tol=tol))
     return seq
-
-
-# ---------------------------------------------------------------------------
-# Irrational-angle powers.
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    applications: int
-    residual: float
-    signed_angle: float
-
-
-def signed_residual(theta: float) -> float:
-    """theta reduced to (-pi, pi]; |result| is the circle distance to 0."""
-    return math.remainder(theta, TWO_PI)
-
-
-def _convergent_denominators(x: float, cap: int):
-    # Denominators of the continued-fraction convergents of x.  These are
-    # exactly the record-setting integers q minimizing |q*x mod 1| over all
-    # smaller q, so scanning them in order finds the minimal power.
-    q_prev, q_curr = 0, 1
-    yield 1
-    frac = x - math.floor(x)
-    for _ in range(128):
-        if frac < 1e-15:  # expansion exhausted float precision (or x rational)
-            return
-        r = 1.0 / frac
-        a = int(r)
-        frac = r - a
-        q_prev, q_curr = q_curr, a * q_curr + q_prev
-        if q_curr > cap:
-            return
-        yield q_curr
-
-
-def irrational_power(angle: float, tolerance: float, *, cap: int = 10**9) -> PowerResult:
-    """Smallest N >= 1 with N*angle within ``tolerance`` of a multiple of 2*pi.
-
-    Walks the continued-fraction convergents of angle/(2*pi), which is both
-    fast and provably minimal; a linear scan takes over if float precision
-    runs out before a hit.  Raises :class:`CapExceededError` when no N at
-    or below ``cap`` works.  The N-th power of the fixed-angle gate then
-    equals the basis gate at the signed residual angle, so one irrational
-    gate yields rotations finer than any requested tolerance.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    last = 0
-    for q in _convergent_denominators((angle / TWO_PI) % 1.0, cap):
-        r = signed_residual(q * angle)
-        if abs(r) < tolerance:
-            return PowerResult(q, abs(r), r)
-        last = q
-    return minimal_power_scan(angle, tolerance, cap=cap, start=last + 1)
-
-
-def minimal_power_scan(
-    angle: float, tolerance: float, *, cap: int = 10**7, start: int = 1
-) -> PowerResult:
-    """Brute-force minimal power search; the oracle for the fast path."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    chunk = 1 << 16
-    n0 = start
-    while n0 <= cap:
-        ns = np.arange(n0, min(n0 + chunk, cap + 1), dtype=np.int64)
-        r = np.mod(ns * angle + math.pi, TWO_PI) - math.pi
-        hits = np.nonzero(np.abs(r) < tolerance)[0]
-        if hits.size:
-            k = int(hits[0])
-            return PowerResult(int(ns[k]), float(abs(r[k])), float(r[k]))
-        n0 += chunk
-    raise CapExceededError(
-        f"no power at or below cap {cap} brings {angle!r} within {tolerance!r} of 2*pi*Z"
-    )
-
-
-# ---------------------------------------------------------------------------
-# The stock one- and two-qubit gate set.
-
-
-@dataclass(frozen=True)
-class GateSetEntry:
-    element: ScaledElement
-    factorization: PauliFactorization
-    support: tuple[int, ...]
-    local: bool
-
-
-@dataclass
-class GateSetReport:
-    entries: list[GateSetEntry]
-    all_local: bool
-    dimension: int
-    universal: bool
-
-
-def local_gate_set(qubits: int) -> tuple[GeneratorSet, GateSetReport]:
-    """The 2n+1 chain elements with a locality report.
-
-    Every member touches at most two adjacent qubits, and the closure of
-    the set still reaches all 4^n labels, so exponentials of these
-    elements form a universal gate set built purely from one- and
-    two-qubit interactions.
-    """
-    if qubits < 2:
-        raise ValueError(f"the local gate set needs at least 2 qubits, got {qubits}")
-    gens = chain_generators(2 * qubits)
-    entries = []
-    for el in gens.elements:
-        fact = pauli_factorization(el, qubits)
-        support = fact.support()
-        local = len(support) <= 2 and (not support or support[-1] - support[0] <= 1)
-        entries.append(GateSetEntry(el, fact, support, local))
-    result = close(gens)
-    report = GateSetReport(
-        entries=entries,
-        all_local=all(e.local for e in entries),
-        dimension=result.dimension,
-        universal=result.dimension == 1 << (2 * qubits),
-    )
-    return gens, report

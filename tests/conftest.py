@@ -1,6 +1,7 @@
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels
+from cliffgate.matrices import hermitized_matrix, qubit_count, represent
 
 
 def label(indices, ambient):
@@ -56,3 +57,28 @@ def random_hermitian(n, rng):
 
 def maxabs(m):
     return float(np.max(np.abs(m)))
+
+
+def oracle_replay(cert):
+    """Certificate replay with dense matrices: each step's commutator from
+    two matmuls, the worst max-abs entry deviation from the recorded
+    elements and from the scalar times the hermitized target, and the step
+    count."""
+    n = qubit_count(cert.ambient)
+    mats = {g.label: represent(g, n) for g in cert.generators}
+    worst = 0.0
+    for step in cert.steps:
+        for parent in (step.parent_a, step.parent_b):
+            if parent not in mats:
+                raise ValueError(f"step parent {parent} appears before its derivation")
+        m = mats[step.parent_a] @ mats[step.parent_b] - mats[step.parent_b] @ mats[step.parent_a]
+        worst = max(worst, maxabs(m - represent(step.element, n)))
+        mats[step.result] = m
+    final = mats.get(cert.target)
+    if final is None:
+        if cert.target.order:
+            raise ValueError("certificate never derives its target")
+        final = np.eye(2**n, dtype=complex)  # the unit is the empty derivation
+    scalar = (1j ** cert.scalar_phase) * 2.0 ** cert.scalar_pow2
+    worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
+    return worst, len(cert.steps)

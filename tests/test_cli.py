@@ -121,6 +121,16 @@ class TestCertifyCommand:
         assert code == EXIT_OK
         assert "skipped" in out
 
+    def test_ambient_above_the_symbolic_cap(self, capsys):
+        # refused before the generators are parsed: a label mask is an int
+        # as wide as its highest index
+        code, out, err = run(
+            capsys, "certify", "-m", "20000000", "--target", "e[0,1]",
+            "e[0]", "e[1]", "e[19999999]",
+        )
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == "cap exceeded: ambient 20000000 exceeds the symbolic cap 64\n"
+
 
 class TestVerifyRepCommand:
     @pytest.mark.parametrize("n", ["1", "3"])

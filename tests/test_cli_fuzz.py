@@ -7,7 +7,8 @@ qubits <= 3, power search cap <= 10^5), except that ``closure`` and
 ``certify`` also draw, about one time in ten, the stock universal set at
 any ambient up to 64 or at 70.  Its closure has 2^m labels, so it is the
 label cap (``closure --cap``, default 2^16) that bounds such a call:
-about a second at ambient 64, ending in exit 5.
+about a second at ambient 64, ending in exit 5.  ``certify`` also draws
+ambients 65..70 and 10^7, which it refuses (exit 5) before parsing.
 """
 
 import contextlib
@@ -78,6 +79,10 @@ def stock_universal(m):
 
 
 STOCK = st.one_of(st.integers(3, 64), st.just(70)).map(stock_universal)
+# ambients above the symbolic cap of 64, each generator at the top index
+CERTIFY_AMBIENT_ABOVE_CAP = st.one_of(st.integers(65, 70), st.just(10**7)).map(
+    lambda m: ["-m", str(m), "--", "e[0]", "e[1]", f"e[{m - 1}]"]
+)
 
 
 def closure_argv():
@@ -103,7 +108,10 @@ def certify_argv():
         GENERATORS,
     )
     stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), COMMON, STOCK)
-    return _mostly(small, stock)
+    wide = st.tuples(
+        st.just(["certify"]), _given("--target", LABELS), COMMON, CERTIFY_AMBIENT_ABOVE_CAP
+    )
+    return _mostly(small, st.one_of(stock, wide))
 
 
 def qubits_argv(command):

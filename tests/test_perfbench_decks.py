@@ -1,10 +1,13 @@
-"""The benchmark's in-process workloads still run against this package.
+"""The benchmark's workloads still run against this package.
 
-Imports ``perfbench/wl_closure.py`` and ``perfbench/wl_dense.py`` without
-writing anything beside them (no bytecode cache), builds their smoke decks
-(seed 7) and runs every job and its own checks in process, untraced.  That
-catches an API change that would break the benchmark in well under a
-second, without running the full ``perfbench/test_smoke.py``.
+Imports ``perfbench/wl_closure.py``, ``wl_dense.py`` and ``wl_cli.py``
+without writing anything beside them (no bytecode cache), builds their
+smoke decks (seed 7) and runs every job twice, untraced, with its own
+checks and the runner's comparison of repeats: the closure and dense jobs
+in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
+processes (exit codes, record fields, byte-identical output).  That
+catches an API or CLI change that would break the benchmark in a few
+seconds, without running the full ``perfbench/test_smoke.py``.
 """
 
 import importlib
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = ("spans", "wl_closure", "wl_dense")
+MODULES = ("spans", "wl_closure", "wl_dense", "wl_cli")
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,7 @@ def perfbench():
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("workload", ["closure", "dense"])
+@pytest.mark.parametrize("workload", ["closure", "dense", "cli"])
 def test_smoke_deck_runs_and_passes_its_checks(workload, perfbench, tmp_path):
     module = perfbench[f"wl_{workload}"]
     tracer = perfbench["spans"].NullTracer()
@@ -40,4 +43,5 @@ def test_smoke_deck_runs_and_passes_its_checks(workload, perfbench, tmp_path):
     for job in deck:
         out = job.run(tracer)
         assert job.check(out) == [], (workload, job.kind)
-        job.digest(out)  # the runner digests every output to compare repeats
+        # the runner compares the digests of repeated runs
+        assert job.same(job.digest(out), job.digest(job.run(tracer))), (workload, job.kind)
