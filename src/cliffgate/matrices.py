@@ -10,9 +10,8 @@ qubit (qubit 0 is the rightmost factor and bit 0 of a row index).  All 2n
 generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
-a basis element's Pauli monomial i^phase X^x Z^z (:func:`pauli_monomial`,
-from the numpy-free :mod:`cliffgate.pauli`, as are the factorization and
-certificate replay re-exported here); the Kronecker chains of
+a basis element's Pauli monomial i^phase X^x Z^z
+(:func:`cliffgate.pauli.pauli_monomial`); the Kronecker chains of
 :func:`gamma` serve only as the checks' oracle.
 """
 
@@ -35,21 +34,10 @@ from .algebra import (
     hermitize,
     product,
 )
-from .pauli import (
-    PauliFactorization,
-    ReplayReport,
-    _require_qubits,
-    pauli_factorization,
-    pauli_monomial,
-    pauli_support,
-    qubit_count,
-    replay_certificate,
-)
+from .pauli import _require_qubits, pauli_factorization, pauli_monomial
 
 __all__ = [
     "CheckResult",
-    "PauliFactorization",
-    "ReplayReport",
     "decompose",
     "exponent_coincidence_report",
     "expm_hermitian",
@@ -58,14 +46,9 @@ __all__ = [
     "hermiticity_defect",
     "hermitized_matrix",
     "parse_matrix",
-    "pauli_factorization",
-    "pauli_monomial",
-    "pauli_support",
-    "qubit_count",
     "random_hermitian",
     "recursive_construct",
     "reconstruct",
-    "replay_certificate",
     "represent",
     "signed_permutations",
     "unitarity_defect",

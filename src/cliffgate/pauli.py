@@ -23,7 +23,7 @@ from .algebra import (
     ScaledElement,
     hermitize,
 )
-from .closure import GeneratorSet, chain_generators, close
+from .closure import DEFAULT_LABEL_CAP, GeneratorSet, chain_generators, close
 
 __all__ = [
     "GateSetEntry",
@@ -227,13 +227,16 @@ class GateSetReport:
     universal: bool
 
 
-def local_gate_set(qubits: int) -> tuple[GeneratorSet, GateSetReport]:
+def local_gate_set(
+    qubits: int, *, cap: int = DEFAULT_LABEL_CAP
+) -> tuple[GeneratorSet, GateSetReport]:
     """The 2n+1 chain elements with a locality report.
 
     Every member touches at most two adjacent qubits, and the closure of
     the set still reaches all 4^n labels, so exponentials of these
     elements form a universal gate set built purely from one- and
-    two-qubit interactions.
+    two-qubit interactions.  The closure raises :class:`CapExceededError`
+    once it would hold more than ``cap`` labels, as :func:`close` does.
     """
     if qubits < 2:
         raise ValueError(f"the local gate set needs at least 2 qubits, got {qubits}")
@@ -244,7 +247,7 @@ def local_gate_set(qubits: int) -> tuple[GeneratorSet, GateSetReport]:
         support = fact.support()
         local = len(support) <= 2 and (not support or support[-1] - support[0] <= 1)
         entries.append(GateSetEntry(el, fact, support, local))
-    result = close(gens)
+    result = close(gens, cap=cap)
     report = GateSetReport(
         entries=entries,
         all_local=all(e.local for e in entries),

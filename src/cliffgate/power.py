@@ -35,6 +35,8 @@ def _convergent_denominators(x: float, cap: int):
     # Denominators of the continued-fraction convergents of x.  These are
     # exactly the record-setting integers q minimizing |q*x mod 1| over all
     # smaller q, so scanning them in order finds the minimal power.
+    if cap < 1:
+        return
     q_prev, q_curr = 0, 1
     yield 1
     frac = x - math.floor(x)

@@ -9,11 +9,7 @@ valid because every hermitized element squares to the identity.  The +i
 sign convention is used throughout.  On top of that closed form this
 module builds: an exact three-gate conjugation realizing the exponential
 of a commutator (no small-angle approximation) and first-order product
-formulas with measured operator-norm error.  The power trick that turns
-one fixed-angle gate into arbitrarily fine rotations
-(:mod:`cliffgate.power`) and the stock gate set whose members act on at
-most two adjacent qubits (:mod:`cliffgate.pauli`) need no matrices; they
-are re-exported here.
+formulas with measured operator-norm error.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from .algebra import (
     hermitize,
     parse_label,
 )
-from .closure import CapExceededError
 from .matrices import (
     decompose,
     expm_hermitian,
@@ -39,30 +34,15 @@ from .matrices import (
     reconstruct,
     signed_permutations,
 )
-from .pauli import GateSetEntry, GateSetReport, local_gate_set
-from .power import (
-    PowerResult,
-    irrational_power,
-    minimal_power_scan,
-    signed_residual,
-)
 
 __all__ = [
-    "CapExceededError",
     "CoefficientVector",
     "Gate",
     "GateSequence",
-    "GateSetEntry",
-    "GateSetReport",
-    "PowerResult",
     "basis_gate",
     "commutator_gate",
-    "irrational_power",
-    "local_gate_set",
-    "minimal_power_scan",
     "operator_distance",
     "phase_aligned_distance",
-    "signed_residual",
     "synthesize",
     "trotter",
 ]
@@ -125,13 +105,12 @@ class GateSequence:
     """Ordered gate list; the realized matrix multiplies left to right.
 
     ``gates[0]`` is the leftmost factor of the product.  ``error`` is the
-    operator-norm distance to the construction's target, recomputable from
-    the target description by the caller that built the sequence.
+    operator-norm distance to the target of the construction that built
+    the sequence.
     """
 
     gates: tuple[Gate, ...]
     qubits: int
-    target: str = ""
     error: float | None = None
 
     def matrix(self) -> np.ndarray:
@@ -202,7 +181,6 @@ def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> G
             Gate(label_i, -math.pi / 4),
         ),
         qubits=label_i.ambient // 2,
-        target=f"exp(-{angle!r} * h{label_i} h{label_j})",
     )
     n = seq.qubits
     target = math.cos(angle) * np.eye(2**n, dtype=complex) - math.sin(angle) * (
@@ -239,13 +217,8 @@ def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
     # the gate list of trotter and synthesize, before its error is measured
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
-    terms = coeffs.terms()
-    block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
-    return GateSequence(
-        gates=block * steps,
-        qubits=coeffs.qubits,
-        target=f"exp(i*H) for the {len(terms)}-term coefficient vector",
-    )
+    block = tuple(Gate(label, alpha / steps) for label, alpha in coeffs.terms())
+    return GateSequence(gates=block * steps, qubits=coeffs.qubits)
 
 
 def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
@@ -274,6 +247,5 @@ def synthesize(h: np.ndarray, steps: int, qubits: int, *, tol: float = 1e-10) ->
         {label: a for label, a in decompose(h, qubits, tol=tol).items() if abs(a) > ATOL},
     )
     seq = _product_formula(coeffs, steps)
-    seq.target = f"exp(i*H) for the supplied {2**qubits}x{2**qubits} Hermitian matrix"
     seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0, tol=tol))
     return seq

@@ -1,7 +1,8 @@
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels
-from cliffgate.matrices import hermitized_matrix, qubit_count, represent
+from cliffgate.matrices import hermitized_matrix, represent
+from cliffgate.pauli import qubit_count
 
 
 def label(indices, ambient):

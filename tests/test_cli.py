@@ -113,13 +113,27 @@ class TestCertifyCommand:
         assert code == EXIT_OK
         assert "skipped" in out
 
-    def test_cap_skips_replay_with_notice(self, capsys):
-        gens = [f"e[{k}]" for k in range(4)] + ["i*e[0,1,2]"]
+    @pytest.mark.parametrize("cap, code", [("15", EXIT_CAP), ("16", EXIT_OK)])
+    def test_cap_bounds_the_closure_labels(self, capsys, cap, code):
+        # the universal set at m = 4 closes to 16 labels
+        got, out, err = run(
+            capsys, "certify", "-m", "4", "--cap", cap, "--target", "e[0,1]", *self.GENS
+        )
+        assert got == code
+        if code == EXIT_CAP:
+            assert out == ""
+            assert err == "cap exceeded: the closure has more than 15 labels\n"
+        else:
+            assert "replay deviation=0 " in out
+
+    def test_replays_at_every_even_ambient(self, capsys):
+        gens = [f"e[{k}]" for k in range(14)] + ["i*e[0,1,2]"]
         code, out, _ = run(
-            capsys, "certify", "-m", "4", "--cap", "1", "--target", "e[0,1]", *gens
+            capsys, "certify", "-m", "14", "--format", "records",
+            "--target", "e[0,1,2,3,4,5,6,7,8,9,10,11,12,13]", *gens,
         )
         assert code == EXIT_OK
-        assert "skipped" in out
+        assert re.search(r"^replay deviation=0 steps=\d+ ok=true$", out, re.M)
 
     def test_ambient_above_the_symbolic_cap(self, capsys):
         # refused before the generators are parsed: a label mask is an int
@@ -166,12 +180,20 @@ class TestGatesetCommand:
         code, _, err = run(capsys, "gateset", "-n", "1")
         assert code == EXIT_PRECONDITION
 
-    @pytest.mark.parametrize("argv", [["-n", "40"], ["-n", "3", "--cap", "2"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["-n", "40"], ["-n", "3", "--cap", "2"], ["-n", "33"], ["-n", "4", "--cap", "255"]],
+    )
     def test_cap_error(self, capsys, argv):
         code, out, err = run(capsys, "gateset", *argv)
         assert code == EXIT_CAP
         assert "cap" in err
         assert out == ""
+
+    def test_seven_qubits_fit_the_label_budget(self, capsys):
+        code, out, _ = run(capsys, "gateset", "-n", "7", "--format", "records")
+        assert code == EXIT_OK
+        assert out.endswith("gateset qubits=7 count=15 dim=16384 universal=true local=true\n")
 
 
 class TestSynthCommand:
@@ -285,6 +307,13 @@ class TestPowerCommand:
             "--cap", "50",
         )
         assert code == EXIT_CAP
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_admits_no_power(self, capsys, cap):
+        # N = 1 already meets the tolerance, but the cap admits no N at all
+        code, out, err = run(capsys, "power", "--angle", "6.28", "--eps", "0.1", "--cap", cap)
+        assert (code, out) == (EXIT_CAP, "")
+        assert err.startswith("cap exceeded: ")
 
 
 class TestGlobalFlags:

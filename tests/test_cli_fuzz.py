@@ -6,7 +6,7 @@ sizes, in both output formats.  Drawn sizes stay small (ambient <= 10,
 qubits <= 3, power search cap <= 10^5), except that ``closure`` and
 ``certify`` also draw, about one time in ten, the stock universal set at
 any ambient up to 64 or at 70.  Its closure has 2^m labels, so it is the
-label cap (``closure --cap``, default 2^16) that bounds such a call:
+label cap (``--cap`` of both, default 2^16) that bounds such a call:
 about a second at ambient 64, ending in exit 5.  ``certify`` also draws
 ambients 65..70 and 10^7, which it refuses (exit 5) before parsing.
 """
@@ -103,7 +103,7 @@ def certify_argv():
         st.just(["certify"]),
         _given("-m", _number(-2, 10)),
         _given("--target", LABELS),
-        _flag("--cap", _number(-1, 5)),
+        _flag("--cap", _number(-1, 20)),
         COMMON,
         GENERATORS,
     )
@@ -114,9 +114,12 @@ def certify_argv():
     return _mostly(small, st.one_of(stock, wide))
 
 
-def qubits_argv(command):
+def qubits_argv(command, cap_high):
     return st.tuples(
-        st.just([command]), _given("-n", _number(-2, 3)), _flag("--cap", _number(-1, 3)), COMMON
+        st.just([command]),
+        _given("-n", _number(-2, 3)),
+        _flag("--cap", _number(-1, cap_high)),
+        COMMON,
     )
 
 
@@ -152,8 +155,8 @@ def power_argv():
 ARGV = {
     "closure": closure_argv(),
     "certify": certify_argv(),
-    "verify-rep": qubits_argv("verify-rep"),
-    "gateset": qubits_argv("gateset"),
+    "verify-rep": qubits_argv("verify-rep", 3),
+    "gateset": qubits_argv("gateset", 100),  # labels: 3 qubits close to 64
     "synth": synth_argv(),
     "power": power_argv(),
 }

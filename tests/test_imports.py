@@ -5,7 +5,9 @@ Each check runs in a fresh interpreter, since this test process has
 numpy loaded already.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +96,18 @@ def test_unknown_name_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         cliffgate.no_such_name
+
+
+def test_each_public_name_has_one_home():
+    # a module's __all__ lists only what the module defines; a name moved
+    # elsewhere is imported from its new home, not re-exported
+    import cliffgate
+
+    strays = []
+    for info in pkgutil.iter_modules(cliffgate.__path__):
+        module = importlib.import_module(f"cliffgate.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            home = getattr(module, name).__module__
+            if home != module.__name__:
+                strays.append(f"{module.__name__}.{name} (defined in {home})")
+    assert strays == []

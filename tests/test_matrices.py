@@ -29,10 +29,10 @@ from cliffgate.matrices import (
     PAULI,
     exponent_coincidence_report,
     hermiticity_defect,
-    qubit_count,
     random_hermitian,
     unitarity_defect,
 )
+from cliffgate.pauli import qubit_count
 from conftest import elem, label, labels_upto, maxabs
 
 

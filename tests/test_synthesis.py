@@ -30,7 +30,7 @@ from cliffgate import (
     trotter,
 )
 from cliffgate.matrices import random_hermitian, unitarity_defect
-from cliffgate.synthesis import signed_residual
+from cliffgate.power import signed_residual
 from conftest import label, labels_upto, maxabs
 
 
@@ -207,6 +207,12 @@ class TestIrrationalPower:
     def test_cap_raises(self):
         with pytest.raises(CapExceededError):
             minimal_power_scan(math.atan2(3.0, 4.0), 1e-9, cap=100)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_raises_before_the_first_convergent(self, cap):
+        assert irrational_power(6.28, 0.1).applications == 1
+        with pytest.raises(CapExceededError):
+            irrational_power(6.28, 0.1, cap=cap)
 
     def test_signed_residual_range(self):
         for theta in (0.0, 1.0, math.pi, 7.0, -9.0, 100.0):
