@@ -38,8 +38,7 @@ from .closure import (
 # ``power`` need no numpy either.
 _LAZY = {
     **dict.fromkeys(
-        ("PauliFactorization", "local_gate_set", "pauli_factorization", "pauli_support",
-         "replay_certificate"),
+        ("PauliFactorization", "local_gate_set", "pauli_factorization", "replay_certificate"),
         "pauli",
     ),
     **dict.fromkeys(("PowerResult", "irrational_power", "minimal_power_scan"), "power"),
@@ -50,8 +49,8 @@ _LAZY = {
         "matrices",
     ),
     **dict.fromkeys(
-        ("CoefficientVector", "Gate", "GateSequence", "basis_gate", "commutator_gate",
-         "operator_distance", "phase_aligned_distance", "synthesize", "trotter"),
+        ("CoefficientVector", "Gate", "GateSequence", "commutator_gate", "operator_distance",
+         "phase_aligned_distance", "synthesize", "trotter"),
         "synthesis",
     ),
 }

@@ -10,6 +10,10 @@ factors of -1 and squares of generators cancel to +1, so the coefficient
 of any single-term product stays inside {1, i, -1, -i} times a power of
 two.  Everything here is integer arithmetic on immutable values; sums of
 basis terms are out of scope (the dense-matrix layer handles those).
+
+The other layers take two rules from here: an even ambient 2n is n qubits
+and an odd one has no matrix form (:func:`qubit_count`), and i^phase *
+2^pow2 has one text form and one complex value.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "parse_label",
     "parse_scalar",
     "product",
+    "qubit_count",
 ]
 
 
@@ -107,6 +112,26 @@ class BasisLabel:
         return "e[" + ",".join(str(i) for i in self.indices) + "]"
 
 
+def qubit_count(ambient: int) -> int:
+    """Qubits of the matrix form: two generators per qubit, so the 2^ambient
+    labels of an even ambient span the whole 2^n x 2^n matrix algebra.
+    Raises on an odd ambient, which has no matrix form."""
+    if ambient % 2:
+        raise ValueError(f"ambient {ambient} is odd; a matrix form needs two generators per qubit")
+    return ambient // 2
+
+
+def _require_qubits(value, n: int) -> None:
+    # a label or element over ``value.ambient`` generators acts on n qubits
+    if qubit_count(value.ambient) != n:
+        raise AmbientMismatchError(f"{value} over ambient {value.ambient} does not fit {n} qubits")
+
+
+def _scalar_value(phase: int, pow2: int) -> complex:
+    """i^phase * 2^pow2 as a complex number."""
+    return (1j ** phase) * 2.0 ** pow2
+
+
 def canonical_key(label: BasisLabel) -> tuple[int, int]:
     """Deterministic total order on labels: by order, then by bitmask."""
     return (label.order, label.mask)
@@ -142,10 +167,6 @@ class ScaledElement:
     def unit(cls, ambient: int) -> "ScaledElement":
         return cls(BasisLabel.unit(ambient))
 
-    @classmethod
-    def of(cls, label: BasisLabel) -> "ScaledElement":
-        return cls(label)
-
     @property
     def ambient(self) -> int:
         return self.label.ambient
@@ -154,7 +175,7 @@ class ScaledElement:
     def coefficient(self) -> complex:
         if self.is_zero:
             return 0j
-        return (1j ** self.phase) * 2.0 ** self.pow2
+        return _scalar_value(self.phase, self.pow2)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -301,13 +322,27 @@ _POW2_RE = re.compile(r"2\^(-?\d+)\*")
 _LABEL_RE = re.compile(r"e\[([0-9,]*)\]")
 
 
+def _scaled_text(phase: int, pow2: int, body: str = "") -> str:
+    # body times i^phase * 2^pow2, the factor 2^0 left out; with no body,
+    # the bare scalar "1" or "2^p"
+    head = _PREFIX_BY_PHASE[phase % 4]
+    if not body:
+        return head + (f"2^{pow2}" if pow2 else "1")
+    return head + (f"2^{pow2}*" if pow2 else "") + body
+
+
+def _parse_prefix(text: str) -> tuple[int, int]:
+    # (phase, length) of the optional "-", "i*" or "-i*" that opens text
+    for prefix, phase in _PREFIXES:
+        if text.startswith(prefix):
+            return phase, len(prefix)
+    return 0, 0
+
+
 def format_element(elem: ScaledElement) -> str:
     if elem.is_zero:
         return "0"
-    head = _PREFIX_BY_PHASE[elem.phase]
-    if elem.pow2:
-        head += f"2^{elem.pow2}*"
-    return head + str(elem.label)
+    return _scaled_text(elem.phase, elem.pow2, str(elem.label))
 
 
 def parse_element(text: str, ambient: int) -> ScaledElement:
@@ -316,12 +351,7 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
     offset = len(text) - len(text.lstrip())
     if stripped == "0":
         return ScaledElement.zero(ambient)
-    pos = 0
-    phase = 0
-    for prefix, ph in _PREFIXES:
-        if stripped.startswith(prefix):
-            phase, pos = ph, len(prefix)
-            break
+    phase, pos = _parse_prefix(stripped)
     pow2 = 0
     m = _POW2_RE.match(stripped, pos)
     if m:
@@ -364,19 +394,13 @@ def parse_label(text: str, ambient: int) -> BasisLabel:
 
 
 def format_scalar(phase: int, pow2: int) -> str:
-    head = _PREFIX_BY_PHASE[phase % 4]
-    return head + ("1" if pow2 == 0 else f"2^{pow2}")
+    return _scaled_text(phase, pow2)
 
 
 def parse_scalar(text: str) -> tuple[int, int]:
     """Parse a coefficient of the form i^m * 2^p; returns (phase, pow2)."""
     stripped = text.strip()
-    pos = 0
-    phase = 0
-    for prefix, ph in _PREFIXES:
-        if stripped.startswith(prefix):
-            phase, pos = ph, len(prefix)
-            break
+    phase, pos = _parse_prefix(stripped)
     rest = stripped[pos:]
     if rest == "1":
         return phase, 0

@@ -41,7 +41,7 @@ from .closure import (
     close,
 )
 from .pauli import local_gate_set, replay_certificate
-from .power import irrational_power
+from .power import DEFAULT_POWER_CAP, irrational_power
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,7 +54,7 @@ DEFAULT_MATRIX_CAP = 6  # qubits
 DEFAULT_CAP = {
     **dict.fromkeys(("closure", "certify", "gateset"), DEFAULT_LABEL_CAP),
     **dict.fromkeys(("verify-rep", "synth"), DEFAULT_MATRIX_CAP),
-    "power": 10**9,
+    "power": DEFAULT_POWER_CAP,
 }
 
 
@@ -123,10 +123,7 @@ def cmd_closure(args, config: RunConfig) -> int:
     gens = _parse_generators(args.generators, args.ambient)
     result = close(gens, cap=config.cap)
     dim = result.dimension
-    if args.ambient % 2:
-        verdict = "unsupported"
-    else:
-        verdict = "true" if dim == 1 << args.ambient else "false"
+    verdict = "unsupported" if args.ambient % 2 else result.universal
     config.emit(
         "closure", ambient=args.ambient, generators=len(gens.elements), dim=dim, universal=verdict
     )

@@ -24,13 +24,13 @@ this rule fired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .algebra import (
     AmbientMismatchError,
     BasisLabel,
     ParseError,
     ScaledElement,
+    _scalar_value,
     canonical_key,
     commutator,
     format_element,
@@ -41,6 +41,7 @@ from .algebra import (
     parse_element,
     parse_label,
     parse_scalar,
+    qubit_count,
 )
 
 __all__ = [
@@ -167,24 +168,16 @@ class ClosureResult:
     def dimension(self) -> int:
         return len(self.representatives)
 
+    @property
+    def universal(self) -> bool:
+        """True iff the closure spans the whole n-qubit matrix algebra, i.e.
+        reaches all 2^ambient labels of ambient 2n.  Raises on an odd
+        ambient, which has no matrix form."""
+        qubit_count(self.ambient)
+        return self.dimension == 1 << self.ambient
+
     def labels(self) -> list[BasisLabel]:
         return sorted(self.representatives, key=canonical_key)
-
-    def order_report(self) -> str:
-        """Didactic walkthrough: one derivation per non-initial label, sorted
-        by order so the listing climbs through the orders the way the
-        closure itself must."""
-        lines = []
-        for label in self.labels():
-            if label in self.provenance:
-                pr = self.provenance[label]
-                coeff = format_scalar(pr.element.phase, pr.element.pow2)
-                lines.append(f"{label} := [{pr.parent_a}, {pr.parent_b}] * {coeff}")
-            elif label in self.initial:
-                lines.append(f"{label} : generator")
-            else:
-                lines.append(f"{label} : unit (empty derivation)")
-        return "\n".join(lines)
 
     def audit_closed(self) -> bool:
         """Exhaustively recompute all pairwise commutators; True iff no new
@@ -280,12 +273,9 @@ def dimension(gens: GeneratorSet) -> int:
 
 
 def is_universal(gens: GeneratorSet) -> bool:
-    """True iff the closure spans the full 4^n-dimensional unitary algebra."""
-    if gens.ambient % 2:
-        raise ValueError(
-            f"universality is defined for even ambient counts; got {gens.ambient}"
-        )
-    return dimension(gens) == 1 << gens.ambient
+    """True iff the closure spans the full 4^n-dimensional unitary algebra
+    (:attr:`ClosureResult.universal`); raises on an odd ambient."""
+    return close(gens).universal
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ class Certificate:
 
     @property
     def scalar(self) -> complex:
-        return (1j ** self.scalar_phase) * 2.0 ** self.scalar_pow2
+        return _scalar_value(self.scalar_phase, self.scalar_pow2)
 
     def validate(self) -> None:
         """Symbolic replay; raises ValueError on any inconsistency."""
@@ -406,7 +396,7 @@ class Certificate:
         return cert
 
 
-def certificate(source: Union[GeneratorSet, ClosureResult], target: BasisLabel) -> Certificate:
+def certificate(result: ClosureResult, target: BasisLabel) -> Certificate:
     """Minimal-depth derivation of ``target`` read off the closure's
     provenance.
 
@@ -415,7 +405,6 @@ def certificate(source: Union[GeneratorSet, ClosureResult], target: BasisLabel) 
     target to a generator; it has ``depth[target]`` steps, the minimal
     number of generator brackets that produce the target.
     """
-    result = source if isinstance(source, ClosureResult) else close(source)
     if target.ambient != result.ambient:
         raise AmbientMismatchError(
             f"target over ambient {target.ambient}, closure over {result.ambient}"

@@ -27,6 +27,7 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
+    _require_qubits,
     all_labels,
     commutator,
     commutes,
@@ -34,7 +35,7 @@ from .algebra import (
     hermitize,
     product,
 )
-from .pauli import _require_qubits, pauli_factorization, pauli_monomial
+from .pauli import pauli_factorization, pauli_monomial
 
 __all__ = [
     "CheckResult",
@@ -322,8 +323,8 @@ def verify_representation(
     chunk = max(1, (1 << 14) // 4**n)  # ~2^14 entries a stack: memory stays flat
     for start in range(0, len(pairs), chunk):
         part = pairs[start : start + chunk]
-        ea = [ScaledElement.of(a) for a, _ in part]
-        eb = [ScaledElement.of(b) for _, b in part]
+        ea = [ScaledElement(a) for a, _ in part]
+        eb = [ScaledElement(b) for _, b in part]
         ma, mb = _stack(ea, n), _stack(eb, n)
         ab, ba = ma @ mb, mb @ ma
         prod_dev = max(prod_dev, _maxabs(ab - _stack(list(map(product, ea, eb)), n)))

@@ -9,19 +9,24 @@ either mask refers to qubit q.  Monomials multiply by
 
 which this module uses to factor elements into per-qubit Pauli letters, to
 report the locality of the stock gate set and to replay certificates
-through an independent homomorphism, all without building a matrix.
+through an independent homomorphism, all without building a matrix.  The
+qubit count of an ambient and the text and value of a coefficient
+i^phase * 2^pow2 come from :mod:`cliffgate.algebra`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (
-    _PREFIX_BY_PHASE,
-    AmbientMismatchError,
     BasisLabel,
     ScaledElement,
+    _require_qubits,
+    _scalar_value,
+    _scaled_text,
     hermitize,
+    qubit_count,
 )
 from .closure import DEFAULT_LABEL_CAP, GeneratorSet, chain_generators, close
 
@@ -33,18 +38,8 @@ __all__ = [
     "local_gate_set",
     "pauli_factorization",
     "pauli_monomial",
-    "pauli_support",
-    "qubit_count",
     "replay_certificate",
 ]
-
-
-def qubit_count(ambient: int) -> int:
-    if ambient % 2:
-        raise ValueError(
-            f"ambient {ambient} is odd; a matrix form needs two generators per qubit"
-        )
-    return ambient // 2
 
 
 def pauli_monomial(label: BasisLabel) -> tuple[int, int, int]:
@@ -64,13 +59,6 @@ def pauli_monomial(label: BasisLabel) -> tuple[int, int, int]:
         x ^= 1 << k
         z ^= (1 << (k + (j & 1))) - 1
     return x, z, phase % 4
-
-
-def _require_qubits(elem: ScaledElement, n: int) -> None:
-    if elem.ambient != 2 * n:
-        raise AmbientMismatchError(
-            f"element over {elem.ambient} generators cannot live on {n} qubits"
-        )
 
 
 @dataclass(frozen=True)
@@ -98,14 +86,11 @@ class PauliFactorization:
         """The Kronecker product of the letters (the oracle's form; loads numpy)."""
         from .matrices import PAULI, _kron_chain
 
-        coeff = (1j ** self.phase) * 2.0 ** self.pow2
+        coeff = _scalar_value(self.phase, self.pow2)
         return coeff * _kron_chain([PAULI[f] for f in self.factors])
 
     def __str__(self) -> str:
-        head = _PREFIX_BY_PHASE[self.phase % 4]
-        if self.pow2:
-            head += f"2^{self.pow2}*"
-        return head + self.factors
+        return _scaled_text(self.phase, self.pow2, self.factors)
 
 
 def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
@@ -119,18 +104,10 @@ def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
     return PauliFactorization((elem.phase + phase - (x & z).bit_count()) % 4, elem.pow2, letters)
 
 
-def pauli_support(elem: ScaledElement, n: int) -> tuple[int, ...]:
-    """Qubit positions whose Pauli factor is not the identity."""
-    return pauli_factorization(elem, n).support()
-
-
 # ---------------------------------------------------------------------------
 # Certificate replay.  A scaled element's matrix is the monomial
 # (xmask, zmask, phase, pow2) = i^phase 2^pow2 X^xmask Z^zmask; None is the
 # zero matrix.
-
-_UNITS = (1, 1j, -1, -1j)
-
 
 def _monomial(elem: ScaledElement):
     if elem.is_zero:
@@ -156,17 +133,28 @@ def _deviation(a, b) -> float:
     # Largest entry of |M(a) - M(b)|.  The matrices are signed permutations:
     # entries 2^pow2 at (c ^ xmask, c) with sign i^phase (-1)^|zmask & c|, so
     # different xmasks never overlap, and different zmasks agree in sign on
-    # some columns and disagree on others.
+    # some columns and disagree on others.  The coefficients are scaled by
+    # the larger power of two first, so no float overflows before the end.
     if a == b:
         return 0.0
     if a is None or b is None:
-        return 2.0 ** (a or b)[3]
-    ca, cb = _UNITS[a[2]] * 2.0 ** a[3], _UNITS[b[2]] * 2.0 ** b[3]
+        return _times_pow2(1.0, (a or b)[3])
+    top = max(a[3], b[3])
     if a[0] != b[0]:
-        return max(abs(ca), abs(cb))
+        return _times_pow2(1.0, top)
+    ca, cb = _scalar_value(a[2], a[3] - top), _scalar_value(b[2], b[3] - top)
     if a[1] != b[1]:
-        return max(abs(ca - cb), abs(ca + cb))
-    return abs(ca - cb)
+        return _times_pow2(max(abs(ca - cb), abs(ca + cb)), top)
+    return _times_pow2(abs(ca - cb), top)
+
+
+def _times_pow2(r: float, k: int) -> float:
+    # r * 2^k for r > 0, saturated: inf above the float range and the least
+    # positive float below it, so a disagreement never reads as 0.0
+    try:
+        return math.ldexp(r, k) or math.ulp(0.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -252,6 +240,6 @@ def local_gate_set(
         entries=entries,
         all_local=all(e.local for e in entries),
         dimension=result.dimension,
-        universal=result.dimension == 1 << (2 * qubits),
+        universal=result.universal,
     )
     return gens, report

@@ -17,6 +17,7 @@ from .closure import CapExceededError
 __all__ = ["PowerResult", "irrational_power", "minimal_power_scan", "signed_residual"]
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_POWER_CAP = 10**9  # applications
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,9 @@ def _convergent_denominators(x: float, cap: int):
         yield q_curr
 
 
-def irrational_power(angle: float, tolerance: float, *, cap: int = 10**9) -> PowerResult:
+def irrational_power(
+    angle: float, tolerance: float, *, cap: int = DEFAULT_POWER_CAP
+) -> PowerResult:
     """Smallest N >= 1 with N*angle within ``tolerance`` of a multiple of 2*pi.
 
     Walks the continued-fraction convergents of angle/(2*pi), which is both

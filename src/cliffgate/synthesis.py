@@ -9,7 +9,9 @@ valid because every hermitized element squares to the identity.  The +i
 sign convention is used throughout.  On top of that closed form this
 module builds: an exact three-gate conjugation realizing the exponential
 of a commutator (no small-angle approximation) and first-order product
-formulas with measured operator-norm error.
+formulas with measured operator-norm error.  Qubit counts come from
+:func:`cliffgate.algebra.qubit_count`, so an odd ambient is refused with
+the same error everywhere.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import numpy as np
 from .algebra import (
     BasisLabel,
     ParseError,
+    _require_qubits,
     canonical_key,
     commutes,
     hermitize,
     parse_label,
+    qubit_count,
 )
 from .matrices import (
     decompose,
@@ -39,7 +43,6 @@ __all__ = [
     "CoefficientVector",
     "Gate",
     "GateSequence",
-    "basis_gate",
     "commutator_gate",
     "operator_distance",
     "phase_aligned_distance",
@@ -86,9 +89,7 @@ class Gate:
 
     @property
     def qubits(self) -> int:
-        if self.label.ambient % 2:
-            raise ValueError("gates need an even ambient count")
-        return self.label.ambient // 2
+        return qubit_count(self.label.ambient)
 
     def matrix(self) -> np.ndarray:
         n = self.qubits
@@ -151,10 +152,6 @@ class GateSequence:
         return cls(gates=tuple(gates), qubits=qubits, error=error)
 
 
-def basis_gate(label: BasisLabel, angle: float) -> Gate:
-    return Gate(label, float(angle))
-
-
 def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> GateSequence:
     """Three-gate conjugation realizing exp(-t * h_i h_j) exactly.
 
@@ -169,6 +166,7 @@ def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> G
     their commutator vanishes, so the construction degenerates and the
     caller should emit an identity gate instead.
     """
+    n = qubit_count(label_i.ambient)
     if commutes(label_i, label_j):
         raise ValueError(
             f"labels {label_i} and {label_j} commute: the commutator vanishes and the "
@@ -180,9 +178,8 @@ def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> G
             Gate(label_j, float(angle)),
             Gate(label_i, -math.pi / 4),
         ),
-        qubits=label_i.ambient // 2,
+        qubits=n,
     )
-    n = seq.qubits
     target = math.cos(angle) * np.eye(2**n, dtype=complex) - math.sin(angle) * (
         hermitized_matrix(label_i, n) @ hermitized_matrix(label_j, n)
     )
@@ -199,10 +196,7 @@ class CoefficientVector:
 
     def __post_init__(self):
         for label in self.coeffs:
-            if label.ambient != 2 * self.qubits:
-                raise ValueError(
-                    f"label {label} over ambient {label.ambient} does not fit {self.qubits} qubits"
-                )
+            _require_qubits(label, self.qubits)
 
     def terms(self) -> list[tuple[BasisLabel, float]]:
         """Nonzero entries in canonical label order."""

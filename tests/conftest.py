@@ -1,8 +1,8 @@
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels
+from cliffgate.algebra import qubit_count
 from cliffgate.matrices import hermitized_matrix, represent
-from cliffgate.pauli import qubit_count
 
 
 def label(indices, ambient):
@@ -51,11 +51,6 @@ def oracle_commutator(a, b):
     return ScaledElement(ab.label, ab.phase, ab.pow2 + 1)
 
 
-def random_hermitian(n, rng):
-    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    return (a + a.conj().T) / 2
-
-
 def maxabs(m):
     return float(np.max(np.abs(m)))
 
@@ -80,6 +75,5 @@ def oracle_replay(cert):
         if cert.target.order:
             raise ValueError("certificate never derives its target")
         final = np.eye(2**n, dtype=complex)  # the unit is the empty derivation
-    scalar = (1j ** cert.scalar_phase) * 2.0 ** cert.scalar_pow2
-    worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
+    worst = max(worst, maxabs(final - cert.scalar * hermitized_matrix(cert.target, n)))
     return worst, len(cert.steps)

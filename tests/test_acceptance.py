@@ -9,10 +9,10 @@ import scipy.linalg
 
 from cliffgate import (
     BasisLabel,
+    Gate,
     GeneratorSet,
     ScaledElement,
     all_labels,
-    basis_gate,
     certificate,
     chain_generators,
     close,
@@ -36,8 +36,9 @@ from cliffgate import (
     trotter,
     universal_generators,
 )
+from cliffgate.matrices import random_hermitian
 from cliffgate.synthesis import CoefficientVector
-from conftest import labels_upto, maxabs, random_hermitian
+from conftest import labels_upto, maxabs
 
 
 def report(num, description, ok, detail=""):
@@ -99,10 +100,10 @@ def test_criterion_04_oracle_equivalence():
     worst = 0.0
     for n in (1, 2, 3):
         labs = labels_upto(2 * n)
-        mats = {lab: represent(ScaledElement.of(lab), n) for lab in labs}
+        mats = {lab: represent(ScaledElement(lab), n) for lab in labs}
         for a in labs:
             for b in labs:
-                ea, eb = ScaledElement.of(a), ScaledElement.of(b)
+                ea, eb = ScaledElement(a), ScaledElement(b)
                 ab = mats[a] @ mats[b]
                 ba = mats[b] @ mats[a]
                 worst = max(worst, maxabs(ab - represent(product(ea, eb), n)))
@@ -195,7 +196,7 @@ def test_criterion_07_trotter_error_scaling():
 def test_criterion_08_irrational_powers():
     angle = math.atan2(3.0, 4.0)
     lab = BasisLabel.from_indices([0], 2)
-    gate = basis_gate(lab, angle).matrix()
+    gate = Gate(lab, angle).matrix()
     ok = True
     details = []
     for eps in (1e-2, 1e-3):
@@ -204,7 +205,7 @@ def test_criterion_08_irrational_powers():
         ok &= fast.applications == slow.applications
         ok &= fast.residual < eps
         powered = np.linalg.matrix_power(gate, fast.applications)
-        residual_gate = basis_gate(lab, fast.signed_angle).matrix()
+        residual_gate = Gate(lab, fast.signed_angle).matrix()
         ok &= operator_distance(powered, residual_gate) <= 1e-10
         details.append(f"eps={eps:g}: N={fast.applications} r={fast.residual:.2e}")
     report(8, "minimal gate powers via convergents match brute force and replay", ok,

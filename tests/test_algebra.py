@@ -6,18 +6,27 @@ from hypothesis import strategies as st
 from cliffgate import (
     AmbientMismatchError,
     BasisLabel,
+    CoefficientVector,
+    Gate,
+    GeneratorSet,
     ParseError,
     ScaledElement,
     all_labels,
+    certificate,
+    close,
     commutator,
+    commutator_gate,
     commutes,
     format_element,
     generator,
     hermitize,
+    is_universal,
     parse_element,
     parse_label,
     product,
+    replay_certificate,
     represent,
+    universal_generators,
 )
 from cliffgate.algebra import format_scalar, parse_scalar
 from conftest import elem, inversions, label, labels_upto, maxabs, oracle_product
@@ -61,8 +70,8 @@ class TestCommutes:
     def test_disjoint_pairs_commute_and_oracle_agrees(self):
         a, b = label([0, 1], 4), label([2, 3], 4)
         assert commutes(a, b)
-        ma = represent(ScaledElement.of(a), 2)
-        mb = represent(ScaledElement.of(b), 2)
+        ma = represent(ScaledElement(a), 2)
+        mb = represent(ScaledElement(b), 2)
         assert maxabs(ma @ mb - mb @ ma) == 0.0
 
 
@@ -245,7 +254,7 @@ def element_triples(draw, max_ambient=16):
 class TestProperties:
     def test_associativity_exhaustive_small(self):
         labs = labels_upto(4)
-        els = [ScaledElement.of(l) for l in labs]
+        els = [ScaledElement(l) for l in labs]
         for a in els:
             for b in els:
                 ab = product(a, b)
@@ -289,9 +298,44 @@ class TestProperties:
         n = 2
         for a in labels_upto(2 * n):
             for b in labels_upto(2 * n):
-                ma = represent(ScaledElement.of(a), n)
-                mb = represent(ScaledElement.of(b), n)
+                ma = represent(ScaledElement(a), n)
+                mb = represent(ScaledElement(b), n)
                 comm = maxabs(ma @ mb - mb @ ma)
                 anti = maxabs(ma @ mb + mb @ ma)
                 assert (comm == 0.0) != (anti == 0.0)
                 assert (comm == 0.0) == commutes(a, b)
+
+
+ODD_AMBIENT = "ambient 5 is odd; a matrix form needs two generators per qubit"
+
+# every entry point that needs a matrix form, each on an ambient of 5
+ODD_AMBIENT_CALLS = {
+    "commutator_gate": lambda: commutator_gate(label([0], 5), label([1], 5), 0.3),
+    "Gate.matrix": lambda: Gate(label([0], 5), 0.3).matrix(),
+    "CoefficientVector": lambda: CoefficientVector(2, {label([0], 5): 1.0}),
+    "is_universal": lambda: is_universal(universal_generators(5)),
+    "replay_certificate": lambda: replay_certificate(
+        certificate(close(universal_generators(5)), label([0, 1], 5))
+    ),
+}
+
+
+class TestQubitRule:
+    @pytest.mark.parametrize("entry", list(ODD_AMBIENT_CALLS))
+    def test_odd_ambient_has_no_matrix_form(self, entry):
+        with pytest.raises(ValueError) as err:
+            ODD_AMBIENT_CALLS[entry]()
+        assert str(err.value) == ODD_AMBIENT
+
+    def test_universality_needs_an_even_ambient(self):
+        # at ambient 3 the top label as a generator makes the closure reach
+        # all 2^3 labels, yet there is no qubit algebra for it to span
+        top = ScaledElement(label([0, 1, 2], 3))
+        result = close(GeneratorSet.of([generator(k, 3) for k in range(3)] + [top]))
+        assert result.dimension == 8
+        with pytest.raises(ValueError, match="ambient 3 is odd"):
+            result.universal
+
+    def test_mismatched_qubit_count_rejected(self):
+        with pytest.raises(AmbientMismatchError, match="does not fit 3 qubits"):
+            CoefficientVector(3, {label([0], 4): 1.0})

@@ -24,9 +24,9 @@ PUBLIC = (
     "CapExceededError Certificate ClosureResult GeneratorSet UnreachableTargetError "
     "certificate chain_generators close dimension is_universal universal_generators "
     "PauliFactorization decompose expm_hermitian format_matrix gamma hermitized_matrix "
-    "parse_matrix pauli_factorization pauli_support reconstruct recursive_construct "
+    "parse_matrix pauli_factorization reconstruct recursive_construct "
     "replay_certificate represent verify_representation "
-    "CoefficientVector Gate GateSequence PowerResult basis_gate commutator_gate "
+    "CoefficientVector Gate GateSequence PowerResult commutator_gate "
     "irrational_power local_gate_set minimal_power_scan operator_distance "
     "phase_aligned_distance synthesize trotter"
 ).split()

@@ -17,14 +17,13 @@ from cliffgate import (
     hermitized_matrix,
     parse_matrix,
     pauli_factorization,
-    pauli_support,
     product,
     reconstruct,
     recursive_construct,
     represent,
     verify_representation,
 )
-from cliffgate.algebra import AmbientMismatchError, ParseError
+from cliffgate.algebra import AmbientMismatchError, ParseError, qubit_count
 from cliffgate.matrices import (
     PAULI,
     exponent_coincidence_report,
@@ -32,7 +31,6 @@ from cliffgate.matrices import (
     random_hermitian,
     unitarity_defect,
 )
-from cliffgate.pauli import qubit_count
 from conftest import elem, label, labels_upto, maxabs
 
 
@@ -80,7 +78,7 @@ class TestRepresent:
         labs = labels_upto(4)
         for a in labs:
             for b in labs:
-                ea, eb = ScaledElement.of(a), ScaledElement.of(b)
+                ea, eb = ScaledElement(a), ScaledElement(b)
                 ma, mb = represent(ea, 2), represent(eb, 2)
                 assert maxabs(ma @ mb - represent(product(ea, eb), 2)) == 0.0
                 assert maxabs(ma @ mb - mb @ ma - represent(commutator(ea, eb), 2)) == 0.0
@@ -152,18 +150,18 @@ class TestPauliFactorization:
         n = 3
         for k in range(n):
             el = hermitize(label([2 * k, 2 * k + 1], 2 * n))
-            assert pauli_support(el, n) == (k,)
+            assert pauli_factorization(el, n).support() == (k,)
 
     def test_xx_type_pair_has_adjacent_support(self):
         n = 3
         for k in range(n - 1):
             el = hermitize(label([2 * k + 1, 2 * k + 2], 2 * n))
-            assert pauli_support(el, n) == (k, k + 1)
+            assert pauli_factorization(el, n).support() == (k, k + 1)
 
     def test_order3_element_is_single_qubit(self):
         n = 3
         el = hermitize(label([0, 1, 2], 2 * n))
-        assert pauli_support(el, n) == (1,)
+        assert pauli_factorization(el, n).support() == (1,)
 
     def test_factorization_matches_represent_exhaustively(self):
         n = 2
@@ -173,7 +171,7 @@ class TestPauliFactorization:
             assert maxabs(f.matrix() - represent(el, n)) == 0.0
 
     def test_unit_has_empty_support(self):
-        assert pauli_support(ScaledElement.unit(4), 2) == ()
+        assert pauli_factorization(ScaledElement.unit(4), 2).support() == ()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

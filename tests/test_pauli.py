@@ -6,6 +6,7 @@ the same worst deviation and step count on sound certificates (exactly
 0.0), on corrupted ones, and raise on the same malformed ones.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -93,11 +94,30 @@ def test_corrupted_certificates_deviate_like_the_oracle(family, ambient):
 
 def test_deviation_is_the_largest_entry_difference():
     # [e0, e1] = 2 e0 e1; recording e0 e1 instead leaves entries of size 1
-    cert = certificate(universal_generators(4), BasisLabel(0b11, 4))
+    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
     step = cert.steps[0]
     half = ScaledElement(step.element.label, step.element.phase, step.element.pow2 - 1)
     bad = replace(cert, steps=(replace(step, element=half),))
     assert replay_certificate(bad).deviation == 1.0 == oracle_replay(bad)[0]
+
+
+@pytest.mark.parametrize("pow2", [-2000, 2000])
+def test_disagreement_outside_the_float_range_saturates(pow2):
+    # M(2^k e0) has entries 2^k, past the float range either way; flipping
+    # the recorded sign leaves entries 2^(k+2) apart, which must neither
+    # read as agreement nor raise
+    gens = GeneratorSet.of(
+        [ScaledElement(BasisLabel(0b1, 4), pow2=pow2), ScaledElement(BasisLabel(0b10, 4)),
+         ScaledElement(BasisLabel(0b111, 4), phase=1)]
+    )
+    cert = certificate(close(gens), BasisLabel(0b11, 4))
+    assert replay_certificate(cert).deviation == 0.0
+    flipped = replace(cert, scalar_phase=(cert.scalar_phase + 2) % 4)
+    deviation = replay_certificate(flipped).deviation
+    if pow2 > 0:
+        assert deviation == math.inf
+    else:
+        assert 0.0 < deviation < 1e-300
 
 
 def malformed():
@@ -106,7 +126,7 @@ def malformed():
     deep = max((certificate(result, lab) for lab in result.labels()), key=lambda c: len(c.steps))
     assert len(deep.steps) >= 2
     return {
-        "odd-ambient": certificate(universal_generators(5), BasisLabel(0b11, 5)),
+        "odd-ambient": certificate(close(universal_generators(5)), BasisLabel(0b11, 5)),
         "parent-before-derivation": replace(deep, steps=deep.steps[1:]),
         "target-never-derived": replace(top, steps=()),
     }

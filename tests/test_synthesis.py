@@ -14,7 +14,6 @@ from cliffgate import (
     ParseError,
     ScaledElement,
     all_labels,
-    basis_gate,
     commutator_gate,
     commutes,
     decompose,
@@ -36,17 +35,17 @@ from conftest import label, labels_upto, maxabs
 
 class TestBasisGate:
     def test_zero_angle_is_identity(self):
-        g = basis_gate(label([0, 2], 4), 0.0)
+        g = Gate(label([0, 2], 4), 0.0)
         assert maxabs(g.matrix() - np.eye(4)) == 0.0
 
     def test_quarter_turn_is_i_times_element(self):
         lab = label([0, 1, 2], 6)
-        g = basis_gate(lab, math.pi / 2)
+        g = Gate(lab, math.pi / 2)
         assert maxabs(g.matrix() - 1j * hermitized_matrix(lab, 3)) < 1e-15
 
     def test_three_four_five_angle(self):
         lab = label([1, 2], 4)
-        g = basis_gate(lab, math.atan2(0.6, 0.8))
+        g = Gate(lab, math.atan2(0.6, 0.8))
         want = 0.8 * np.eye(4) + 0.6j * hermitized_matrix(lab, 2)
         assert maxabs(g.matrix() - want) < 1e-15
 
@@ -56,7 +55,7 @@ class TestBasisGate:
         for _ in range(100):
             lab = labs[rng.integers(0, len(labs))]
             tau = 4.0 * rng.normal()
-            gate = basis_gate(lab, tau)
+            gate = Gate(lab, tau)
             target = expm_hermitian(hermitized_matrix(lab, 3), tau)
             assert operator_distance(gate.matrix(), target) < 1e-12
 
@@ -64,7 +63,7 @@ class TestBasisGate:
         rng = np.random.default_rng(23)
         labs = labels_upto(4)
         for _ in range(50):
-            g = basis_gate(labs[rng.integers(0, len(labs))], rng.normal())
+            g = Gate(labs[rng.integers(0, len(labs))], rng.normal())
             assert unitarity_defect(g.matrix()) < 1e-10
 
 
@@ -200,8 +199,8 @@ class TestIrrationalPower:
         angle = math.atan2(3.0, 4.0)
         res = irrational_power(angle, 1e-2)
         lab = label([0], 2)
-        powered = np.linalg.matrix_power(basis_gate(lab, angle).matrix(), res.applications)
-        residual_gate = basis_gate(lab, res.signed_angle).matrix()
+        powered = np.linalg.matrix_power(Gate(lab, angle).matrix(), res.applications)
+        residual_gate = Gate(lab, res.signed_angle).matrix()
         assert operator_distance(powered, residual_gate) < 1e-10
 
     def test_cap_raises(self):
