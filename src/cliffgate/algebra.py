@@ -128,7 +128,13 @@ def _require_qubits(value, n: int) -> None:
 
 
 def _scalar_value(phase: int, pow2: int) -> complex:
-    """i^phase * 2^pow2 as a complex number."""
+    """i^phase * 2^pow2 as a complex number.
+
+    Raises when 2^pow2 is not a finite nonzero double, rather than
+    overflowing or reading a nonzero scalar as 0.
+    """
+    if not -1074 <= pow2 <= 1023:
+        raise ValueError(f"scalar {_scaled_text(phase, pow2)} is outside the float range")
     return (1j ** phase) * 2.0 ** pow2
 
 

@@ -14,12 +14,13 @@ byte-identical across runs.
 qubit count of the matrices ``verify-rep`` and ``synth`` build (default
 6) and the applications ``power`` searches (default 10^9).
 
-Only ``verify-rep``, ``synth`` and a ``power`` search that falls back to
-the scan load numpy; ``closure``, ``certify`` (which replays on integer
-Pauli monomials) and ``gateset`` run on integers.
+Only ``verify-rep`` and ``synth`` load numpy; ``closure``, ``certify``
+(which replays on integer Pauli monomials), ``gateset`` and ``power``
+(an exact convergent walk) run on integers.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
-4 verification failure, 5 cap exceeded.
+4 verification failure, 5 cap exceeded (including a ``synth`` product
+formula above the gate budget of 2^20 gates).
 """
 
 from __future__ import annotations

@@ -142,7 +142,9 @@ def _deviation(a, b) -> float:
     top = max(a[3], b[3])
     if a[0] != b[0]:
         return _times_pow2(1.0, top)
-    ca, cb = _scalar_value(a[2], a[3] - top), _scalar_value(b[2], b[3] - top)
+    # a coefficient 2^-1074 below the other one vanishes in the sums below,
+    # so clamping there leaves the result as it is
+    ca, cb = (_scalar_value(m[2], max(m[3] - top, -1074)) for m in (a, b))
     if a[1] != b[1]:
         return _times_pow2(max(abs(ca - cb), abs(ca + cb)), top)
     return _times_pow2(abs(ca - cb), top)

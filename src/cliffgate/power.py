@@ -3,8 +3,15 @@
 The N-th power of exp(i*angle*h) is the basis gate at angle N*angle, so
 the smallest N that brings N*angle within a tolerance of a multiple of
 2*pi turns one fixed-angle gate into a rotation finer than the tolerance.
-The search walks continued-fraction convergents in plain floats; numpy is
-loaded only by the brute-force scan, which is the oracle and the fallback.
+
+The search is exact.  A float is rational, so angle/(2*pi) is a ratio of
+integers, and Euclid's algorithm gives its continued fraction.  The
+smallest N that hits the tolerance is closer to 2*pi*Z than every smaller
+power, and such records are exactly the convergent denominators
+(Lagrange's theorem on best approximations; Khinchin, *Continued
+Fractions*, Thms 16-17).  So walking the convergents up to the cap
+settles every search without numpy; the brute-force scan is only the
+oracle of tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -32,25 +39,10 @@ def signed_residual(theta: float) -> float:
     return math.remainder(theta, TWO_PI)
 
 
-def _convergent_denominators(x: float, cap: int):
-    # Denominators of the continued-fraction convergents of x.  These are
-    # exactly the record-setting integers q minimizing |q*x mod 1| over all
-    # smaller q, so scanning them in order finds the minimal power.
-    if cap < 1:
-        return
-    q_prev, q_curr = 0, 1
-    yield 1
-    frac = x - math.floor(x)
-    for _ in range(128):
-        if frac < 1e-15:  # expansion exhausted float precision (or x rational)
-            return
-        r = 1.0 / frac
-        a = int(r)
-        frac = r - a
-        q_prev, q_curr = q_curr, a * q_curr + q_prev
-        if q_curr > cap:
-            return
-        yield q_curr
+def _no_power(angle: float, tolerance: float, cap: int) -> CapExceededError:
+    return CapExceededError(
+        f"no power at or below cap {cap} brings {angle!r} within {tolerance!r} of 2*pi*Z"
+    )
 
 
 def irrational_power(
@@ -58,34 +50,43 @@ def irrational_power(
 ) -> PowerResult:
     """Smallest N >= 1 with N*angle within ``tolerance`` of a multiple of 2*pi.
 
-    Walks the continued-fraction convergents of angle/(2*pi), which is both
-    fast and provably minimal; a linear scan takes over if float precision
-    runs out before a hit.  Raises :class:`CapExceededError` when no N at
-    or below ``cap`` works.  The N-th power of the fixed-angle gate then
-    equals the basis gate at the signed residual angle, so one irrational
-    gate yields rotations finer than any requested tolerance.
+    Tests each convergent denominator of the exact ratio angle/(2*pi) in
+    turn; the first hit is minimal, since only a convergent is closer than
+    every smaller power.  Raises :class:`CapExceededError` when the next
+    denominator exceeds ``cap``, or the expansion ends, without a hit.
+    The N-th power of the fixed-angle gate then equals the basis gate at
+    the signed residual angle, so one irrational gate yields rotations
+    finer than any requested tolerance.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    last = 0
-    for q in _convergent_denominators((angle / TWO_PI) % 1.0, cap):
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+    a, b = angle.as_integer_ratio()
+    c, d = TWO_PI.as_integer_ratio()
+    den = b * c
+    num = a * d % den  # num/den is the fractional part of angle/(2*pi)
+    q_prev, q = 0, 1
+    while q <= cap:
         r = signed_residual(q * angle)
         if abs(r) < tolerance:
             return PowerResult(q, abs(r), r)
-        last = q
-    return minimal_power_scan(angle, tolerance, cap=cap, start=last + 1)
+        if num == 0:  # the expansion ended: q*angle is a whole number of turns
+            break
+        term, rest = divmod(den, num)
+        num, den = rest, num
+        q_prev, q = q, term * q + q_prev
+    raise _no_power(angle, tolerance, cap)
 
 
-def minimal_power_scan(
-    angle: float, tolerance: float, *, cap: int = 10**7, start: int = 1
-) -> PowerResult:
-    """Brute-force minimal power search; the oracle for the fast path."""
+def minimal_power_scan(angle: float, tolerance: float, *, cap: int = 10**7) -> PowerResult:
+    """Brute-force minimal power search; the oracle for :func:`irrational_power`."""
     import numpy as np
 
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     chunk = 1 << 16
-    n0 = start
+    n0 = 1
     while n0 <= cap:
         ns = np.arange(n0, min(n0 + chunk, cap + 1), dtype=np.int64)
         r = np.mod(ns * angle + math.pi, TWO_PI) - math.pi
@@ -94,6 +95,4 @@ def minimal_power_scan(
             k = int(hits[0])
             return PowerResult(int(ns[k]), float(abs(r[k])), float(r[k]))
         n0 += chunk
-    raise CapExceededError(
-        f"no power at or below cap {cap} brings {angle!r} within {tolerance!r} of 2*pi*Z"
-    )
+    raise _no_power(angle, tolerance, cap)

@@ -31,6 +31,7 @@ from .algebra import (
     parse_label,
     qubit_count,
 )
+from .closure import CapExceededError
 from .matrices import (
     decompose,
     expm_hermitian,
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 ATOL = 1e-12  # synthesize drops coefficients at or below this
+MAX_GATES = 1 << 20  # gates in one product formula; each is held and applied
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,7 +213,12 @@ def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
     # the gate list of trotter and synthesize, before its error is measured
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
-    block = tuple(Gate(label, alpha / steps) for label, alpha in coeffs.terms())
+    terms = coeffs.terms()
+    if steps * len(terms) > MAX_GATES:
+        raise CapExceededError(
+            f"a product formula of {steps * len(terms)} gates exceeds the gate budget {MAX_GATES}"
+        )
+    block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
     return GateSequence(gates=block * steps, qubits=coeffs.qubits)
 
 
@@ -221,7 +228,8 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
     ``steps`` repetitions of the per-term gates at angles alpha_I/steps,
     terms in ascending canonical label order inside each repetition.  The
     reported error is the operator-norm distance to the exact exponential
-    and shrinks like (sum alpha^2)/steps.
+    and shrinks like (sum alpha^2)/steps.  Raises
+    :class:`CapExceededError` before building more than ``MAX_GATES`` gates.
     """
     seq = _product_formula(coeffs, steps)
     target = expm_hermitian(reconstruct(dict(coeffs.terms()), coeffs.qubits), 1.0)
@@ -234,7 +242,8 @@ def synthesize(h: np.ndarray, steps: int, qubits: int, *, tol: float = 1e-10) ->
 
     Coefficients with |alpha| <= ATOL are dropped.  The reported error is
     measured against exp(i*h).  :func:`decompose` rejects a matrix of the
-    wrong shape or with a Hermiticity defect above ``tol``.
+    wrong shape or with a Hermiticity defect above ``tol``, and the gate
+    budget applies as in :func:`trotter`.
     """
     coeffs = CoefficientVector(
         qubits,

@@ -231,6 +231,23 @@ class TestTextForm:
             for pow2 in (-2, 0, 1, 5):
                 assert parse_scalar(format_scalar(phase, pow2)) == (phase, pow2)
 
+    @pytest.mark.parametrize("pow2", [-1074, 1023])
+    def test_scalar_value_spans_the_float_range(self, pow2):
+        assert ScaledElement(label([0], 4), pow2=pow2).coefficient == 2.0**pow2 != 0.0
+
+    @pytest.mark.parametrize("pow2", [-2000, -1075, 1024, 2000])
+    def test_scalar_outside_the_float_range_has_no_value(self, pow2):
+        # 2^pow2 is no finite nonzero double: it would overflow, or read a
+        # nonzero element as the zero matrix
+        element = ScaledElement(label([0], 4), phase=1, pow2=pow2)
+        message = f"scalar i*2^{pow2} is outside the float range"
+        with pytest.raises(ValueError) as err:
+            element.coefficient
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            represent(element, 2)
+        assert str(err.value) == message
+
 
 @st.composite
 def elements(draw, max_ambient=16):

@@ -262,6 +262,20 @@ class TestSynthCommand:
         assert err.startswith("error: matrix entry of magnitude 1e+308 is too large")
         assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
+    def test_gate_budget_refuses_before_building(self, capsys, tmp_path):
+        # 10^9 gates would take 8 GB for the gate tuple alone
+        infile = tmp_path / "z.mat"
+        infile.write_text(format_matrix(hermitized_matrix(label([0, 1], 2), 1)))
+        outfile = tmp_path / "seq.txt"
+        code, out, err = run(
+            capsys, "synth", "-n", "1", "-N", "1000000000", "-i", str(infile), "-o", str(outfile)
+        )
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == (
+            "cap exceeded: a product formula of 1000000000 gates exceeds the gate budget 1048576\n"
+        )
+        assert not outfile.exists()
+
     def test_dimension_mismatch(self, capsys, tmp_path):
         infile = tmp_path / "small.mat"
         infile.write_text(format_matrix(np.zeros((2, 2))))

@@ -3,12 +3,19 @@
 Each subcommand gets argv drawn from valid values mixed with malformed
 elements, non-finite or zero-denominator numbers and negative or zero
 sizes, in both output formats.  Drawn sizes stay small (ambient <= 10,
-qubits <= 3, power search cap <= 10^5), except that ``closure`` and
-``certify`` also draw, about one time in ten, the stock universal set at
-any ambient up to 64 or at 70.  Its closure has 2^m labels, so it is the
-label cap (``--cap`` of both, default 2^16) that bounds such a call:
-about a second at ambient 64, ending in exit 5.  ``certify`` also draws
-ambients 65..70 and 10^7, which it refuses (exit 5) before parsing.
+qubits <= 3), except where a cap bounds the run:
+
+- ``closure`` and ``certify`` also draw, about one time in ten, the stock
+  universal set at any ambient up to 64 or at 70.  Its closure has 2^m
+  labels, so it is the label cap (``--cap`` of both, default 2^16) that
+  bounds such a call: about a second at ambient 64, ending in exit 5.
+  ``certify`` also draws ambients 65..70 and 10^7, which it refuses
+  (exit 5) before parsing.
+- ``power`` draws its default cap of 10^9 applications as often as a cap
+  up to 10^5, with tolerances down to 1e-12; the convergent walk settles
+  even an exhausted search at once.
+- ``synth`` draws, about one time in ten, 10^7, 10^9 or 10^12 steps,
+  which the gate budget refuses (exit 5) before any gate is built.
 """
 
 import contextlib
@@ -130,7 +137,7 @@ def synth_argv():
     return st.tuples(
         st.just(["synth"]),
         _given("-n", _number(-2, 3)),
-        _given("-N", _number(-2, 6)),
+        _given("-N", _mostly(_number(-2, 6), st.sampled_from([str(10**k) for k in (7, 9, 12)]))),
         _given("-i", _mostly(st.sampled_from(["h1.mat", "h2.mat"]), st.sampled_from(BAD_FILES))),
         _flag("-o", st.sampled_from(["seq.txt", "."])),
         _flag("--cap", _number(-1, 3)),
@@ -146,8 +153,10 @@ def power_argv():
     return st.tuples(
         st.just(["power"]),
         _given("--angle", angles),
-        _given("--eps", st.one_of(st.sampled_from(["0.1", "1e-3", "1e-6"]), REALS)),
-        _given("--cap", st.integers(-1, 10**5).map(str)),
+        _given(
+            "--eps", st.one_of(st.sampled_from(["0.1", "1e-3", "1e-6", "1e-9", "1e-12"]), REALS)
+        ),
+        _flag("--cap", st.integers(-1, 10**5).map(str)),
         COMMON,
     )
 

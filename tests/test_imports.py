@@ -54,6 +54,7 @@ CERTIFY = ["certify", "-m", "4", "--target", "e[0,1,2,3]", "e[0]", "e[1]", "e[2]
         (["closure", "-m", "4", "e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1,2]"], 0),
         (CERTIFY, 0),
         (["power", "--angle", "1.3", "--eps", "1e-4"], 0),
+        (["power", "--angle", "1.3", "--eps", "1e-9"], 5),
         (["gateset", "-n", "4"], 0),
         (["verify-rep", "-n", "9"], 5),
         (["closure", "-m", "70", "e[0]"], 5),

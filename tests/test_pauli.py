@@ -101,6 +101,15 @@ def test_deviation_is_the_largest_entry_difference():
     assert replay_certificate(bad).deviation == 1.0 == oracle_replay(bad)[0]
 
 
+def test_deviation_against_a_coefficient_far_below_the_float_range():
+    # recording 2^-2000 e0 e1 for 2 e0 e1 leaves entries 2 - 2^-2000 apart,
+    # which is 2.0 in floats
+    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
+    step = cert.steps[0]
+    tiny = ScaledElement(step.element.label, step.element.phase, -2000)
+    assert replay_certificate(replace(cert, steps=(replace(step, element=tiny),))).deviation == 2.0
+
+
 @pytest.mark.parametrize("pow2", [-2000, 2000])
 def test_disagreement_outside_the_float_range_saturates(pow2):
     # M(2^k e0) has entries 2^k, past the float range either way; flipping

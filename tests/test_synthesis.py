@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -29,7 +31,8 @@ from cliffgate import (
     trotter,
 )
 from cliffgate.matrices import random_hermitian, unitarity_defect
-from cliffgate.power import signed_residual
+from cliffgate.power import DEFAULT_POWER_CAP, signed_residual
+from cliffgate.synthesis import MAX_GATES
 from conftest import label, labels_upto, maxabs
 
 
@@ -133,6 +136,13 @@ class TestTrotter:
         with pytest.raises(ValueError):
             trotter(CoefficientVector(2, {}), 0)
 
+    def test_gate_budget(self):
+        coeffs = CoefficientVector(2, {label([0], 4): 0.1, label([0, 1], 4): 0.2})
+        with pytest.raises(CapExceededError, match="gate budget 1048576"):
+            trotter(coeffs, MAX_GATES // 2 + 1)
+        # terms at zero emit no gates, so any step count fits
+        assert trotter(CoefficientVector(2, {label([0], 4): 0.0}), 10**12).gates == ()
+
 
 class TestSynthesize:
     def test_basis_element_is_exact_at_one_step(self):
@@ -162,6 +172,31 @@ class TestSynthesize:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             synthesize(np.zeros((4, 4)), 4, 1)
+
+
+# pi to 60 digits: the exact reference measures turns against it rather
+# than against the float 2*pi of the search
+PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def exact_minimal_power(angle, eps, cap):
+    """Smallest N <= cap whose exact N*angle lies within eps of 2*pi*Z, or None.
+
+    Only convergent denominators of angle/(2*pi) can be such an N, so the
+    reference walks those of the float angle taken as an exact fraction.
+    """
+    x = Fraction(angle) / (2 * PI_60)
+    num, den = (x - math.floor(x)).as_integer_ratio()
+    q_prev, q = 0, 1
+    while q <= cap:
+        turns = q * x
+        if abs(turns - round(turns)) * 2 * PI_60 < eps:
+            return q
+        if num == 0:
+            return None
+        term, num, den = den // num, den % num, num
+        q_prev, q = q, term * q + q_prev
+    return None
 
 
 class TestIrrationalPower:
@@ -204,8 +239,36 @@ class TestIrrationalPower:
         assert operator_distance(powered, residual_gate) < 1e-10
 
     def test_cap_raises(self):
-        with pytest.raises(CapExceededError):
-            minimal_power_scan(math.atan2(3.0, 4.0), 1e-9, cap=100)
+        messages = []
+        for search in (irrational_power, minimal_power_scan):
+            with pytest.raises(CapExceededError) as err:
+                search(math.atan2(3.0, 4.0), 1e-9, cap=100)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "no power at or below cap 100 brings 0.6435011087932844 within 1e-09 of 2*pi*Z"
+        )
+
+    def test_negative_small_angle_finds_the_minimal_power(self):
+        # angle/(2*pi) mod 1 is 1 - |x| here, which a float expansion
+        # cancels to a few digits; the exact ratio keeps every convergent
+        angle, eps = -2.2279134884666189e-07, 1.8132397098228843e-08
+        found = irrational_power(angle, eps).applications
+        assert found == 84606319 == minimal_power_scan(angle, eps, cap=10**8).applications
+
+    def test_small_angles_match_an_exact_reference(self):
+        rng = random.Random(20261018)
+        outcomes = []
+        for _ in range(240):
+            angle = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-9, -3)
+            eps = 10 ** rng.uniform(-9.5, -7)
+            try:
+                found = irrational_power(angle, eps).applications
+            except CapExceededError:
+                found = None
+            assert found == exact_minimal_power(angle, eps, DEFAULT_POWER_CAP), (angle, eps)
+            outcomes.append((angle < 0, found is None))
+        # both signs, each with found and exhausted searches
+        assert len(set(outcomes)) == 4
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_raises_before_the_first_convergent(self, cap):
