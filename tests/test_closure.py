@@ -204,6 +204,10 @@ class TestUniversality:
                 )
                 assert dimension(gens) == 64
 
+    def test_odd_ambient_rejected(self):
+        with pytest.raises(ValueError, match="ambient 5 is odd"):
+            is_universal(universal_generators(5))
+
 
 class TestStockSets:
     def test_universal_generators_sizes(self):
@@ -317,6 +321,11 @@ class TestCertificates:
     def test_from_text_rejects_bad_ambient_as_parse_error(self):
         with pytest.raises(ParseError):
             Certificate.from_text("ambient x")
+
+    def test_replay_rejects_odd_ambient(self):
+        cert = certificate(close(universal_generators(5)), label([0, 1], 5))
+        with pytest.raises(ValueError, match="ambient 5 is odd"):
+            replay_certificate(cert)
 
     @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
     def test_certificates_are_generator_bracket_chains(self, stock):
