@@ -8,6 +8,10 @@ precision and ``--format human`` (the default) the same lines with floats
 at 6 significant digits.  With fixed flags and seed the output is
 byte-identical across runs.
 
+Each subcommand declares only the flags it reads; any other flag is a
+usage error (exit 2).  All six take ``--format`` and ``--cap``,
+``certify``, ``verify-rep`` and ``synth`` take ``--tolerance`` (positive
+and finite, default 1e-10) and ``verify-rep`` alone takes ``--seed``.
 ``--cap`` has one meaning per layer: the labels a closure may reach in
 ``closure``, ``certify`` and ``gateset`` (default 2^16; an ambient above
 64, or a ``gateset`` above 32 qubits, is refused whatever the cap), the
@@ -51,20 +55,19 @@ EXIT_VERIFY = 4
 EXIT_CAP = 5
 
 MAX_AMBIENT = 64  # generators; a larger closure ambient exits 5 whatever --cap says
-DEFAULT_MATRIX_CAP = 6  # qubits
-DEFAULT_CAP = {
-    **dict.fromkeys(("closure", "certify", "gateset"), DEFAULT_LABEL_CAP),
-    **dict.fromkeys(("verify-rep", "synth"), DEFAULT_MATRIX_CAP),
-    "power": DEFAULT_POWER_CAP,
-}
+# the --cap of each layer: (default, help)
+LABEL_CAP = (DEFAULT_LABEL_CAP, "labels the closure may reach (default 2^16)")
+QUBIT_CAP = (6, "qubits of the matrices built (default 6)")
+POWER_CAP = (DEFAULT_POWER_CAP, "applications N searched (default 10^9)")
+
+
+class UsageError(ValueError):
+    pass
 
 
 @dataclass
 class RunConfig:
     digits: int  # significant digits of printed floats
-    tolerance: float
-    seed: int
-    cap: int
 
     def emit(self, kind: str, *words, **fields) -> None:
         """Print one record: the kind, bare words, then key=value fields."""
@@ -97,7 +100,17 @@ def _angle_value(text: str) -> float:
     return value
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _parse_generators(texts, ambient):
+    """The ``-m`` rule of ``closure`` and ``certify`` (1..64), then the generators."""
+    _check_ambient(ambient)
+    if ambient < 1:
+        raise ValueError("ambient must be >= 1")
     elements = []
     for pos, text in enumerate(texts):
         try:
@@ -118,11 +131,8 @@ def _check_qubits(qubits: int, cap: int) -> None:
 
 
 def cmd_closure(args, config: RunConfig) -> int:
-    _check_ambient(args.ambient)
-    if args.ambient < 1:
-        raise ValueError("ambient must be >= 1")
     gens = _parse_generators(args.generators, args.ambient)
-    result = close(gens, cap=config.cap)
+    result = close(gens, cap=args.cap)
     dim = result.dimension
     verdict = "unsupported" if args.ambient % 2 else result.universal
     config.emit(
@@ -137,10 +147,10 @@ def cmd_closure(args, config: RunConfig) -> int:
 
 
 def cmd_certify(args, config: RunConfig) -> int:
-    _check_ambient(args.ambient)
+    _positive("--tolerance", args.tolerance)
     gens = _parse_generators(args.generators, args.ambient)
     target = parse_label(args.target, args.ambient)
-    serialized = certificate(close(gens, cap=config.cap), target).to_text()
+    serialized = certificate(close(gens, cap=args.cap), target).to_text()
     sys.stdout.write(serialized)
     # the replay consumes the serialized form, so the text format itself is
     # exercised on every run
@@ -149,18 +159,17 @@ def cmd_certify(args, config: RunConfig) -> int:
         config.emit("replay", skipped=True, reason="odd-ambient")
         return EXIT_OK
     report = replay_certificate(cert)
-    ok = report.deviation <= config.tolerance
+    ok = report.deviation <= args.tolerance
     config.emit("replay", deviation=report.deviation, steps=report.steps, ok=ok)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify_rep(args, config: RunConfig) -> int:
-    _check_qubits(args.qubits, config.cap)
-    if args.qubits < 1:
-        raise ValueError("qubit count must be >= 1")
+    _positive("--tolerance", args.tolerance)
+    _check_qubits(args.qubits, args.cap)
     from .matrices import verify_representation  # loads numpy
 
-    checks = verify_representation(args.qubits, seed=config.seed, tol_pipeline=config.tolerance)
+    checks = verify_representation(args.qubits, seed=args.seed, tol_pipeline=args.tolerance)
     for check in checks:
         config.emit(
             "check",
@@ -176,7 +185,7 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
 
 def cmd_gateset(args, config: RunConfig) -> int:
     _check_ambient(2 * args.qubits)
-    _, report = local_gate_set(args.qubits, cap=config.cap)
+    _, report = local_gate_set(args.qubits, cap=args.cap)
     for entry in report.entries:
         config.emit(
             "element",
@@ -197,12 +206,13 @@ def cmd_gateset(args, config: RunConfig) -> int:
 
 
 def cmd_synth(args, config: RunConfig) -> int:
-    _check_qubits(args.qubits, config.cap)
+    _positive("--tolerance", args.tolerance)
+    _check_qubits(args.qubits, args.cap)
     from .matrices import parse_matrix  # loads numpy
     from .synthesis import synthesize
 
     h = parse_matrix(Path(args.input).read_text())
-    seq = synthesize(h, args.steps, args.qubits, tol=config.tolerance)
+    seq = synthesize(h, args.steps, args.qubits, tol=args.tolerance)
     serialized = seq.to_text()
     if args.output:
         Path(args.output).write_text(serialized)
@@ -216,13 +226,12 @@ def cmd_synth(args, config: RunConfig) -> int:
 
 def cmd_power(args, config: RunConfig) -> int:
     angle = _angle_value(args.angle)
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise UsageError(f"--eps must be positive and finite, got {args.eps}")
-    result = irrational_power(angle, args.eps, cap=config.cap)
+    eps = _positive("--eps", args.eps)
+    result = irrational_power(angle, eps, cap=args.cap)
     config.emit(
         "power",
         angle=angle,
-        eps=float(args.eps),
+        eps=eps,
         N=result.applications,
         residual=result.residual,
         signed=result.signed_angle,
@@ -230,74 +239,59 @@ def cmd_power(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("human", "records"), default="human",
-        help="float precision of the records: 6 (human) or 17 (records) significant digits",
-    )
-    common.add_argument("--tolerance", type=float, default=1e-10, help="numeric tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    common.add_argument(
-        "--cap", type=int, default=None,
-        help="label, qubit or application budget (default per subcommand)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="cliffgate",
         description="Clifford basis-element algebra, commutator closure and gate synthesis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closure", parents=[common], help="close a generator set")
+    def command(name, handler, cap, help, tolerance=False):
+        # --format, the layer's --cap and, where the handler reads it, --tolerance
+        p = sub.add_parser(name, help=help)
+        p.add_argument(
+            "--format", choices=("human", "records"), default="human",
+            help="float precision of the records: 6 (human) or 17 (records) significant digits",
+        )
+        p.add_argument("--cap", type=int, default=cap[0], help=cap[1])
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=1e-10, help="positive and finite")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("closure", cmd_closure, LABEL_CAP, "close a generator set")
     p.add_argument("-m", "--ambient", type=int, required=True, help="generator count")
     p.add_argument("--list-limit", type=int, default=128, help="suppress label list above this")
     p.add_argument("generators", nargs="+", help="elements like e[0] or i*e[0,1,2]")
-    p.set_defaults(handler=cmd_closure)
 
-    p = sub.add_parser("certify", parents=[common], help="derive one label and replay it")
+    p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it", True)
     p.add_argument("-m", "--ambient", type=int, required=True)
     p.add_argument("--target", required=True, help="target label like e[0,1]")
     p.add_argument("generators", nargs="+")
-    p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("verify-rep", parents=[common], help="run the dense-oracle sweep")
+    p = command("verify-rep", cmd_verify_rep, QUBIT_CAP, "run the dense-oracle sweep", True)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     p.add_argument("-n", "--qubits", type=int, required=True)
-    p.set_defaults(handler=cmd_verify_rep)
 
-    p = sub.add_parser("gateset", parents=[common], help="list the local universal gate set")
+    p = command("gateset", cmd_gateset, LABEL_CAP, "list the local universal gate set")
     p.add_argument("-n", "--qubits", type=int, required=True)
-    p.set_defaults(handler=cmd_gateset)
 
-    p = sub.add_parser("synth", parents=[common], help="synthesize exp(i*H) from a matrix file")
+    p = command("synth", cmd_synth, QUBIT_CAP, "synthesize exp(i*H) from a matrix file", True)
     p.add_argument("-n", "--qubits", type=int, required=True)
     p.add_argument("-N", "--steps", type=int, required=True, help="product-formula repetitions")
     p.add_argument("-i", "--input", required=True, help="Hermitian matrix text file")
     p.add_argument("-o", "--output", default=None, help="gate sequence output file")
-    p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("power", parents=[common], help="minimal power near a full turn")
+    p = command("power", cmd_power, POWER_CAP, "minimal power near a full turn")
     p.add_argument("--angle", required=True, help="gate angle (float or k*pi/m)")
     p.add_argument("--eps", type=float, required=True, help="residual tolerance")
-    p.set_defaults(handler=cmd_power)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config = RunConfig(digits=17 if args.format == "records" else 6)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise UsageError("--tolerance must be positive and finite")
-        config = RunConfig(
-            digits=17 if args.format == "records" else 6,
-            tolerance=args.tolerance,
-            seed=args.seed,
-            cap=DEFAULT_CAP[args.command] if args.cap is None else args.cap,
-        )
         return args.handler(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

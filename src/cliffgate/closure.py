@@ -12,13 +12,14 @@ each label's derivation into a chain of generator brackets.
 Counting convention.  Commutators of distinct basis terms never land on
 the unit label, and the unit commutes with everything, so a generating set
 confined to orders one and two closes inside that quadratic sector (the
-spin-algebra pattern of dimension m(m+1)/2 over m generators).  Once any
-element of order three or more is reached, the closure sweeps out every
-remaining label; in that regime the engine also counts the unit label as
-reached, with an empty derivation, because the unit is the empty product
-and counting it makes a fully universal closure tally all 4^n labels of
-the n-qubit unitary algebra.  ``ClosureResult.unit_vacuous`` records when
-this rule fired.
+spin-algebra pattern of dimension m(m+1)/2 over m generators).  Once the
+closure has left that sector and reached every label outside the centre
+(the unit, plus the top label at odd ambient), the engine also counts the
+unit as reached, with an empty derivation: the unit is the empty product,
+and counting it makes a universal closure tally all 4^n labels of the
+n-qubit unitary algebra.  An order-3 label alone is not enough:
+{i*e[0,1,2], e[3]} closes to su(2), three labels.
+``ClosureResult.unit_vacuous`` records when this rule fired.
 """
 
 from __future__ import annotations
@@ -247,11 +248,15 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
             depth[label] = depth[step.parent_a] + 1
         frontier = layer
     unit = BasisLabel.unit(ambient)
-    unit_vacuous = False
-    if unit not in reps and any(label.order >= 3 for label in reps):
+    centre = {unit, BasisLabel((1 << ambient) - 1, ambient)} if ambient % 2 else {unit}
+    unit_vacuous = (
+        len(reps) + len(centre - reps.keys()) == 1 << ambient  # all but the centre reached
+        and unit not in reps
+        and any(label.order >= 3 for label in reps)
+    )
+    if unit_vacuous:
         reps[unit] = ScaledElement.unit(ambient)
         depth[unit] = 0
-        unit_vacuous = True
     if len(reps) > cap:
         raise _label_cap_exceeded(cap)
     return ClosureResult(
@@ -387,7 +392,7 @@ class Certificate:
         cert = cls(
             ambient=ambient,
             target=target,
-            generators=tuple(gens),
+            generators=GeneratorSet(ambient, tuple(gens)).elements,
             steps=tuple(steps),
             scalar_phase=scalar[0],
             scalar_pow2=scalar[1],

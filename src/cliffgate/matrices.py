@@ -295,6 +295,8 @@ def verify_representation(
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
     decomposition round trip ``tol_pipeline``.
     """
+    if n < 1:
+        raise ValueError("qubit count must be >= 1")
     rng = np.random.default_rng(seed)
     eye = np.eye(2**n)
     results: list[CheckResult] = []

@@ -74,10 +74,6 @@ class PauliFactorization:
     pow2: int
     factors: str
 
-    @property
-    def qubits(self) -> int:
-        return len(self.factors)
-
     def support(self) -> tuple[int, ...]:
         n = len(self.factors)
         return tuple(sorted(n - 1 - i for i, f in enumerate(self.factors) if f != "I"))

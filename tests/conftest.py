@@ -1,8 +1,10 @@
+from functools import reduce
+
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels
 from cliffgate.algebra import qubit_count
-from cliffgate.matrices import hermitized_matrix, represent
+from cliffgate.matrices import gamma, hermitized_matrix, represent
 
 
 def label(indices, ambient):
@@ -49,6 +51,11 @@ def oracle_commutator(a, b):
     if ab == ba:
         return ScaledElement.zero(a.ambient)
     return ScaledElement(ab.label, ab.phase, ab.pow2 + 1)
+
+
+def gamma_product(lab, n):
+    """The oracle: ordered product of the Kronecker-chain generators."""
+    return reduce(np.matmul, [gamma(k, n) for k in lab.indices], np.eye(2**n, dtype=complex))
 
 
 def maxabs(m):

@@ -210,7 +210,7 @@ class TestTextForm:
         assert format_element(ScaledElement.unit(4)) == "e[]"
 
     @pytest.mark.parametrize(
-        "text", ["e[0,0]", "e[1,0]", "e[9]", "e[0,1] junk", "x[0]", "e[a]", "+e[0]"]
+        "text", ["e[0,0]", "e[1,0]", "e[9]", "e[0,1] junk", "x[0]", "e[a]", "+e[0]", "e[1,,2]"]
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
@@ -230,6 +230,11 @@ class TestTextForm:
         for phase in range(4):
             for pow2 in (-2, 0, 1, 5):
                 assert parse_scalar(format_scalar(phase, pow2)) == (phase, pow2)
+
+    @pytest.mark.parametrize("text", ["3", "", "2^", "i*2^1*e[0]"])
+    def test_scalar_rejects_malformed(self, text):
+        with pytest.raises(ParseError, match="expected a scalar"):
+            parse_scalar(text)
 
     @pytest.mark.parametrize("pow2", [-1074, 1023])
     def test_scalar_value_spans_the_float_range(self, pow2):

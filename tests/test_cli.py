@@ -1,3 +1,4 @@
+import argparse
 import re
 import warnings
 
@@ -11,6 +12,7 @@ from cliffgate.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VERIFY,
+    _build_parser,
     main,
 )
 from conftest import label
@@ -73,7 +75,7 @@ class TestClosureCommand:
         assert "cap" in err
 
     def test_records_are_byte_deterministic(self, capsys):
-        argv = ["closure", "-m", "4", "--format", "records", "--seed", "7",
+        argv = ["closure", "-m", "4", "--format", "records",
                 "e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1,2]"]
         first = run(capsys, *argv)
         second = run(capsys, *argv)
@@ -330,12 +332,79 @@ class TestPowerCommand:
         assert err.startswith("cap exceeded: ")
 
 
-class TestGlobalFlags:
+# The flags each subcommand declares: exactly the ones its handler reads.
+FLAGS = {
+    "closure": ["--format", "--cap", "-m", "--list-limit"],
+    "certify": ["--format", "--cap", "--tolerance", "-m", "--target"],
+    "verify-rep": ["--format", "--cap", "--tolerance", "--seed", "-n"],
+    "gateset": ["--format", "--cap", "-n"],
+    "synth": ["--format", "--cap", "--tolerance", "-n", "-N", "-i", "-o"],
+    "power": ["--format", "--cap", "--angle", "--eps"],
+}
+
+
+class TestFlags:
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: [a.option_strings[0] for a in parser._actions
+                   if a.option_strings and a.dest != "help"]
+            for name, parser in sub.choices.items()
+        }
+        assert declared == FLAGS
+        caps = {name: parser.get_default("cap") for name, parser in sub.choices.items()}
+        assert caps == {"closure": 1 << 16, "certify": 1 << 16, "gateset": 1 << 16,
+                        "verify-rep": 6, "synth": 6, "power": 10**9}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["closure", "--seed", "1", "-m", "4", "e[0]"],
+         ["power", "--tolerance", "1e-3", "--angle", "1", "--eps", "0.1"],
+         ["gateset", "--tolerance", "1", "-n", "2"],
+         ["certify", "--seed=1", "-m", "4", "--target", "e[0]", "e[0]"],
+         ["synth", "--seed", "1", "-n", "1", "-N", "1", "-i", "h.mat"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_undeclared_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_PARSE
+        assert "unrecognized arguments: " + argv[1].split("=")[0] in capsys.readouterr().err
+
     def test_bad_tolerance(self, capsys):
         for tol in ("-1", "0", "nan", "inf"):
             code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", tol)
             assert code == EXIT_PARSE, tol
             assert "--tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["certify", "-m", "70", "--target", "e[0]", "e[0]", "--tolerance", "nan"],
+          "--tolerance must be positive and finite, got nan"),
+         (["synth", "-n", "9", "-N", "1", "-i", "missing.mat", "--tolerance=-1"],
+          "--tolerance must be positive and finite, got -1.0"),
+         (["power", "--angle", "1", "--eps", "inf"], "--eps must be positive and finite, got inf")],
+        ids=["certify", "synth", "power"],
+    )
+    def test_one_positive_rule_checked_first(self, capsys, argv, message):
+        # refused before the ambient, qubit or file it names is looked at
+        assert run(capsys, *argv) == (EXIT_PARSE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "m, code, message",
+        [("0", EXIT_PRECONDITION, "error: ambient must be >= 1"),
+         ("-3", EXIT_PRECONDITION, "error: ambient must be >= 1"),
+         ("65", EXIT_CAP, "cap exceeded: ambient 65 exceeds the symbolic cap 64")],
+    )
+    def test_closure_and_certify_share_the_ambient_rule(self, capsys, m, code, message):
+        closure = run(capsys, "closure", "-m", m, "e[0]")
+        certify = run(capsys, "certify", "-m", m, "--target", "e[0]", "e[0]")
+        assert closure == certify == (code, "", message + "\n")
+
+    def test_verify_rep_needs_a_qubit(self, capsys):
+        assert run(capsys, "verify-rep", "-n", "0") == (
+            EXIT_PRECONDITION, "", "error: qubit count must be >= 1\n"
+        )
 
 
 # The records form is the command line's output contract: these calls must

@@ -2,8 +2,12 @@
 
 Each subcommand gets argv drawn from valid values mixed with malformed
 elements, non-finite or zero-denominator numbers and negative or zero
-sizes, in both output formats.  Drawn sizes stay small (ambient <= 10,
-qubits <= 3), except where a cap bounds the run:
+sizes, in both output formats.  ``--tolerance`` is drawn only for
+``certify``, ``verify-rep`` and ``synth`` and ``--seed`` only for
+``verify-rep``, the subcommands that declare them; a second test adds a
+flag the subcommand does not declare and expects exit 2.  Drawn sizes
+stay small (ambient <= 10, qubits <= 3), except where a cap bounds the
+run:
 
 - ``closure`` and ``certify`` also draw, about one time in ten, the stock
   universal set at any ambient up to 64 or at 70.  Its closure has 2^m
@@ -66,11 +70,9 @@ REALS = _mostly(
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
     ),
 )
-COMMON = st.tuples(
-    _flag("--format", _mostly(st.sampled_from(["human", "records"]), st.just("xml"))),
-    _flag("--tolerance", REALS),
-    _flag("--seed", _number(-3, 99)),
-).map(lambda parts: [tok for part in parts for tok in part])
+FORMAT = _flag("--format", _mostly(st.sampled_from(["human", "records"]), st.just("xml")))
+TOLERANCE = _flag("--tolerance", REALS)
+SEED = _flag("--seed", _number(-3, 99))
 GENERATORS = st.lists(
     _mostly(st.sampled_from(ELEMENTS), st.sampled_from(BAD_ELEMENTS)), min_size=1, max_size=6
 ).map(lambda g: ["--", *g])
@@ -98,10 +100,10 @@ def closure_argv():
         _given("-m", _number(-2, 10)),
         _flag("--list-limit", _number(-1, 20)),
         _flag("--cap", _number(-1, 10)),
-        COMMON,
+        FORMAT,
         GENERATORS,
     )
-    stock = st.tuples(st.just(["closure"]), _flag("--cap", _number(-1, 5000)), COMMON, STOCK)
+    stock = st.tuples(st.just(["closure"]), _flag("--cap", _number(-1, 5000)), FORMAT, STOCK)
     return _mostly(small, stock)
 
 
@@ -111,22 +113,25 @@ def certify_argv():
         _given("-m", _number(-2, 10)),
         _given("--target", LABELS),
         _flag("--cap", _number(-1, 20)),
-        COMMON,
+        FORMAT,
+        TOLERANCE,
         GENERATORS,
     )
-    stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), COMMON, STOCK)
+    stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), FORMAT, TOLERANCE, STOCK)
     wide = st.tuples(
-        st.just(["certify"]), _given("--target", LABELS), COMMON, CERTIFY_AMBIENT_ABOVE_CAP
+        st.just(["certify"]), _given("--target", LABELS), FORMAT, TOLERANCE,
+        CERTIFY_AMBIENT_ABOVE_CAP,
     )
     return _mostly(small, st.one_of(stock, wide))
 
 
-def qubits_argv(command, cap_high):
+def qubits_argv(command, cap_high, *flags):
     return st.tuples(
         st.just([command]),
         _given("-n", _number(-2, 3)),
         _flag("--cap", _number(-1, cap_high)),
-        COMMON,
+        FORMAT,
+        *flags,
     )
 
 
@@ -141,7 +146,8 @@ def synth_argv():
         _given("-i", _mostly(st.sampled_from(["h1.mat", "h2.mat"]), st.sampled_from(BAD_FILES))),
         _flag("-o", st.sampled_from(["seq.txt", "."])),
         _flag("--cap", _number(-1, 3)),
-        COMMON,
+        FORMAT,
+        TOLERANCE,
     )
 
 
@@ -157,14 +163,14 @@ def power_argv():
             "--eps", st.one_of(st.sampled_from(["0.1", "1e-3", "1e-6", "1e-9", "1e-12"]), REALS)
         ),
         _flag("--cap", st.integers(-1, 10**5).map(str)),
-        COMMON,
+        FORMAT,
     )
 
 
 ARGV = {
     "closure": closure_argv(),
     "certify": certify_argv(),
-    "verify-rep": qubits_argv("verify-rep", 3),
+    "verify-rep": qubits_argv("verify-rep", 3, TOLERANCE, SEED),
     "gateset": qubits_argv("gateset", 100),  # labels: 3 qubits close to 64
     "synth": synth_argv(),
     "power": power_argv(),
@@ -209,6 +215,31 @@ def test_every_argv_ends_in_a_documented_exit(command, data, workdir):
     argv = [tok for part in parts for tok in part]
     code, _, err = run_main(argv, workdir)
     assert code in DOCUMENTED_EXITS, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+# flags that other subcommands declare and this one does not
+UNDECLARED = {
+    "closure": ["--tolerance", "--seed", "--target", "--eps"],
+    "certify": ["--seed", "--list-limit", "--angle"],
+    "verify-rep": ["--list-limit", "--target", "-N"],
+    "gateset": ["--tolerance", "--seed", "-m"],
+    "synth": ["--seed", "--eps", "--target"],
+    "power": ["--tolerance", "--seed", "-n"],
+}
+
+
+@pytest.mark.parametrize("command", list(ARGV))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_an_undeclared_flag_is_a_usage_error(command, data, workdir):
+    _, *rest = data.draw(ARGV[command])
+    values = st.sampled_from(["1", "1e-3", "nan", "e[0]"])
+    flag = data.draw(st.sampled_from(UNDECLARED[command]))
+    undeclared = data.draw(_given(flag, values))
+    argv = [command, *undeclared, *(tok for part in rest for tok in part)]
+    code, out, err = run_main(argv, workdir)
+    assert (code, out) == (2, ""), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
 
 

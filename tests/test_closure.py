@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from cliffgate import (
     replay_certificate,
     universal_generators,
 )
-from cliffgate.algebra import canonical_key
+from cliffgate.algebra import canonical_key, qubit_count
 from cliffgate.closure import CertificateStep
-from conftest import elem, label, oracle_commutator
+from conftest import elem, gamma_product, label, oracle_commutator
 
 
 def generators_only(ambient):
@@ -54,6 +55,17 @@ class TestClose:
         assert BasisLabel.unit(5) in result.reached
         assert result.unit_vacuous
         assert result.audit_closed()
+
+    def test_order_three_alone_does_not_count_the_unit(self):
+        # {e[3], e[0,1,2], e[0,1,2,3]} is su(2); the unit is not counted
+        result = close(GeneratorSet.of([elem([0, 1, 2], 4, phase=1), generator(3, 4)]))
+        assert result.labels() == [label([3], 4), label([0, 1, 2], 4), label([0, 1, 2, 3], 4)]
+        assert not result.unit_vacuous
+
+    def test_audit_finds_a_missing_label(self):
+        result = close(universal_generators(4))
+        del result.representatives[label([0, 1], 4)]
+        assert not result.audit_closed()
 
     def test_single_generator(self):
         assert dimension(GeneratorSet.of([generator(0, 4)])) == 1
@@ -115,19 +127,28 @@ def oracle_close(gens):
             provenance[lab] = found[lab]
             depth[lab] = depth[found[lab].parent_a] + 1
         frontier = layer
-    unit = BasisLabel.unit(gens.ambient)
-    unit_vacuous = unit not in reps and any(lab.order >= 3 for lab in reps)
+    # the unit counts once every label outside the centre (the unit, and the
+    # top label at odd ambient) is reached and some label has order >= 3
+    m = gens.ambient
+    centre = {0, (1 << m) - 1} if m % 2 else {0}
+    masks = {lab.mask for lab in reps}
+    unit_vacuous = (
+        0 not in masks
+        and len(masks - centre) == (1 << m) - len(centre)
+        and any(lab.order >= 3 for lab in reps)
+    )
     if unit_vacuous:
-        reps[unit] = ScaledElement.unit(gens.ambient)
-        depth[unit] = 0
+        reps[BasisLabel.unit(m)] = ScaledElement.unit(m)
+        depth[BasisLabel.unit(m)] = 0
     return reps, provenance, depth, unit_vacuous
 
 
-def random_generator_sets(count, seed):
+def random_generator_sets(count, seed, ambients=range(2, 8), max_size=5):
     rng = random.Random(seed)
     for _ in range(count):
-        ambient = rng.randint(2, 7)
-        masks = rng.sample(range(1, 1 << ambient), rng.randint(1, min(5, (1 << ambient) - 1)))
+        ambient = rng.choice(ambients)
+        size = rng.randint(1, min(max_size, (1 << ambient) - 1))
+        masks = rng.sample(range(1, 1 << ambient), size)
         yield GeneratorSet.of(
             [
                 ScaledElement(BasisLabel(mask, ambient), rng.randrange(4), rng.randint(-3, 3))
@@ -161,6 +182,73 @@ class TestCloseMatchesOracle:
     def test_random_sets(self):
         for gens in random_generator_sets(200, seed=11):
             self.assert_same(gens)
+
+
+def dense_lie_rank(gens):
+    """Rank, by Gram-Schmidt, of the span of the generators' matrices
+    closed under the commutators of all pairs of its basis vectors.
+
+    The matrices are products of the ``gamma`` Kronecker chains, and every
+    pair of basis vectors is bracketed, not only brackets with generators,
+    so neither the label arithmetic nor the right-normed-bracket argument
+    of ``close`` enters."""
+    n = qubit_count(gens.ambient)
+    d = 2**n
+    basis = np.zeros((0, d * d), dtype=complex)
+
+    def extend(candidates):
+        nonlocal basis
+        for v in candidates:
+            for _ in range(2):  # a second pass restores orthogonality
+                v = v - (basis.conj() @ v) @ basis
+            norm = np.linalg.norm(v)
+            if norm > 1e-9:
+                basis = np.vstack([basis, v / norm])
+
+    extend(el.coefficient * gamma_product(el.label, n).ravel() for el in gens.elements)
+    i = 0
+    while i < len(basis):
+        a = basis[i].reshape(d, d)
+        earlier = basis[:i].reshape(i, d, d)
+        extend((a @ earlier - earlier @ a).reshape(i, d * d))
+        i += 1
+    return len(basis)
+
+
+class TestDenseLieOracle:
+    """Lie closure equals label-set closure: the dense rank is the label
+    count less the vacuous unit, and the unit counts only when the rank is
+    that of su(2^n)."""
+
+    @staticmethod
+    def assert_same(gens):
+        result = close(gens)
+        rank = dense_lie_rank(gens)
+        assert result.dimension - result.unit_vacuous == rank
+        if result.unit_vacuous:
+            assert rank == (1 << gens.ambient) - 1
+        return result
+
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
+    def test_stock_sets(self, stock, m):
+        assert self.assert_same(stock(m)).unit_vacuous
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_generators_only(self, m):
+        assert not self.assert_same(generators_only(m)).unit_vacuous
+
+    def test_random_sets(self):
+        # mixed phases and powers of two; the sample holds universal sets
+        # and sets that reach order three without being universal
+        results = [
+            self.assert_same(gens)
+            for gens in random_generator_sets(150, seed=23, ambients=(2, 4, 6), max_size=8)
+        ]
+        assert any(r.unit_vacuous for r in results)
+        assert any(
+            not r.unit_vacuous and max(lab.order for lab in r.reached) >= 3 for r in results
+        )
 
 
 class TestLabelCap:
@@ -317,6 +405,63 @@ class TestCertificates:
         bad = cert.to_text().replace("* 2^1", "* -2^1")
         with pytest.raises(ValueError):
             Certificate.from_text(bad)
+
+    # Tampered forms of real certificate text, one per rejection branch of
+    # ``Certificate.validate`` and ``Certificate.from_text``.
+    TOP6 = certificate(close(chain_generators(6)), label([0, 1, 2, 3, 4, 5], 6)).to_text()
+
+    @staticmethod
+    def swap_first_steps(text):
+        lines = text.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("step "))
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        return "".join(lines)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (swap_first_steps, "step parent e[0,2] has no prior derivation"),
+            (lambda t: t.replace("* -i*2^2", "* i*2^2"), "step for e[0,3] does not replay"),
+            (lambda t: "".join(l for l in t.splitlines(True) if "e[0,1,2,3,4,5] :=" not in l),
+             "target e[0,1,2,3,4,5] never derived"),
+            (lambda t: t.replace("scalar -2^10", "scalar 2^10"), "terminal scalar mismatch"),
+        ],
+        ids=["parent-first", "step-coefficient", "no-target", "scalar"],
+    )
+    def test_validate_rejects(self, tamper, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Certificate.from_text(tamper(self.TOP6))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda t: t.replace("ambient 6\ntarget e[0,1,2,3,4,5]\n",
+                                 "target e[0,1,2,3,4,5]\nambient 6\n"),
+             "line 1: ambient must come first"),
+            (lambda t: t.replace(":= [e[0,1], e[1,2]]", ":= (e[0,1], e[1,2])"),
+             "line 10: malformed step"),
+            (lambda t: t + "note replayed\n", "line 21: unknown record 'note'"),
+            (lambda t: t.replace("scalar -2^10\n", ""), "certificate text is missing"),
+        ],
+        ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar"],
+    )
+    def test_from_text_parse_errors(self, tamper, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            Certificate.from_text(tamper(self.TOP6))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda t: t.replace("generator e[0]\n", "generator 0\n"), "zero elements"),
+            (lambda t: t.replace("generator e[0]\n", "generator e[0]\ngenerator -e[0]\n"),
+             "duplicate generator label e[0]"),
+        ],
+        ids=["zero", "duplicate"],
+    )
+    def test_from_text_generators_form_a_generator_set(self, tamper, message):
+        text = certificate(close(universal_generators(4)), label([0, 1], 4)).to_text()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Certificate.from_text(tamper(text))
 
     def test_from_text_rejects_bad_ambient_as_parse_error(self):
         with pytest.raises(ParseError):

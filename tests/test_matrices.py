@@ -1,5 +1,3 @@
-from functools import reduce
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,7 +29,7 @@ from cliffgate.matrices import (
     random_hermitian,
     unitarity_defect,
 )
-from conftest import elem, label, labels_upto, maxabs
+from conftest import elem, gamma_product, label, labels_upto, maxabs
 
 
 class TestGamma:
@@ -97,11 +95,6 @@ class TestRepresent:
             for b in labels_upto(2 * n):
                 t = np.trace(hermitized_matrix(a, n) @ hermitized_matrix(b, n))
                 assert abs(t - (2.0**n if a == b else 0.0)) == 0.0
-
-
-def gamma_product(lab, n):
-    """The oracle: ordered product of the Kronecker-chain generators."""
-    return reduce(np.matmul, [gamma(k, n) for k in lab.indices], np.eye(2**n, dtype=complex))
 
 
 class TestMonomialOracle:
@@ -254,6 +247,11 @@ class TestVerifySuite:
         for n in (1, 2):
             results = verify_representation(n)
             assert all(c.passed for c in results), [c for c in results if not c.passed]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_qubit(self, n):
+        with pytest.raises(ValueError, match="qubit count must be >= 1"):
+            verify_representation(n)
 
     def test_qubit_count_rejects_odd(self):
         with pytest.raises(ValueError):
