@@ -38,7 +38,7 @@ from .closure import (
 # ``power`` need no numpy either.
 _LAZY = {
     **dict.fromkeys(
-        ("PauliFactorization", "local_gate_set", "pauli_factorization", "replay_certificate"),
+        ("PauliFactorization", "pauli_factorization", "replay_certificate"),
         "pauli",
     ),
     **dict.fromkeys(("PowerResult", "irrational_power", "minimal_power_scan"), "power"),

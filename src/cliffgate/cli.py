@@ -9,14 +9,18 @@ at 6 significant digits.  With fixed flags and seed the output is
 byte-identical across runs.
 
 Each subcommand declares only the flags it reads; any other flag is a
-usage error (exit 2).  All six take ``--format`` and ``--cap``,
-``certify``, ``verify-rep`` and ``synth`` take ``--tolerance`` (positive
-and finite, default 1e-10) and ``verify-rep`` alone takes ``--seed``.
+usage error (exit 2).  All six take ``--format`` and ``--cap``, ``synth``
+alone takes ``--tolerance`` (positive and finite, default 1e-10) and
+``verify-rep`` alone takes ``--seed`` (non-negative, default 0).
 ``--cap`` has one meaning per layer: the labels a closure may reach in
 ``closure``, ``certify`` and ``gateset`` (default 2^16; an ambient above
 64, or a ``gateset`` above 32 qubits, is refused whatever the cap), the
 qubit count of the matrices ``verify-rep`` and ``synth`` build (default
 6) and the applications ``power`` searches (default 10^9).
+
+The verdicts are exact: ``universal=`` is ``ClosureResult.universal``,
+``local=`` is ``PauliFactorization.local`` and ``certify``'s ``ok=true``
+needs an integer replay deviation of exactly 0.
 
 Only ``verify-rep`` and ``synth`` load numpy; ``closure``, ``certify``
 (which replays on integer Pauli monomials), ``gateset`` and ``power``
@@ -24,13 +28,16 @@ Only ``verify-rep`` and ``synth`` load numpy; ``closure``, ``certify``
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
 4 verification failure, 5 cap exceeded (including a ``synth`` product
-formula above the gate budget of 2^20 gates).
+formula above the gate budget of 2^20 gates).  A reader that closes
+stdout early (``| head``) is no failure: the run stops at exit 0 with
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -43,9 +50,10 @@ from .closure import (
     Certificate,
     GeneratorSet,
     certificate,
+    chain_generators,
     close,
 )
-from .pauli import local_gate_set, replay_certificate
+from .pauli import pauli_factorization, replay_certificate
 from .power import DEFAULT_POWER_CAP, irrational_power
 
 EXIT_OK = 0
@@ -147,7 +155,6 @@ def cmd_closure(args, config: RunConfig) -> int:
 
 
 def cmd_certify(args, config: RunConfig) -> int:
-    _positive("--tolerance", args.tolerance)
     gens = _parse_generators(args.generators, args.ambient)
     target = parse_label(args.target, args.ambient)
     serialized = certificate(close(gens, cap=args.cap), target).to_text()
@@ -159,17 +166,18 @@ def cmd_certify(args, config: RunConfig) -> int:
         config.emit("replay", skipped=True, reason="odd-ambient")
         return EXIT_OK
     report = replay_certificate(cert)
-    ok = report.deviation <= args.tolerance
+    ok = report.deviation == 0.0  # the replay is exact
     config.emit("replay", deviation=report.deviation, steps=report.steps, ok=ok)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify_rep(args, config: RunConfig) -> int:
-    _positive("--tolerance", args.tolerance)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _check_qubits(args.qubits, args.cap)
     from .matrices import verify_representation  # loads numpy
 
-    checks = verify_representation(args.qubits, seed=args.seed, tol_pipeline=args.tolerance)
+    checks = verify_representation(args.qubits, seed=args.seed)
     for check in checks:
         config.emit(
             "check",
@@ -185,22 +193,17 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
 
 def cmd_gateset(args, config: RunConfig) -> int:
     _check_ambient(2 * args.qubits)
-    _, report = local_gate_set(args.qubits, cap=args.cap)
-    for entry in report.entries:
+    gens = chain_generators(2 * args.qubits)
+    result = close(gens, cap=args.cap)  # before any output: a capped run prints nothing
+    facts = [pauli_factorization(el, args.qubits) for el in gens.elements]
+    for el, fact in zip(gens.elements, facts):
+        support = ",".join(map(str, fact.support())) or "-"
         config.emit(
-            "element",
-            label=format_element(entry.element),
-            pauli=str(entry.factorization),
-            support=",".join(str(q) for q in entry.support) or "-",
-            local=entry.local,
+            "element", label=format_element(el), pauli=str(fact), support=support, local=fact.local
         )
     config.emit(
-        "gateset",
-        qubits=args.qubits,
-        count=len(report.entries),
-        dim=report.dimension,
-        universal=report.universal,
-        local=report.all_local,
+        "gateset", qubits=args.qubits, count=len(facts), dim=result.dimension,
+        universal=result.universal, local=all(fact.local for fact in facts),
     )
     return EXIT_OK
 
@@ -246,16 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, cap, help, tolerance=False):
-        # --format, the layer's --cap and, where the handler reads it, --tolerance
+    def command(name, handler, cap, help):
         p = sub.add_parser(name, help=help)
         p.add_argument(
             "--format", choices=("human", "records"), default="human",
             help="float precision of the records: 6 (human) or 17 (records) significant digits",
         )
         p.add_argument("--cap", type=int, default=cap[0], help=cap[1])
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-10, help="positive and finite")
         p.set_defaults(handler=handler)
         return p
 
@@ -264,19 +264,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-limit", type=int, default=128, help="suppress label list above this")
     p.add_argument("generators", nargs="+", help="elements like e[0] or i*e[0,1,2]")
 
-    p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it", True)
+    p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it")
     p.add_argument("-m", "--ambient", type=int, required=True)
     p.add_argument("--target", required=True, help="target label like e[0,1]")
     p.add_argument("generators", nargs="+")
 
-    p = command("verify-rep", cmd_verify_rep, QUBIT_CAP, "run the dense-oracle sweep", True)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
+    p = command("verify-rep", cmd_verify_rep, QUBIT_CAP, "run the dense-oracle sweep")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps (>= 0)")
     p.add_argument("-n", "--qubits", type=int, required=True)
 
     p = command("gateset", cmd_gateset, LABEL_CAP, "list the local universal gate set")
     p.add_argument("-n", "--qubits", type=int, required=True)
 
-    p = command("synth", cmd_synth, QUBIT_CAP, "synthesize exp(i*H) from a matrix file", True)
+    p = command("synth", cmd_synth, QUBIT_CAP, "synthesize exp(i*H) from a matrix file")
+    p.add_argument("--tolerance", type=float, default=1e-10, help="Hermiticity defect accepted")
     p.add_argument("-n", "--qubits", type=int, required=True)
     p.add_argument("-N", "--steps", type=int, required=True, help="product-formula repetitions")
     p.add_argument("-i", "--input", required=True, help="Hermitian matrix text file")
@@ -292,7 +293,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = RunConfig(digits=17 if args.format == "records" else 6)
     try:
-        return args.handler(args, config)
+        code = args.handler(args, config)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # the reader stopped early; keep the flush at shutdown quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -19,7 +19,10 @@ unit as reached, with an empty derivation: the unit is the empty product,
 and counting it makes a universal closure tally all 4^n labels of the
 n-qubit unitary algebra.  An order-3 label alone is not enough:
 {i*e[0,1,2], e[3]} closes to su(2), three labels.
-``ClosureResult.unit_vacuous`` records when this rule fired.
+``ClosureResult.unit_vacuous`` records when this rule fired.  A closure
+is universal (it spans su(2^n)) when it reaches every label outside the
+centre: dimension 2^ambient at even ambient >= 4, and 3 at ambient 2,
+which has no order-3 label ({e[0], e[1]} is su(2)).
 """
 
 from __future__ import annotations
@@ -171,11 +174,11 @@ class ClosureResult:
 
     @property
     def universal(self) -> bool:
-        """True iff the closure spans the whole n-qubit matrix algebra, i.e.
-        reaches all 2^ambient labels of ambient 2n.  Raises on an odd
-        ambient, which has no matrix form."""
+        """True iff the closure spans su(2^n), i.e. reaches every label of
+        ambient 2n but the unit.  Raises on an odd ambient, which has no
+        matrix form."""
         qubit_count(self.ambient)
-        return self.dimension == 1 << self.ambient
+        return _spans_outside_centre(self.representatives, self.ambient)
 
     def labels(self) -> list[BasisLabel]:
         return sorted(self.representatives, key=canonical_key)
@@ -248,9 +251,8 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
             depth[label] = depth[step.parent_a] + 1
         frontier = layer
     unit = BasisLabel.unit(ambient)
-    centre = {unit, BasisLabel((1 << ambient) - 1, ambient)} if ambient % 2 else {unit}
     unit_vacuous = (
-        len(reps) + len(centre - reps.keys()) == 1 << ambient  # all but the centre reached
+        _spans_outside_centre(reps, ambient)
         and unit not in reps
         and any(label.order >= 3 for label in reps)
     )
@@ -269,6 +271,13 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
     )
 
 
+def _spans_outside_centre(reps: dict[BasisLabel, ScaledElement], ambient: int) -> bool:
+    # every label outside the centre (the unit, plus the top at odd ambient) is reached
+    unit = BasisLabel.unit(ambient)
+    centre = {unit, BasisLabel((1 << ambient) - 1, ambient)} if ambient % 2 else {unit}
+    return len(reps) + len(centre - reps.keys()) == 1 << ambient
+
+
 def _label_cap_exceeded(cap: int) -> CapExceededError:
     return CapExceededError(f"the closure has more than {cap} labels")
 
@@ -278,8 +287,8 @@ def dimension(gens: GeneratorSet) -> int:
 
 
 def is_universal(gens: GeneratorSet) -> bool:
-    """True iff the closure spans the full 4^n-dimensional unitary algebra
-    (:attr:`ClosureResult.universal`); raises on an odd ambient."""
+    """True iff the closure spans su(2^n) (:attr:`ClosureResult.universal`);
+    raises on an odd ambient."""
     return close(gens).universal
 
 

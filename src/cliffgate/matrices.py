@@ -62,10 +62,12 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
-# verify_representation: tolerances of the generator and the label checks,
+# verify_representation: tolerances of the generator checks, the label
+# checks and the decomposition round trip of an exactly Hermitian matrix,
 # and the pair count above which label pairs are sampled
 TOL_STRICT = 1e-14
 TOL_EXACT = 1e-12
+TOL_ROUNDTRIP = 1e-10
 SAMPLE_CAP = 4096
 
 
@@ -284,16 +286,14 @@ def _anticommutation_defect(gens: list[np.ndarray], eye: np.ndarray) -> float:
     )
 
 
-def verify_representation(
-    n: int, *, seed: int = 0, tol_pipeline: float = 1e-10
-) -> list[CheckResult]:
+def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     """Run the full symbolic-vs-dense property sweep at a given size.
 
     Exhaustive over all label pairs when their square fits under
     SAMPLE_CAP, seeded random sampling beyond that; deterministic for a
     fixed seed.  Pairs are checked as stacks of matrices, a chunk at a time.
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
-    decomposition round trip ``tol_pipeline``.
+    decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
@@ -370,8 +370,8 @@ def verify_representation(
     add("recursive-generators", max(rec_dev, rec_trace), TOL_STRICT)
 
     h = random_hermitian(n, rng)
-    coeffs = decompose(h, n, tol=tol_pipeline)
-    add("decompose-roundtrip", _maxabs(reconstruct(coeffs, n) - h), tol_pipeline)
+    coeffs = decompose(h, n, tol=TOL_ROUNDTRIP)
+    add("decompose-roundtrip", _maxabs(reconstruct(coeffs, n) - h), TOL_ROUNDTRIP)
     return results
 
 

@@ -7,11 +7,11 @@ either mask refers to qubit q.  Monomials multiply by
 
     (X^a Z^b)(X^c Z^d) = (-1)^|b & c| X^(a ^ c) Z^(b ^ d),
 
-which this module uses to factor elements into per-qubit Pauli letters, to
-report the locality of the stock gate set and to replay certificates
-through an independent homomorphism, all without building a matrix.  The
-qubit count of an ambient and the text and value of a coefficient
-i^phase * 2^pow2 come from :mod:`cliffgate.algebra`.
+which this module uses to factor elements into per-qubit Pauli letters
+(and so tell whether an element acts on at most two adjacent qubits) and
+to replay certificates through an independent homomorphism, all without
+building a matrix.  The qubit count of an ambient and the text and value
+of a coefficient i^phase * 2^pow2 come from :mod:`cliffgate.algebra`.
 """
 
 from __future__ import annotations
@@ -28,14 +28,10 @@ from .algebra import (
     hermitize,
     qubit_count,
 )
-from .closure import DEFAULT_LABEL_CAP, GeneratorSet, chain_generators, close
 
 __all__ = [
-    "GateSetEntry",
-    "GateSetReport",
     "PauliFactorization",
     "ReplayReport",
-    "local_gate_set",
     "pauli_factorization",
     "pauli_monomial",
     "replay_certificate",
@@ -77,6 +73,11 @@ class PauliFactorization:
     def support(self) -> tuple[int, ...]:
         n = len(self.factors)
         return tuple(sorted(n - 1 - i for i, f in enumerate(self.factors) if f != "I"))
+
+    @property
+    def local(self) -> bool:
+        """True iff the letters act on at most two adjacent qubits."""
+        return len(self.factors.strip("I")) <= 2
 
     def matrix(self):
         """The Kronecker product of the letters (the oracle's form; loads numpy)."""
@@ -191,53 +192,3 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
     x, z, phase, _ = _monomial(hermitize(cert.target))
     expected = (x, z, (phase + cert.scalar_phase) & 3, cert.scalar_pow2)
     return ReplayReport(deviation=max(worst, _deviation(final, expected)), steps=len(cert.steps))
-
-
-# ---------------------------------------------------------------------------
-# The stock one- and two-qubit gate set.
-
-
-@dataclass(frozen=True)
-class GateSetEntry:
-    element: ScaledElement
-    factorization: PauliFactorization
-    support: tuple[int, ...]
-    local: bool
-
-
-@dataclass
-class GateSetReport:
-    entries: list[GateSetEntry]
-    all_local: bool
-    dimension: int
-    universal: bool
-
-
-def local_gate_set(
-    qubits: int, *, cap: int = DEFAULT_LABEL_CAP
-) -> tuple[GeneratorSet, GateSetReport]:
-    """The 2n+1 chain elements with a locality report.
-
-    Every member touches at most two adjacent qubits, and the closure of
-    the set still reaches all 4^n labels, so exponentials of these
-    elements form a universal gate set built purely from one- and
-    two-qubit interactions.  The closure raises :class:`CapExceededError`
-    once it would hold more than ``cap`` labels, as :func:`close` does.
-    """
-    if qubits < 2:
-        raise ValueError(f"the local gate set needs at least 2 qubits, got {qubits}")
-    gens = chain_generators(2 * qubits)
-    entries = []
-    for el in gens.elements:
-        fact = pauli_factorization(el, qubits)
-        support = fact.support()
-        local = len(support) <= 2 and (not support or support[-1] - support[0] <= 1)
-        entries.append(GateSetEntry(el, fact, support, local))
-    result = close(gens, cap=cap)
-    report = GateSetReport(
-        entries=entries,
-        all_local=all(e.local for e in entries),
-        dimension=result.dimension,
-        universal=result.universal,
-    )
-    return gens, report

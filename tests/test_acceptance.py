@@ -27,9 +27,9 @@ from cliffgate import (
     hermitize,
     hermitized_matrix,
     irrational_power,
-    local_gate_set,
     minimal_power_scan,
     operator_distance,
+    pauli_factorization,
     product,
     replay_certificate,
     represent,
@@ -216,14 +216,17 @@ def test_criterion_09_local_gate_set():
     ok = True
     details = []
     for n in (2, 3, 4):
-        gens, rep = local_gate_set(n)
+        gens = chain_generators(2 * n)
         ok &= len(gens.elements) == 2 * n + 1
-        for entry in rep.entries:
-            ok &= len(entry.support) <= 2
-            if len(entry.support) == 2:
-                ok &= entry.support[1] - entry.support[0] == 1
-        ok &= rep.dimension == 4**n
-        details.append(f"n={n}:{rep.dimension}")
+        for el in gens.elements:
+            fact = pauli_factorization(el, n)
+            support = fact.support()
+            ok &= fact.local and len(support) <= 2
+            if len(support) == 2:
+                ok &= support[1] - support[0] == 1
+        result = close(gens)
+        ok &= result.dimension == 4**n and result.universal
+        details.append(f"n={n}:{result.dimension}")
     report(9, "chain gate set acts on <=2 adjacent qubits and closes to 4^n", ok,
            " ".join(details))
 

@@ -1,11 +1,15 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cliffgate import format_matrix, hermitize, hermitized_matrix
+from cliffgate import cli, format_matrix, hermitize, hermitized_matrix
 from cliffgate.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -15,6 +19,7 @@ from cliffgate.cli import (
     _build_parser,
     main,
 )
+from cliffgate.pauli import ReplayReport
 from conftest import label
 
 
@@ -42,7 +47,7 @@ class TestClosureCommand:
             capsys, "closure", "-m", "2", "--format", "records", "e[0]", "e[1]"
         )
         assert code == EXIT_OK
-        assert "closure ambient=2 generators=2 dim=3 universal=false" in out
+        assert "closure ambient=2 generators=2 dim=3 universal=true" in out
         assert "label e[0,1]" in out
 
     def test_list_suppression(self, capsys):
@@ -137,6 +142,17 @@ class TestCertifyCommand:
         assert code == EXIT_OK
         assert re.search(r"^replay deviation=0 steps=\d+ ok=true$", out, re.M)
 
+    def test_ok_needs_an_exact_replay(self, capsys, monkeypatch):
+        # a deviation of 2^-40 is a wrong certificate, not rounding noise
+        monkeypatch.setattr(
+            cli, "replay_certificate", lambda cert: ReplayReport(2.0**-40, len(cert.steps))
+        )
+        code, out, _ = run(
+            capsys, "certify", "-m", "4", "--target", "e[0,1,2,3]", *self.GENS
+        )
+        assert code == EXIT_VERIFY
+        assert out.endswith("replay deviation=9.09495e-13 steps=1 ok=false\n")
+
     def test_ambient_above_the_symbolic_cap(self, capsys):
         # refused before the generators are parsed: a label mask is an int
         # as wide as its highest index
@@ -164,6 +180,19 @@ class TestVerifyRepCommand:
     def test_records_deterministic(self, capsys):
         argv = ["verify-rep", "-n", "2", "--format", "records", "--seed", "3"]
         assert run(capsys, *argv) == run(capsys, *argv)
+
+    def test_round_trip_bound_is_fixed(self, capsys):
+        code, out, _ = run(capsys, "verify-rep", "-n", "2")
+        assert code == EXIT_OK
+        assert re.search(r"^check name=decompose-roundtrip deviation=\S+ tolerance=1e-10 "
+                         r"status=pass$", out, re.M)
+
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_is_usage_error(self, capsys, seed):
+        # refused before the qubit cap is looked at
+        assert run(capsys, "verify-rep", "-n", "9", "--seed", seed) == (
+            EXIT_PARSE, "", f"error: --seed must be non-negative, got {seed}\n"
+        )
 
 
 class TestGatesetCommand:
@@ -332,11 +361,37 @@ class TestPowerCommand:
         assert err.startswith("cap exceeded: ")
 
 
+class TestClosedStdout:
+    def test_reader_stopping_early_is_no_failure(self):
+        # the universal set over 12 generators lists 4096 labels, well past
+        # a 64 KiB pipe buffer, so the writes after the reader has gone fail
+        gens = [f"e[{k}]" for k in range(12)] + ["i*e[0,1,2]"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cliffgate.cli", "closure", "-m", "12", "--list-limit", "5000",
+             *gens],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(timeout=60), err) == (
+            b"closure ambient=12 generators=13 dim=4096 universal=true\n", EXIT_OK, b""
+        )
+
+    def test_missing_input_file_is_still_a_precondition_failure(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.mat")
+        code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", missing)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 # The flags each subcommand declares: exactly the ones its handler reads.
 FLAGS = {
     "closure": ["--format", "--cap", "-m", "--list-limit"],
-    "certify": ["--format", "--cap", "--tolerance", "-m", "--target"],
-    "verify-rep": ["--format", "--cap", "--tolerance", "--seed", "-n"],
+    "certify": ["--format", "--cap", "-m", "--target"],
+    "verify-rep": ["--format", "--cap", "--seed", "-n"],
     "gateset": ["--format", "--cap", "-n"],
     "synth": ["--format", "--cap", "--tolerance", "-n", "-N", "-i", "-o"],
     "power": ["--format", "--cap", "--angle", "--eps"],
@@ -362,6 +417,8 @@ class TestFlags:
          ["power", "--tolerance", "1e-3", "--angle", "1", "--eps", "0.1"],
          ["gateset", "--tolerance", "1", "-n", "2"],
          ["certify", "--seed=1", "-m", "4", "--target", "e[0]", "e[0]"],
+         ["certify", "--tolerance", "1", "-m", "4", "--target", "e[0]", "e[0]"],
+         ["verify-rep", "--tolerance", "1e-3", "-n", "1"],
          ["synth", "--seed", "1", "-n", "1", "-N", "1", "-i", "h.mat"]],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -373,18 +430,17 @@ class TestFlags:
 
     def test_bad_tolerance(self, capsys):
         for tol in ("-1", "0", "nan", "inf"):
-            code, _, err = run(capsys, "verify-rep", "-n", "1", "--tolerance", tol)
+            code, _, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", "h.mat",
+                               "--tolerance", tol)
             assert code == EXIT_PARSE, tol
             assert "--tolerance" in err
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["certify", "-m", "70", "--target", "e[0]", "e[0]", "--tolerance", "nan"],
-          "--tolerance must be positive and finite, got nan"),
-         (["synth", "-n", "9", "-N", "1", "-i", "missing.mat", "--tolerance=-1"],
+        [(["synth", "-n", "9", "-N", "1", "-i", "missing.mat", "--tolerance=-1"],
           "--tolerance must be positive and finite, got -1.0"),
          (["power", "--angle", "1", "--eps", "inf"], "--eps must be positive and finite, got inf")],
-        ids=["certify", "synth", "power"],
+        ids=["synth", "power"],
     )
     def test_one_positive_rule_checked_first(self, capsys, argv, message):
         # refused before the ambient, qubit or file it names is looked at

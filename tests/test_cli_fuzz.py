@@ -3,9 +3,9 @@
 Each subcommand gets argv drawn from valid values mixed with malformed
 elements, non-finite or zero-denominator numbers and negative or zero
 sizes, in both output formats.  ``--tolerance`` is drawn only for
-``certify``, ``verify-rep`` and ``synth`` and ``--seed`` only for
-``verify-rep``, the subcommands that declare them; a second test adds a
-flag the subcommand does not declare and expects exit 2.  Drawn sizes
+``synth`` and ``--seed`` (negative ones too) only for ``verify-rep``, the
+subcommands that declare them; a second test adds a flag the subcommand
+does not declare and expects exit 2.  Drawn sizes
 stay small (ambient <= 10, qubits <= 3), except where a cap bounds the
 run:
 
@@ -114,13 +114,11 @@ def certify_argv():
         _given("--target", LABELS),
         _flag("--cap", _number(-1, 20)),
         FORMAT,
-        TOLERANCE,
         GENERATORS,
     )
-    stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), FORMAT, TOLERANCE, STOCK)
+    stock = st.tuples(st.just(["certify"]), _given("--target", LABELS), FORMAT, STOCK)
     wide = st.tuples(
-        st.just(["certify"]), _given("--target", LABELS), FORMAT, TOLERANCE,
-        CERTIFY_AMBIENT_ABOVE_CAP,
+        st.just(["certify"]), _given("--target", LABELS), FORMAT, CERTIFY_AMBIENT_ABOVE_CAP
     )
     return _mostly(small, st.one_of(stock, wide))
 
@@ -170,7 +168,7 @@ def power_argv():
 ARGV = {
     "closure": closure_argv(),
     "certify": certify_argv(),
-    "verify-rep": qubits_argv("verify-rep", 3, TOLERANCE, SEED),
+    "verify-rep": qubits_argv("verify-rep", 3, SEED),
     "gateset": qubits_argv("gateset", 100),  # labels: 3 qubits close to 64
     "synth": synth_argv(),
     "power": power_argv(),
@@ -221,8 +219,8 @@ def test_every_argv_ends_in_a_documented_exit(command, data, workdir):
 # flags that other subcommands declare and this one does not
 UNDECLARED = {
     "closure": ["--tolerance", "--seed", "--target", "--eps"],
-    "certify": ["--seed", "--list-limit", "--angle"],
-    "verify-rep": ["--list-limit", "--target", "-N"],
+    "certify": ["--tolerance", "--seed", "--list-limit", "--angle"],
+    "verify-rep": ["--tolerance", "--list-limit", "--target", "-N"],
     "gateset": ["--tolerance", "--seed", "-m"],
     "synth": ["--seed", "--eps", "--target"],
     "power": ["--tolerance", "--seed", "-n"],

@@ -227,6 +227,8 @@ class TestDenseLieOracle:
         assert result.dimension - result.unit_vacuous == rank
         if result.unit_vacuous:
             assert rank == (1 << gens.ambient) - 1
+        # no generator is the unit, so spanning su(2^n) is rank 4^n - 1
+        assert result.universal == (rank == (1 << gens.ambient) - 1)
         return result
 
     @pytest.mark.parametrize("m", [4, 6])
@@ -249,6 +251,7 @@ class TestDenseLieOracle:
         assert any(
             not r.unit_vacuous and max(lab.order for lab in r.reached) >= 3 for r in results
         )
+        assert any(r.universal and r.ambient == 2 for r in results)
 
 
 class TestLabelCap:
@@ -295,6 +298,29 @@ class TestUniversality:
     def test_odd_ambient_rejected(self):
         with pytest.raises(ValueError, match="ambient 5 is odd"):
             is_universal(universal_generators(5))
+
+    def test_ambient_two_spans_su2_without_the_unit(self):
+        result = close(generators_only(2))
+        assert result.universal and result.dimension == 3 and not result.unit_vacuous
+
+    @pytest.mark.parametrize(
+        "sets",
+        [lambda: [stock(m) for stock in (universal_generators, chain_generators)
+                  for m in (4, 6, 8)] + [generators_only(m) for m in (2, 4, 6, 8)],
+         lambda: random_generator_sets(100, seed=31, ambients=(2, 4, 6), max_size=8)],
+        ids=["stock", "random"],
+    )
+    def test_universal_iff_every_non_central_label_is_reached(self, sets):
+        seen = set()
+        for gens in sets():
+            result = close(gens)
+            m = gens.ambient
+            outside = set(all_labels(m)) - {BasisLabel.unit(m)}
+            assert result.universal == (outside <= result.reached)
+            if m >= 4:
+                assert result.universal == (result.dimension == 1 << m)
+            seen.add((m, result.universal))
+        assert {(2, True), (4, True), (4, False)} <= seen
 
 
 class TestStockSets:

@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, since this test process has
 numpy loaded already.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,7 +28,7 @@ PUBLIC = (
     "parse_matrix pauli_factorization reconstruct recursive_construct "
     "replay_certificate represent verify_representation "
     "CoefficientVector Gate GateSequence PowerResult commutator_gate "
-    "irrational_power local_gate_set minimal_power_scan operator_distance "
+    "irrational_power minimal_power_scan operator_distance "
     "phase_aligned_distance synthesize trotter"
 ).split()
 
@@ -57,6 +58,7 @@ CERTIFY = ["certify", "-m", "4", "--target", "e[0,1,2,3]", "e[0]", "e[1]", "e[2]
         (["power", "--angle", "1.3", "--eps", "1e-9"], 5),
         (["gateset", "-n", "4"], 0),
         (["verify-rep", "-n", "9"], 5),
+        (["verify-rep", "-n", "1", "--seed", "-1"], 2),
         (["closure", "-m", "70", "e[0]"], 5),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
@@ -112,3 +114,11 @@ def test_each_public_name_has_one_home():
             if home != module.__name__:
                 strays.append(f"{module.__name__}.{name} (defined in {home})")
     assert strays == []
+
+
+def test_pauli_layer_stands_below_closure():
+    # the monomial layer needs no closure: the gate set's closure is the
+    # command line's to run
+    tree = ast.parse((SRC / "cliffgate" / "pauli.py").read_text())
+    sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "algebra" in sources and "closure" not in sources

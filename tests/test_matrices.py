@@ -248,6 +248,17 @@ class TestVerifySuite:
             results = verify_representation(n)
             assert all(c.passed for c in results), [c for c in results if not c.passed]
 
+    def test_sampled_sweep_at_four_qubits(self):
+        # 256 labels make 65536 pairs, above SAMPLE_CAP: the pairs are drawn
+        # from the seed
+        runs = {seed: verify_representation(4, seed=seed) for seed in (0, 5)}
+        for results in runs.values():
+            assert all(c.passed for c in results), [c for c in results if not c.passed]
+        names = [[c.name for c in results] for results in runs.values()]
+        assert names[0] == names[1] and len(names[0]) == 11
+        assert runs[0] != runs[5]  # the seed picks the pairs and the round-trip matrix
+        assert verify_representation(4, seed=5) == runs[5]
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_qubit(self, n):
         with pytest.raises(ValueError, match="qubit count must be >= 1"):

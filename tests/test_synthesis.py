@@ -16,6 +16,8 @@ from cliffgate import (
     ParseError,
     ScaledElement,
     all_labels,
+    chain_generators,
+    close,
     commutator_gate,
     commutes,
     decompose,
@@ -23,9 +25,9 @@ from cliffgate import (
     hermitize,
     hermitized_matrix,
     irrational_power,
-    local_gate_set,
     minimal_power_scan,
     operator_distance,
+    pauli_factorization,
     phase_aligned_distance,
     synthesize,
     trotter,
@@ -283,31 +285,49 @@ class TestIrrationalPower:
 
 
 class TestLocalGateSet:
+    """The paper's local universal set: the 2n+1 chain elements, each on at
+    most two adjacent qubits (``PauliFactorization.local``), closing to 4^n
+    labels."""
+
+    @staticmethod
+    def factorizations(n):
+        return [pauli_factorization(el, n) for el in chain_generators(2 * n).elements]
+
     def test_two_qubits(self):
-        gens, report = local_gate_set(2)
-        assert len(gens.elements) == 5
-        assert report.dimension == 16
-        assert report.universal
-        assert report.all_local
+        facts = self.factorizations(2)
+        result = close(chain_generators(4))
+        assert len(facts) == 5
+        assert result.dimension == 16
+        assert result.universal
+        assert all(f.local for f in facts)
 
     def test_three_and_four_qubits_stay_local(self):
         for n in (3, 4):
-            gens, report = local_gate_set(n)
-            assert len(gens.elements) == 2 * n + 1
-            for entry in report.entries:
-                assert len(entry.support) <= 2
-                if len(entry.support) == 2:
-                    assert entry.support[1] - entry.support[0] == 1
-            assert report.dimension == 4**n
+            facts = self.factorizations(n)
+            assert len(facts) == 2 * n + 1
+            for f in facts:
+                support = f.support()
+                assert f.local and len(support) <= 2
+                if len(support) == 2:
+                    assert support[1] - support[0] == 1
+            assert close(chain_generators(2 * n)).dimension == 4**n
 
     def test_order3_member_is_single_qubit(self):
-        _, report = local_gate_set(3)
-        by_label = {e.element.label: e for e in report.entries}
-        assert len(by_label[label([0, 1, 2], 6)].support) == 1
+        gens = chain_generators(6)
+        (top,) = [el for el in gens.elements if el.label == label([0, 1, 2], 6)]
+        assert len(pauli_factorization(top, 3).support()) == 1
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
-            local_gate_set(1)
+            chain_generators(2)
+
+    def test_local_is_at_most_two_adjacent_qubits(self):
+        # against the support: every label of 3 qubits
+        for lab in all_labels(6):
+            f = pauli_factorization(hermitize(lab), 3)
+            support = f.support()
+            adjacent = len(support) <= 2 and (not support or support[-1] - support[0] <= 1)
+            assert f.local == adjacent, (lab, f)
 
 
 class TestGateSequenceText:
