@@ -28,8 +28,6 @@ from .closure import (
     certificate,
     chain_generators,
     close,
-    dimension,
-    is_universal,
     universal_generators,
 )
 

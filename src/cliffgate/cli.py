@@ -2,11 +2,12 @@
 gate-set listing, synthesis and power search as reproducible batch commands.
 
 Every subcommand prints one stream of records, one ``kind key=value ...``
-record per line; ``certify`` and ``synth`` also print the certificate or
-gate-sequence text.  ``--format records`` writes floats at full 17-digit
-precision and ``--format human`` (the default) the same lines with floats
-at 6 significant digits.  With fixed flags and seed the output is
-byte-identical across runs.
+record per line; ``closure`` lists every reached label in canonical order
+(``--cap`` bounds the list), and ``certify`` and ``synth`` also print the
+certificate or gate-sequence text.  ``--format records`` writes floats at
+full 17-digit precision and ``--format human`` (the default) the same
+lines with floats at 6 significant digits.  With fixed flags and seed
+the output is byte-identical across runs.
 
 Each subcommand declares only the flags it reads; any other flag is a
 usage error (exit 2).  All six take ``--format`` and ``--cap``, ``synth``
@@ -146,11 +147,8 @@ def cmd_closure(args, config: RunConfig) -> int:
     config.emit(
         "closure", ambient=args.ambient, generators=len(gens.elements), dim=dim, universal=verdict
     )
-    if dim <= args.list_limit:
-        for label in result.labels():
-            config.emit("label", label)
-    else:
-        config.emit("labels", suppressed=True, count=dim)
+    for label in result.labels():
+        config.emit("label", label)
     return EXIT_OK
 
 
@@ -261,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("closure", cmd_closure, LABEL_CAP, "close a generator set")
     p.add_argument("-m", "--ambient", type=int, required=True, help="generator count")
-    p.add_argument("--list-limit", type=int, default=128, help="suppress label list above this")
     p.add_argument("generators", nargs="+", help="elements like e[0] or i*e[0,1,2]")
 
     p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it")

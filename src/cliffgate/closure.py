@@ -23,6 +23,9 @@ n-qubit unitary algebra.  An order-3 label alone is not enough:
 is universal (it spans su(2^n)) when it reaches every label outside the
 centre: dimension 2^ambient at even ambient >= 4, and 3 at ambient 2,
 which has no order-3 label ({e[0], e[1]} is su(2)).
+
+:func:`close` is the one entry point: dimension, universality, labels
+and certificates are all read off the :class:`ClosureResult` it returns.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ __all__ = [
     "certificate",
     "chain_generators",
     "close",
-    "dimension",
-    "is_universal",
     "universal_generators",
 ]
 
@@ -100,13 +101,6 @@ class GeneratorSet:
             if el.label in seen:
                 raise ValueError(f"duplicate generator label {el.label}")
             seen.add(el.label)
-
-    @classmethod
-    def of(cls, elements) -> "GeneratorSet":
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("generator set must not be empty")
-        return cls(elements[0].ambient, elements)
 
     @property
     def labels(self) -> tuple[BasisLabel, ...]:
@@ -280,16 +274,6 @@ def _spans_outside_centre(reps: dict[BasisLabel, ScaledElement], ambient: int) -
 
 def _label_cap_exceeded(cap: int) -> CapExceededError:
     return CapExceededError(f"the closure has more than {cap} labels")
-
-
-def dimension(gens: GeneratorSet) -> int:
-    return close(gens).dimension
-
-
-def is_universal(gens: GeneratorSet) -> bool:
-    """True iff the closure spans su(2^n) (:attr:`ClosureResult.universal`);
-    raises on an odd ambient."""
-    return close(gens).universal
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
 # verify_representation: tolerances of the generator checks, the label
 # checks and the decomposition round trip of an exactly Hermitian matrix,
-# and the pair count above which label pairs are sampled
+# and the label or pair count above which labels or pairs are sampled
 TOL_STRICT = 1e-14
 TOL_EXACT = 1e-12
 TOL_ROUNDTRIP = 1e-10
@@ -189,6 +189,8 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     trace(h X^x Z^z) = sum_c h[c, c ^ x] (-1)^|z & c| are one gather and one
     Sylvester-Hadamard product (Hantzko, Binkowski & Gupta 2023).
     """
+    if n < 1:
+        raise ValueError("qubit count must be >= 1")
     dim = 2**n
     if h.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {h.shape}")
@@ -289,9 +291,10 @@ def _anticommutation_defect(gens: list[np.ndarray], eye: np.ndarray) -> float:
 def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     """Run the full symbolic-vs-dense property sweep at a given size.
 
-    Exhaustive over all label pairs when their square fits under
-    SAMPLE_CAP, seeded random sampling beyond that; deterministic for a
-    fixed seed.  Pairs are checked as stacks of matrices, a chunk at a time.
+    Each check runs over all labels, or all label pairs, while they number
+    at most SAMPLE_CAP, and over SAMPLE_CAP seeded draws beyond that;
+    deterministic for a fixed seed.  Pairs are checked as stacks of
+    matrices, a chunk at a time.
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
     decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
     """
@@ -310,12 +313,21 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("clifford-relations", _anticommutation_defect(gammas, eye), TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
 
+    # one matrix per label for hermiticity, squares and factorization: the
+    # monomial form and its Pauli letters against the Kronecker-chain product
     labels = list(all_labels(2 * n))
-    herm_dev = square_dev = 0.0
+    if len(labels) > SAMPLE_CAP:
+        labels = [labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)]
+    herm_dev = square_dev = fact_dev = 0.0
     for label in labels:
-        m = hermitized_matrix(label, n)
+        el = hermitize(label)
+        m = represent(el, n)
+        oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in label.indices], eye)
         herm_dev = max(herm_dev, hermiticity_defect(m))
         square_dev = max(square_dev, _maxabs(m @ m - eye))
+        fact_dev = max(
+            fact_dev, _maxabs(m - oracle), _maxabs(pauli_factorization(el, n).matrix() - oracle)
+        )
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 
@@ -343,21 +355,6 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("commutator-homomorphism", comm_dev, TOL_EXACT)
     add("commutation-dichotomy", dich_dev, TOL_EXACT, extra_ok=dich_ok)
     add("trace-orthogonality", trace_dev, TOL_EXACT)
-
-    # the monomial form and the Pauli letters read off it, both against the
-    # ordered product of Kronecker-chain generators
-    fact_dev = 0.0
-    fact_labels = labels if len(labels) <= SAMPLE_CAP else [
-        labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)
-    ]
-    for label in fact_labels:
-        el = hermitize(label)
-        oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in label.indices], eye)
-        fact_dev = max(
-            fact_dev,
-            _maxabs(represent(el, n) - oracle),
-            _maxabs(pauli_factorization(el, n).matrix() - oracle),
-        )
     add("factorization-consistency", fact_dev, TOL_EXACT)
 
     rec = recursive_construct(n)

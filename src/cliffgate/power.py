@@ -4,14 +4,15 @@ The N-th power of exp(i*angle*h) is the basis gate at angle N*angle, so
 the smallest N that brings N*angle within a tolerance of a multiple of
 2*pi turns one fixed-angle gate into a rotation finer than the tolerance.
 
-The search is exact.  A float is rational, so angle/(2*pi) is a ratio of
-integers, and Euclid's algorithm gives its continued fraction.  The
-smallest N that hits the tolerance is closer to 2*pi*Z than every smaller
-power, and such records are exactly the convergent denominators
-(Lagrange's theorem on best approximations; Khinchin, *Continued
-Fractions*, Thms 16-17).  So walking the convergents up to the cap
-settles every search without numpy; the brute-force scan is only the
-oracle of tests and benchmarks.
+The search is exact.  Floats are rational, so angle/(2*pi), with 2*pi the
+float ``TWO_PI``, is a ratio of integers, and Euclid's algorithm gives
+its continued fraction.  The smallest N that hits the tolerance is closer
+to 2*pi*Z than every smaller power, and such records are exactly the
+convergent denominators (Lagrange's theorem on best approximations;
+Khinchin, *Continued Fractions*, Thms 16-17).  So walking the convergents
+up to the cap, each tested in integers, settles every search without
+numpy or rounding; the brute-force scan is only the oracle of tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .closure import CapExceededError
 
-__all__ = ["PowerResult", "irrational_power", "minimal_power_scan", "signed_residual"]
+__all__ = ["PowerResult", "irrational_power", "minimal_power_scan"]
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_POWER_CAP = 10**9  # applications
@@ -32,11 +33,6 @@ class PowerResult:
     applications: int
     residual: float
     signed_angle: float
-
-
-def signed_residual(theta: float) -> float:
-    """theta reduced to (-pi, pi]; |result| is the circle distance to 0."""
-    return math.remainder(theta, TWO_PI)
 
 
 def _no_power(angle: float, tolerance: float, cap: int) -> CapExceededError:
@@ -50,29 +46,32 @@ def irrational_power(
 ) -> PowerResult:
     """Smallest N >= 1 with N*angle within ``tolerance`` of a multiple of 2*pi.
 
-    Tests each convergent denominator of the exact ratio angle/(2*pi) in
+    Tests each convergent denominator q of the exact ratio angle/(2*pi) in
     turn; the first hit is minimal, since only a convergent is closer than
-    every smaller power.  Raises :class:`CapExceededError` when the next
-    denominator exceeds ``cap``, or the expansion ends, without a hit.
+    every smaller power.  With angle = a/b and ``TWO_PI`` = c/d, q's
+    residual is s/(b*d), s = q*a*d mod b*c centred, so the test is exact
+    and the last convergent (s = 0) always hits: only the next
+    denominator exceeding ``cap`` raises :class:`CapExceededError`.
     The N-th power of the fixed-angle gate then equals the basis gate at
     the signed residual angle, so one irrational gate yields rotations
     finer than any requested tolerance.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
     a, b = angle.as_integer_ratio()
     c, d = TWO_PI.as_integer_ratio()
-    den = b * c
-    num = a * d % den  # num/den is the fractional part of angle/(2*pi)
+    t1, t2 = tolerance.as_integer_ratio()
+    turn = b * c
+    num, den = a * d % turn, turn  # num/den is the fractional part of angle/(2*pi)
     q_prev, q = 0, 1
     while q <= cap:
-        r = signed_residual(q * angle)
-        if abs(r) < tolerance:
-            return PowerResult(q, abs(r), r)
-        if num == 0:  # the expansion ended: q*angle is a whole number of turns
-            break
+        s = q * a * d % turn
+        if 2 * s > turn:
+            s -= turn  # q*angle - 2*pi*k = s/(b*d) for the nearest k
+        if abs(s) * t2 < t1 * b * d:
+            return PowerResult(q, abs(s) / (b * d), s / (b * d))
         term, rest = divmod(den, num)
         num, den = rest, num
         q_prev, q = q, term * q + q_prev

@@ -20,7 +20,6 @@ from cliffgate import (
     commutator_gate,
     commutes,
     decompose,
-    dimension,
     expm_hermitian,
     gamma,
     generator,
@@ -53,13 +52,14 @@ def test_criterion_01_dimension_dichotomy():
     details = []
     for ambient, want in ((2, 3), (4, 10), (6, 21), (8, 36)):
         start = time.perf_counter()
-        dim = dimension(GeneratorSet.of([generator(k, ambient) for k in range(ambient)]))
+        gens = GeneratorSet(ambient, tuple(generator(k, ambient) for k in range(ambient)))
+        dim = close(gens).dimension
         elapsed = time.perf_counter() - start
         ok &= dim == want and elapsed < 1.0
         details.append(f"m={ambient}:{dim}")
     for ambient, want in ((4, 16), (6, 64), (8, 256)):
         start = time.perf_counter()
-        dim = dimension(universal_generators(ambient))
+        dim = close(universal_generators(ambient)).dimension
         elapsed = time.perf_counter() - start
         ok &= dim == want and elapsed < 1.0
         details.append(f"m={ambient}+:{dim}")
@@ -73,8 +73,8 @@ def test_criterion_02_every_order3_or_4_extra_element():
     for lab in all_labels(6):
         if lab.order not in (3, 4):
             continue
-        gens = GeneratorSet.of([generator(k, 6) for k in range(6)] + [hermitize(lab)])
-        ok &= dimension(gens) == 64
+        gens = GeneratorSet(6, tuple(generator(k, 6) for k in range(6)) + (hermitize(lab),))
+        ok &= close(gens).dimension == 64
         count += 1
     elapsed = time.perf_counter() - start
     ok &= count == 35 and elapsed < 10.0
@@ -235,7 +235,7 @@ def test_criterion_10_chain_set_closure():
     ok = True
     details = []
     for ambient, want in ((4, 16), (6, 64)):
-        dim = dimension(chain_generators(ambient))
+        dim = close(chain_generators(ambient)).dimension
         ok &= dim == want
         details.append(f"m={ambient}:{dim}")
     report(10, "endpoint-plus-pairs chain set closes to 4^n", ok, " ".join(details))

@@ -20,7 +20,6 @@ from cliffgate import (
     format_element,
     generator,
     hermitize,
-    is_universal,
     parse_element,
     parse_label,
     product,
@@ -335,7 +334,7 @@ ODD_AMBIENT_CALLS = {
     "commutator_gate": lambda: commutator_gate(label([0], 5), label([1], 5), 0.3),
     "Gate.matrix": lambda: Gate(label([0], 5), 0.3).matrix(),
     "CoefficientVector": lambda: CoefficientVector(2, {label([0], 5): 1.0}),
-    "is_universal": lambda: is_universal(universal_generators(5)),
+    "ClosureResult.universal": lambda: close(universal_generators(5)).universal,
     "replay_certificate": lambda: replay_certificate(
         certificate(close(universal_generators(5)), label([0, 1], 5))
     ),
@@ -353,7 +352,7 @@ class TestQubitRule:
         # at ambient 3 the top label as a generator makes the closure reach
         # all 2^3 labels, yet there is no qubit algebra for it to span
         top = ScaledElement(label([0, 1, 2], 3))
-        result = close(GeneratorSet.of([generator(k, 3) for k in range(3)] + [top]))
+        result = close(GeneratorSet(3, tuple(generator(k, 3) for k in range(3)) + (top,)))
         assert result.dimension == 8
         with pytest.raises(ValueError, match="ambient 3 is odd"):
             result.universal

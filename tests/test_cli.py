@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgate import cli, format_matrix, hermitize, hermitized_matrix
+from cliffgate import BasisLabel, cli, format_matrix, hermitize, hermitized_matrix
 from cliffgate.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -50,13 +50,15 @@ class TestClosureCommand:
         assert "closure ambient=2 generators=2 dim=3 universal=true" in out
         assert "label e[0,1]" in out
 
-    def test_list_suppression(self, capsys):
-        code, out, _ = run(
-            capsys, "closure", "-m", "4", "--list-limit", "4",
-            "e[0]", "e[1]", "e[2]", "e[3]",
+    def test_every_reached_label_is_listed(self, capsys):
+        gens = [f"e[{k}]" for k in range(12)] + ["i*e[0,1,2]"]
+        code, out, err = run(capsys, "closure", "-m", "12", *gens)
+        head, *lines = out.splitlines()
+        assert (code, head, err) == (
+            EXIT_OK, "closure ambient=12 generators=13 dim=4096 universal=true", ""
         )
-        assert code == EXIT_OK
-        assert "suppressed" in out
+        canonical = sorted(range(1 << 12), key=lambda mask: (mask.bit_count(), mask))
+        assert lines == [f"label {BasisLabel(mask, 12)}" for mask in canonical]
 
     def test_empty_generator_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -274,6 +276,14 @@ class TestSynthCommand:
         assert code == EXIT_PRECONDITION
         assert "defect" in err
 
+    @pytest.mark.parametrize("qubits", ["-1", "0"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_qubit_count_below_one_is_a_precondition_failure(self, capsys, tmp_path, qubits, size):
+        infile = tmp_path / "h.mat"
+        infile.write_text(format_matrix(np.eye(size)))
+        argv = ["synth", "-n", qubits, "-N", "1", "-i", str(infile)]
+        assert run(capsys, *argv) == (EXIT_PRECONDITION, "", "error: qubit count must be >= 1\n")
+
     def test_non_finite_entry_rejected(self, capsys, tmp_path):
         infile = tmp_path / "nan.mat"
         infile.write_text("nan,0 0,0\n0,0 inf,0\n")
@@ -346,6 +356,12 @@ class TestPowerCommand:
         assert code == EXIT_PARSE
         assert err.startswith(("error:", "parse error:"))
 
+    @pytest.mark.parametrize("angle, eps, code", [("1e308", "0.1", EXIT_OK), ("1e300", "1e-9", EXIT_CAP)])
+    def test_huge_angle_is_reduced_exactly(self, capsys, angle, eps, code):
+        # q*angle overflows a float here; the integer residual does not
+        code_seen, _, err = run(capsys, "power", "--angle", angle, "--eps", eps)
+        assert code_seen == code, err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "power", "--angle", "0.6435011087932844", "--eps", "1e-9",
@@ -368,8 +384,7 @@ class TestClosedStdout:
         gens = [f"e[{k}]" for k in range(12)] + ["i*e[0,1,2]"]
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cliffgate.cli", "closure", "-m", "12", "--list-limit", "5000",
-             *gens],
+            [sys.executable, "-m", "cliffgate.cli", "closure", "-m", "12", *gens],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
         )
         first = proc.stdout.readline()
@@ -389,7 +404,7 @@ class TestClosedStdout:
 
 # The flags each subcommand declares: exactly the ones its handler reads.
 FLAGS = {
-    "closure": ["--format", "--cap", "-m", "--list-limit"],
+    "closure": ["--format", "--cap", "-m"],
     "certify": ["--format", "--cap", "-m", "--target"],
     "verify-rep": ["--format", "--cap", "--seed", "-n"],
     "gateset": ["--format", "--cap", "-n"],
@@ -414,6 +429,7 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [["closure", "--seed", "1", "-m", "4", "e[0]"],
+         ["closure", "--list-limit", "5", "-m", "4", "e[0]"],
          ["power", "--tolerance", "1e-3", "--angle", "1", "--eps", "0.1"],
          ["gateset", "--tolerance", "1", "-n", "2"],
          ["certify", "--seed=1", "-m", "4", "--target", "e[0]", "e[0]"],

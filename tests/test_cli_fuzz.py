@@ -98,7 +98,6 @@ def closure_argv():
     small = st.tuples(
         st.just(["closure"]),
         _given("-m", _number(-2, 10)),
-        _flag("--list-limit", _number(-1, 20)),
         _flag("--cap", _number(-1, 10)),
         FORMAT,
         GENERATORS,
@@ -219,8 +218,8 @@ def test_every_argv_ends_in_a_documented_exit(command, data, workdir):
 # flags that other subcommands declare and this one does not
 UNDECLARED = {
     "closure": ["--tolerance", "--seed", "--target", "--eps"],
-    "certify": ["--tolerance", "--seed", "--list-limit", "--angle"],
-    "verify-rep": ["--tolerance", "--list-limit", "--target", "-N"],
+    "certify": ["--tolerance", "--seed", "--eps", "--angle"],
+    "verify-rep": ["--tolerance", "-m", "--target", "-N"],
     "gateset": ["--tolerance", "--seed", "-m"],
     "synth": ["--seed", "--eps", "--target"],
     "power": ["--tolerance", "--seed", "-n"],

@@ -19,10 +19,8 @@ from cliffgate import (
     chain_generators,
     close,
     commutator,
-    dimension,
     generator,
     hermitize,
-    is_universal,
     replay_certificate,
     universal_generators,
 )
@@ -32,20 +30,20 @@ from conftest import elem, gamma_product, label, oracle_commutator
 
 
 def generators_only(ambient):
-    return GeneratorSet.of([generator(k, ambient) for k in range(ambient)])
+    return GeneratorSet(ambient, tuple(generator(k, ambient) for k in range(ambient)))
 
 
 class TestClose:
     def test_two_generators(self):
-        assert dimension(generators_only(2)) == 3
+        assert close(generators_only(2)).dimension == 3
 
     def test_generators_only_quadratic_sector(self):
-        assert dimension(generators_only(4)) == 10
-        assert dimension(generators_only(6)) == 21
+        assert close(generators_only(4)).dimension == 10
+        assert close(generators_only(6)).dimension == 21
 
     def test_adding_order3_reaches_everything(self):
         for m in (4, 6, 8, 10, 12):
-            assert dimension(universal_generators(m)) == 1 << m
+            assert close(universal_generators(m)).dimension == 1 << m
 
     def test_odd_ambient_misses_top_element(self):
         result = close(universal_generators(5))
@@ -58,7 +56,7 @@ class TestClose:
 
     def test_order_three_alone_does_not_count_the_unit(self):
         # {e[3], e[0,1,2], e[0,1,2,3]} is su(2); the unit is not counted
-        result = close(GeneratorSet.of([elem([0, 1, 2], 4, phase=1), generator(3, 4)]))
+        result = close(GeneratorSet(4, (elem([0, 1, 2], 4, phase=1), generator(3, 4))))
         assert result.labels() == [label([3], 4), label([0, 1, 2], 4), label([0, 1, 2, 3], 4)]
         assert not result.unit_vacuous
 
@@ -68,7 +66,7 @@ class TestClose:
         assert not result.audit_closed()
 
     def test_single_generator(self):
-        assert dimension(GeneratorSet.of([generator(0, 4)])) == 1
+        assert close(GeneratorSet(4, (generator(0, 4),))).dimension == 1
 
     def test_generators_only_never_exceeds_order_two(self):
         for ambient in (3, 5, 8):
@@ -78,11 +76,11 @@ class TestClose:
 
     @pytest.mark.parametrize("m", range(2, 17))
     def test_quadratic_sector_dimension_law(self, m):
-        assert dimension(generators_only(m)) == m * (m + 1) // 2
+        assert close(generators_only(m)).dimension == m * (m + 1) // 2
 
     def test_idempotent(self):
         first = close(universal_generators(4))
-        again = close(GeneratorSet.of([first.representatives[l] for l in first.labels()]))
+        again = close(GeneratorSet(4, tuple(first.representatives[l] for l in first.labels())))
         assert again.reached == first.reached
 
     def test_closedness_audit(self):
@@ -149,11 +147,12 @@ def random_generator_sets(count, seed, ambients=range(2, 8), max_size=5):
         ambient = rng.choice(ambients)
         size = rng.randint(1, min(max_size, (1 << ambient) - 1))
         masks = rng.sample(range(1, 1 << ambient), size)
-        yield GeneratorSet.of(
-            [
+        yield GeneratorSet(
+            ambient,
+            tuple(
                 ScaledElement(BasisLabel(mask, ambient), rng.randrange(4), rng.randint(-3, 3))
                 for mask in masks
-            ]
+            ),
         )
 
 
@@ -261,7 +260,7 @@ class TestLabelCap:
             close(universal_generators(8), cap=255)
 
     def test_cap_counts_the_generators(self):
-        commuting = GeneratorSet.of([elem([0, 1], 4), elem([2, 3], 4)])
+        commuting = GeneratorSet(4, (elem([0, 1], 4), elem([2, 3], 4)))
         assert close(commuting, cap=2).dimension == 2
         with pytest.raises(CapExceededError):
             close(commuting, cap=1)
@@ -276,28 +275,26 @@ class TestLabelCap:
 
 class TestUniversality:
     def test_stock_set_is_universal(self):
-        assert is_universal(universal_generators(4))
+        assert close(universal_generators(4)).universal
 
     def test_generators_alone_are_not(self):
-        assert not is_universal(generators_only(4))
+        assert not close(generators_only(4)).universal
 
     def test_order4_extra_element_works_too(self):
-        gens = GeneratorSet.of(
-            [generator(k, 4) for k in range(4)] + [hermitize(label([0, 1, 2, 3], 4))]
+        gens = GeneratorSet(
+            4, tuple(generator(k, 4) for k in range(4)) + (hermitize(label([0, 1, 2, 3], 4)),)
         )
-        assert is_universal(gens)
+        assert close(gens).universal
 
     def test_every_order3_or_4_extra_at_six_generators(self):
         for lab in all_labels(6):
             if lab.order in (3, 4):
-                gens = GeneratorSet.of(
-                    [generator(k, 6) for k in range(6)] + [hermitize(lab)]
-                )
-                assert dimension(gens) == 64
+                gens = GeneratorSet(6, tuple(generator(k, 6) for k in range(6)) + (hermitize(lab),))
+                assert close(gens).dimension == 64
 
     def test_odd_ambient_rejected(self):
         with pytest.raises(ValueError, match="ambient 5 is odd"):
-            is_universal(universal_generators(5))
+            close(universal_generators(5)).universal
 
     def test_ambient_two_spans_su2_without_the_unit(self):
         result = close(generators_only(2))
@@ -334,20 +331,20 @@ class TestStockSets:
 
     def test_chain_closure_is_full(self):
         for m in (4, 6, 8, 10, 12):
-            assert dimension(chain_generators(m)) == 1 << m
+            assert close(chain_generators(m)).dimension == 1 << m
 
     def test_chain_without_extra_element_stays_quadratic(self):
         gens = chain_generators(4)
         trimmed = GeneratorSet(4, gens.elements[:-1])
-        assert dimension(trimmed) == 10
+        assert close(trimmed).dimension == 10
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            GeneratorSet.of([generator(0, 4), elem([0], 4, phase=2)])
+            GeneratorSet(4, (generator(0, 4), elem([0], 4, phase=2)))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            GeneratorSet.of([generator(0, 4), ScaledElement.zero(4)])
+            GeneratorSet(4, (generator(0, 4), ScaledElement.zero(4)))
 
 
 @st.composite
@@ -357,7 +354,7 @@ def small_generator_sets(draw):
     masks = draw(
         st.lists(st.integers(1, (1 << ambient) - 1), min_size=count, max_size=count, unique=True)
     )
-    return GeneratorSet.of([ScaledElement(BasisLabel(m, ambient)) for m in masks])
+    return GeneratorSet(ambient, tuple(ScaledElement(BasisLabel(m, ambient)) for m in masks))
 
 
 class TestClosureProperties:

@@ -23,7 +23,7 @@ PUBLIC = (
     "AmbientMismatchError BasisLabel ParseError ScaledElement all_labels canonical_key "
     "commutator commutes format_element generator hermitize parse_element parse_label product "
     "CapExceededError Certificate ClosureResult GeneratorSet UnreachableTargetError "
-    "certificate chain_generators close dimension is_universal universal_generators "
+    "certificate chain_generators close universal_generators "
     "PauliFactorization decompose expm_hermitian format_matrix gamma hermitized_matrix "
     "parse_matrix pauli_factorization reconstruct recursive_construct "
     "replay_certificate represent verify_representation "

@@ -21,6 +21,7 @@ from cliffgate import (
     represent,
     verify_representation,
 )
+from cliffgate import matrices
 from cliffgate.algebra import AmbientMismatchError, ParseError, qubit_count
 from cliffgate.matrices import (
     PAULI,
@@ -258,6 +259,17 @@ class TestVerifySuite:
         assert names[0] == names[1] and len(names[0]) == 11
         assert runs[0] != runs[5]  # the seed picks the pairs and the round-trip matrix
         assert verify_representation(4, seed=5) == runs[5]
+
+    def test_sampled_labels_and_pairs(self, monkeypatch):
+        # with the cap at 8, both the 16 labels and their 256 pairs are drawn
+        # from the seed, as they are at 7 qubits under the real cap
+        full = verify_representation(2, seed=3)
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 8)
+        sampled = verify_representation(2, seed=3)
+        assert all(c.passed for c in sampled), [c for c in sampled if not c.passed]
+        assert [c.name for c in sampled] == [c.name for c in full] and len(full) == 11
+        assert sampled != full  # the draws move the round-trip matrix
+        assert verify_representation(2, seed=3) == sampled
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_qubit(self, n):

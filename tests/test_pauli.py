@@ -27,11 +27,12 @@ from conftest import oracle_replay
 def scaled_universal(ambient):
     """The stock universal set with every generator rescaled, so phases and
     negative and positive powers of two run through the replay."""
-    return GeneratorSet.of(
-        [
+    return GeneratorSet(
+        ambient,
+        tuple(
             ScaledElement(el.label, el.phase + k, k % 3 - 1)
             for k, el in enumerate(universal_generators(ambient).elements)
-        ]
+        ),
     )
 
 
@@ -115,9 +116,10 @@ def test_disagreement_outside_the_float_range_saturates(pow2):
     # M(2^k e0) has entries 2^k, past the float range either way; flipping
     # the recorded sign leaves entries 2^(k+2) apart, which must neither
     # read as agreement nor raise
-    gens = GeneratorSet.of(
-        [ScaledElement(BasisLabel(0b1, 4), pow2=pow2), ScaledElement(BasisLabel(0b10, 4)),
-         ScaledElement(BasisLabel(0b111, 4), phase=1)]
+    gens = GeneratorSet(
+        4,
+        (ScaledElement(BasisLabel(0b1, 4), pow2=pow2), ScaledElement(BasisLabel(0b10, 4)),
+         ScaledElement(BasisLabel(0b111, 4), phase=1)),
     )
     cert = certificate(close(gens), BasisLabel(0b11, 4))
     assert replay_certificate(cert).deviation == 0.0

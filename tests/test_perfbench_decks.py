@@ -7,7 +7,10 @@ checks and the runner's comparison of repeats: the closure and dense jobs
 in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
 processes (exit codes, record fields, byte-identical output).  That
 catches an API or CLI change that would break the benchmark in a few
-seconds, without running the full ``perfbench/test_smoke.py``.
+seconds, without running the full ``perfbench/test_smoke.py``.  The full
+``dense`` and ``cli`` decks of the benchmark's seeds are built too, so
+that every power input their checkers compare with the scan oracle is
+checked here in process.
 """
 
 import importlib
@@ -15,6 +18,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cliffgate import irrational_power, minimal_power_scan
+from cliffgate.cli import _angle_value
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("spans", "wl_closure", "wl_dense", "wl_cli")
@@ -45,3 +51,28 @@ def test_smoke_deck_runs_and_passes_its_checks(workload, perfbench, tmp_path):
         assert job.check(out) == [], (workload, job.kind)
         # the runner compares the digests of repeated runs
         assert job.same(job.digest(out), job.digest(job.run(tracer))), (workload, job.kind)
+
+
+# the seeds of the benchmark's own runs (0-63) and of its pair runs
+DECK_SEEDS = [*range(64), *range(1001, 1007)]
+
+
+def test_power_inputs_of_the_full_decks_match_the_scan_oracle(perfbench, tmp_path):
+    # both power checkers compare N with the brute-force scan down to their
+    # SCAN_MIN_EPS; an N the scan disagrees with reads as a wrong output
+    inputs = []
+    for seed in DECK_SEEDS:
+        dense = perfbench["wl_dense"]
+        for job in dense.build(seed, False, tmp_path):
+            if job.kind == "power" and job.eps >= dense.SCAN_MIN_EPS:
+                inputs.append((job.angle, job.eps))
+        cli = perfbench["wl_cli"]
+        for job in cli.build(seed, False, tmp_path):
+            argv = job.argv
+            if job.kind == "power" and float(argv[argv.index("--eps") + 1]) >= cli.SCAN_MIN_EPS:
+                angle = _angle_value(argv[argv.index("--angle") + 1])
+                inputs.append((angle, float(argv[argv.index("--eps") + 1])))
+    assert len(inputs) == len(DECK_SEEDS) * (3 + 2)
+    for angle, eps in inputs:
+        found = irrational_power(angle, eps).applications
+        assert found == minimal_power_scan(angle, eps, cap=10**8).applications, (angle, eps)

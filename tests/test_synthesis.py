@@ -33,7 +33,7 @@ from cliffgate import (
     trotter,
 )
 from cliffgate.matrices import random_hermitian, unitarity_defect
-from cliffgate.power import DEFAULT_POWER_CAP, signed_residual
+from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
 from cliffgate.synthesis import MAX_GATES
 from conftest import label, labels_upto, maxabs
 
@@ -181,18 +181,18 @@ class TestSynthesize:
 PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
 
 
-def exact_minimal_power(angle, eps, cap):
-    """Smallest N <= cap whose exact N*angle lies within eps of 2*pi*Z, or None.
+def exact_minimal_power(angle, eps, cap, two_pi=2 * PI_60):
+    """Smallest N <= cap whose exact N*angle lies within eps of two_pi*Z, or None.
 
-    Only convergent denominators of angle/(2*pi) can be such an N, so the
+    Only convergent denominators of angle/two_pi can be such an N, so the
     reference walks those of the float angle taken as an exact fraction.
     """
-    x = Fraction(angle) / (2 * PI_60)
+    x = Fraction(angle) / two_pi
     num, den = (x - math.floor(x)).as_integer_ratio()
     q_prev, q = 0, 1
     while q <= cap:
         turns = q * x
-        if abs(turns - round(turns)) * 2 * PI_60 < eps:
+        if abs(turns - round(turns)) * two_pi < eps:
             return q
         if num == 0:
             return None
@@ -211,8 +211,9 @@ class TestIrrationalPower:
         assert irrational_power(0.37, 2 * math.pi).applications == 1
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            irrational_power(0.3, 0.0)
+        for tolerance in (0.0, math.inf, math.nan):  # the exact test needs a finite ratio
+            with pytest.raises(ValueError):
+                irrational_power(0.3, tolerance)
         with pytest.raises(ValueError):
             minimal_power_scan(0.3, -1.0)
 
@@ -278,10 +279,33 @@ class TestIrrationalPower:
         with pytest.raises(CapExceededError):
             irrational_power(6.28, 0.1, cap=cap)
 
-    def test_signed_residual_range(self):
-        for theta in (0.0, 1.0, math.pi, 7.0, -9.0, 100.0):
-            r = signed_residual(theta)
-            assert -math.pi <= r <= math.pi
+    def test_huge_angles_are_reduced_exactly(self):
+        # q*angle overflows a float here; the integer residual does not
+        assert irrational_power(1e308, 0.1).applications == 11
+        with pytest.raises(CapExceededError):
+            irrational_power(1e300, 1e-9)
+
+    def test_tolerance_below_the_float_spacing_of_n_times_angle(self):
+        # N*angle is 4.2e11 here, whose float spacing is 30 times eps, so
+        # only an exact residual can find N
+        res = irrational_power(187953.19448073578, 2.0199599770878984e-06, cap=10**7)
+        assert res.applications == 2243091
+        assert res.residual < 2.0199599770878984e-06
+
+    def test_residuals_are_exact_against_the_float_two_pi(self):
+        # at eps = 1e-7 a float remainder rounds N = 36187951's exact residual
+        # of 1.04e-7 for 5.723304261770566 down below eps
+        rng = random.Random(12)
+        angles = [5.723304261770566] + [rng.uniform(0.05, TWO_PI - 0.05) for _ in range(150)]
+        for angle in angles:
+            res = irrational_power(angle, 1e-7)
+            assert res.applications == exact_minimal_power(
+                angle, 1e-7, DEFAULT_POWER_CAP, two_pi=Fraction(TWO_PI)
+            ), angle
+            turns = res.applications * Fraction(angle) / Fraction(TWO_PI)
+            exact = (turns - round(turns)) * Fraction(TWO_PI)
+            assert (res.signed_angle, res.residual) == (float(exact), float(abs(exact))), angle
+        assert irrational_power(5.723304261770566, 1e-7).applications == 45444477
 
 
 class TestLocalGateSet:
