@@ -10,9 +10,10 @@ lines with floats at 6 significant digits.  With fixed flags and seed
 the output is byte-identical across runs.
 
 Each subcommand declares only the flags it reads; any other flag is a
-usage error (exit 2).  All six take ``--format`` and ``--cap``, ``synth``
-alone takes ``--tolerance`` (positive and finite, default 1e-10) and
+usage error (exit 2).  All six take ``--format`` and ``--cap``, and
 ``verify-rep`` alone takes ``--seed`` (non-negative, default 0).
+``synth`` accepts a Hermiticity defect up to a fixed 1e-10, and
+``power --angle -pi/4`` reads as ``--angle=-pi/4``.
 ``--cap`` has one meaning per layer: the labels a closure may reach in
 ``closure``, ``certify`` and ``gateset`` (default 2^16; an ambient above
 64, or a ``gateset`` above 32 qubits, is refused whatever the cap), the
@@ -95,7 +96,7 @@ def _angle_value(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        m = re.fullmatch(r"\s*(-)?(\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?\s*", text)
+        m = re.fullmatch(r"\s*(-)?(\d+\.?\d*|\.\d+)?\*?pi(?:/(\d+\.?\d*))?\s*", text)
         if m is None:
             raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None
         sign = -1.0 if m.group(1) else 1.0
@@ -106,12 +107,6 @@ def _angle_value(text: str) -> float:
         value = sign * num * math.pi / den
     if not math.isfinite(value):
         raise ParseError(f"angle {text!r} is not finite")
-    return value
-
-
-def _positive(flag: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"{flag} must be positive and finite, got {value}")
     return value
 
 
@@ -207,13 +202,12 @@ def cmd_gateset(args, config: RunConfig) -> int:
 
 
 def cmd_synth(args, config: RunConfig) -> int:
-    _positive("--tolerance", args.tolerance)
     _check_qubits(args.qubits, args.cap)
     from .matrices import parse_matrix  # loads numpy
     from .synthesis import synthesize
 
     h = parse_matrix(Path(args.input).read_text())
-    seq = synthesize(h, args.steps, args.qubits, tol=args.tolerance)
+    seq = synthesize(h, args.steps, args.qubits)
     serialized = seq.to_text()
     if args.output:
         Path(args.output).write_text(serialized)
@@ -227,12 +221,13 @@ def cmd_synth(args, config: RunConfig) -> int:
 
 def cmd_power(args, config: RunConfig) -> int:
     angle = _angle_value(args.angle)
-    eps = _positive("--eps", args.eps)
-    result = irrational_power(angle, eps, cap=args.cap)
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise UsageError(f"--eps must be positive and finite, got {args.eps}")
+    result = irrational_power(angle, args.eps, cap=args.cap)
     config.emit(
         "power",
         angle=angle,
-        eps=eps,
+        eps=args.eps,
         N=result.applications,
         residual=result.residual,
         signed=result.signed_angle,
@@ -274,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--qubits", type=int, required=True)
 
     p = command("synth", cmd_synth, QUBIT_CAP, "synthesize exp(i*H) from a matrix file")
-    p.add_argument("--tolerance", type=float, default=1e-10, help="Hermiticity defect accepted")
     p.add_argument("-n", "--qubits", type=int, required=True)
     p.add_argument("-N", "--steps", type=int, required=True, help="product-formula repetitions")
     p.add_argument("-i", "--input", required=True, help="Hermitian matrix text file")
@@ -287,6 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["power"] and "--angle" in argv[:-1]:
+        # argparse takes a separate value such as -pi/4 for a flag; the = form is unambiguous
+        k = argv.index("--angle")
+        argv[k : k + 2] = [f"--angle={argv[k + 1]}"]
     args = _build_parser().parse_args(argv)
     config = RunConfig(digits=17 if args.format == "records" else 6)
     try:

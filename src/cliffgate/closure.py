@@ -37,7 +37,6 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
-    _scalar_value,
     canonical_key,
     commutator,
     format_element,
@@ -102,10 +101,6 @@ class GeneratorSet:
                 raise ValueError(f"duplicate generator label {el.label}")
             seen.add(el.label)
 
-    @property
-    def labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(el.label for el in self.elements)
-
 
 def universal_generators(ambient: int) -> GeneratorSet:
     """All single generators plus the hermitized product of the first three.
@@ -157,10 +152,6 @@ class ClosureResult:
     provenance: dict[BasisLabel, CertificateStep]
     depth: dict[BasisLabel, int]
     unit_vacuous: bool = False
-
-    @property
-    def reached(self) -> frozenset[BasisLabel]:
-        return frozenset(self.representatives)
 
     @property
     def dimension(self) -> int:
@@ -299,10 +290,6 @@ class Certificate:
     steps: tuple[CertificateStep, ...]
     scalar_phase: int
     scalar_pow2: int
-
-    @property
-    def scalar(self) -> complex:
-        return _scalar_value(self.scalar_phase, self.scalar_pow2)
 
     def validate(self) -> None:
         """Symbolic replay; raises ValueError on any inconsistency."""

@@ -372,12 +372,12 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def exponent_coincidence_report(axis_a: str = "x", axis_b: str = "z", *, tol: float = 1e-12) -> dict:
+def exponent_coincidence_report(axis_a: str = "x", axis_b: str = "z") -> dict:
     """Evaluate three pi-angle exponentials that share matrix values.
 
     Returns the matrices exp(i*pi*(A (x) I)), exp(i*pi*(A (x) I + I (x) B))
     and exp(i*pi*(A (x) B)) for the chosen Pauli axes, together with their
-    pairwise max-abs distances and the list of coinciding pairs.  Several
+    pairwise max-abs distances and the pairs within TOL_EXACT.  Several
     distinct Hermitian exponents map to the same unitary, so recovering an
     exponent from a gate is not unique; this report shows the phenomenon in
     whatever form the numbers actually take.
@@ -394,5 +394,5 @@ def exponent_coincidence_report(axis_a: str = "x", axis_b: str = "z", *, tol: fl
         for i, x in enumerate(names)
         for y in names[i + 1 :]
     }
-    coincide = sorted(pair for pair, d in distances.items() if d <= tol)
+    coincide = sorted(pair for pair, d in distances.items() if d <= TOL_EXACT)
     return {"matrices": mats, "distances": distances, "coincide": coincide}

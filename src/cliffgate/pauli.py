@@ -126,62 +126,37 @@ def _bracket(a, b):
     return xa ^ xb, za ^ zb, (pa + pb + 2 * swap) & 3, ea + eb + 1
 
 
-def _deviation(a, b) -> float:
-    # Largest entry of |M(a) - M(b)|.  The matrices are signed permutations:
-    # entries 2^pow2 at (c ^ xmask, c) with sign i^phase (-1)^|zmask & c|, so
-    # different xmasks never overlap, and different zmasks agree in sign on
-    # some columns and disagree on others.  The coefficients are scaled by
-    # the larger power of two first, so no float overflows before the end.
-    if a == b:
-        return 0.0
-    if a is None or b is None:
-        return _times_pow2(1.0, (a or b)[3])
-    top = max(a[3], b[3])
-    if a[0] != b[0]:
-        return _times_pow2(1.0, top)
-    # a coefficient 2^-1074 below the other one vanishes in the sums below,
-    # so clamping there leaves the result as it is
-    ca, cb = (_scalar_value(m[2], max(m[3] - top, -1074)) for m in (a, b))
-    if a[1] != b[1]:
-        return _times_pow2(max(abs(ca - cb), abs(ca + cb)), top)
-    return _times_pow2(abs(ca - cb), top)
-
-
-def _times_pow2(r: float, k: int) -> float:
-    # r * 2^k for r > 0, saturated: inf above the float range and the least
-    # positive float below it, so a disagreement never reads as 0.0
-    try:
-        return math.ldexp(r, k) or math.ulp(0.0)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass
 class ReplayReport:
+    """``deviation`` is 0.0 when every step and the target reproduce the
+    recorded elements exactly and ``math.inf`` otherwise."""
+
     deviation: float
     steps: int
 
 
 def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
-    """Re-run a derivation in matrix form and compare against its target.
+    """Re-run a derivation on Pauli monomials and compare against its target.
 
-    Each step recomputes the commutator of its parents' Pauli monomials and
-    is compared with the recorded exact coefficient; the final monomial must
-    equal the recorded scalar times the hermitized target.  The deviation
-    is the largest entry difference of the two matrices, 0.0 exactly when
-    they agree.  Raises on odd ambient (no matrix form), on a parent used
-    before its derivation and on a target never derived.  ``tol`` is
-    accepted and unused: the comparison is exact.
+    Each step recomputes the commutator of its parents' monomials and
+    compares it with the recorded exact coefficient; the final monomial
+    must equal the recorded scalar times the hermitized target.  A monomial
+    (xmask, zmask, phase mod 4, pow2), or None for zero, determines its
+    matrix and back, so the comparisons are plain tuple equality and the
+    deviation is 0.0 when all of them hold and ``math.inf`` otherwise.
+    Raises on odd ambient (no matrix form), on a parent used before its
+    derivation and on a target never derived.  ``tol`` is accepted and
+    unused: the comparison is exact.
     """
     qubit_count(cert.ambient)
     forms = {g.label: _monomial(g) for g in cert.generators}
-    worst = 0.0
+    agree = True
     for step in cert.steps:
         for parent in (step.parent_a, step.parent_b):
             if parent not in forms:
                 raise ValueError(f"step parent {parent} appears before its derivation")
         form = _bracket(forms[step.parent_a], forms[step.parent_b])
-        worst = max(worst, _deviation(form, _monomial(step.element)))
+        agree &= form == _monomial(step.element)
         forms[step.result] = form
     if cert.target in forms:
         final = forms[cert.target]
@@ -190,5 +165,5 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
     else:
         final = (0, 0, 0, 0)  # the unit is the empty derivation
     x, z, phase, _ = _monomial(hermitize(cert.target))
-    expected = (x, z, (phase + cert.scalar_phase) & 3, cert.scalar_pow2)
-    return ReplayReport(deviation=max(worst, _deviation(final, expected)), steps=len(cert.steps))
+    agree &= final == (x, z, (phase + cert.scalar_phase) & 3, cert.scalar_pow2)
+    return ReplayReport(deviation=0.0 if agree else math.inf, steps=len(cert.steps))

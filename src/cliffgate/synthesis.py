@@ -237,18 +237,18 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
     return seq
 
 
-def synthesize(h: np.ndarray, steps: int, qubits: int, *, tol: float = 1e-10) -> GateSequence:
+def synthesize(h: np.ndarray, steps: int, qubits: int) -> GateSequence:
     """Decompose a Hermitian target and build the trotter gate list.
 
     Coefficients with |alpha| <= ATOL are dropped.  The reported error is
     measured against exp(i*h).  :func:`decompose` rejects a matrix of the
-    wrong shape or with a Hermiticity defect above ``tol``, and the gate
-    budget applies as in :func:`trotter`.
+    wrong shape or with a Hermiticity defect above its default 1e-10, and
+    the gate budget applies as in :func:`trotter`.
     """
     coeffs = CoefficientVector(
         qubits,
-        {label: a for label, a in decompose(h, qubits, tol=tol).items() if abs(a) > ATOL},
+        {label: a for label, a in decompose(h, qubits).items() if abs(a) > ATOL},
     )
     seq = _product_formula(coeffs, steps)
-    seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0, tol=tol))
+    seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0))
     return seq

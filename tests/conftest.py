@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels
-from cliffgate.algebra import qubit_count
+from cliffgate.algebra import _scalar_value, qubit_count
 from cliffgate.matrices import gamma, hermitized_matrix, represent
 
 
@@ -82,5 +82,6 @@ def oracle_replay(cert):
         if cert.target.order:
             raise ValueError("certificate never derives its target")
         final = np.eye(2**n, dtype=complex)  # the unit is the empty derivation
-    worst = max(worst, maxabs(final - cert.scalar * hermitized_matrix(cert.target, n)))
+    scalar = _scalar_value(cert.scalar_phase, cert.scalar_pow2)
+    worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
     return worst, len(cert.steps)

@@ -89,7 +89,7 @@ def test_criterion_03_odd_ambient_obstruction():
         result = close(universal_generators(ambient))
         top = BasisLabel((1 << ambient) - 1, ambient)
         ok &= result.dimension == want
-        ok &= top not in result.reached
+        ok &= top not in result.representatives.keys()
         ok &= result.audit_closed()  # independent pairwise recheck
         details.append(f"m={ambient}:{result.dimension}")
     report(3, "odd ambient closes to 2^m-1, top element unreachable", ok, " ".join(details))

@@ -2,12 +2,11 @@
 
 Each subcommand gets argv drawn from valid values mixed with malformed
 elements, non-finite or zero-denominator numbers and negative or zero
-sizes, in both output formats.  ``--tolerance`` is drawn only for
-``synth`` and ``--seed`` (negative ones too) only for ``verify-rep``, the
-subcommands that declare them; a second test adds a flag the subcommand
-does not declare and expects exit 2.  Drawn sizes
-stay small (ambient <= 10, qubits <= 3), except where a cap bounds the
-run:
+sizes, in both output formats.  ``--seed`` (negative ones too) is drawn
+only for ``verify-rep``, the one subcommand that declares it; a second
+test adds a flag the subcommand does not declare and expects exit 2.
+Drawn sizes stay small (ambient <= 10, qubits <= 3), except where a cap
+bounds the run:
 
 - ``closure`` and ``certify`` also draw, about one time in ten, the stock
   universal set at any ambient up to 64 or at 70.  Its closure has 2^m
@@ -71,7 +70,6 @@ REALS = _mostly(
     ),
 )
 FORMAT = _flag("--format", _mostly(st.sampled_from(["human", "records"]), st.just("xml")))
-TOLERANCE = _flag("--tolerance", REALS)
 SEED = _flag("--seed", _number(-3, 99))
 GENERATORS = st.lists(
     _mostly(st.sampled_from(ELEMENTS), st.sampled_from(BAD_ELEMENTS)), min_size=1, max_size=6
@@ -144,7 +142,6 @@ def synth_argv():
         _flag("-o", st.sampled_from(["seq.txt", "."])),
         _flag("--cap", _number(-1, 3)),
         FORMAT,
-        TOLERANCE,
     )
 
 
@@ -221,7 +218,7 @@ UNDECLARED = {
     "certify": ["--tolerance", "--seed", "--eps", "--angle"],
     "verify-rep": ["--tolerance", "-m", "--target", "-N"],
     "gateset": ["--tolerance", "--seed", "-m"],
-    "synth": ["--seed", "--eps", "--target"],
+    "synth": ["--tolerance", "--seed", "--eps", "--target"],
     "power": ["--tolerance", "--seed", "-n"],
 }
 

@@ -1,9 +1,11 @@
 """Certificate replay on integer Pauli monomials against the dense oracle.
 
-``replay_certificate`` multiplies (xmask, zmask, phase, pow2) monomials;
-``conftest.oracle_replay`` multiplies the dense matrices.  Both must report
-the same worst deviation and step count on sound certificates (exactly
-0.0), on corrupted ones, and raise on the same malformed ones.
+``replay_certificate`` multiplies (xmask, zmask, phase, pow2) monomials
+and compares them exactly; ``conftest.oracle_replay`` multiplies the dense
+matrices and measures the largest entry difference.  Both must report 0.0
+and the same step count on sound certificates, the replay must report inf
+exactly where the oracle reports a positive deviation, and both must raise
+on the same malformed certificates.
 """
 
 import math
@@ -87,35 +89,16 @@ def test_corrupted_certificates_deviate_like_the_oracle(family, ambient):
         for bad in corruptions(cert):
             report = replay_certificate(bad)
             dense, steps = oracle_replay(bad)
-            assert report.deviation == pytest.approx(dense, abs=1e-12), bad
-            assert report.deviation > 0 and report.steps == steps
+            assert report.deviation == math.inf and dense > 0, bad
+            assert report.steps == steps
             seen += 1
     assert seen > 4 * len(certificates(family, ambient))
-
-
-def test_deviation_is_the_largest_entry_difference():
-    # [e0, e1] = 2 e0 e1; recording e0 e1 instead leaves entries of size 1
-    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
-    step = cert.steps[0]
-    half = ScaledElement(step.element.label, step.element.phase, step.element.pow2 - 1)
-    bad = replace(cert, steps=(replace(step, element=half),))
-    assert replay_certificate(bad).deviation == 1.0 == oracle_replay(bad)[0]
-
-
-def test_deviation_against_a_coefficient_far_below_the_float_range():
-    # recording 2^-2000 e0 e1 for 2 e0 e1 leaves entries 2 - 2^-2000 apart,
-    # which is 2.0 in floats
-    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
-    step = cert.steps[0]
-    tiny = ScaledElement(step.element.label, step.element.phase, -2000)
-    assert replay_certificate(replace(cert, steps=(replace(step, element=tiny),))).deviation == 2.0
 
 
 @pytest.mark.parametrize("pow2", [-2000, 2000])
 def test_disagreement_outside_the_float_range_saturates(pow2):
     # M(2^k e0) has entries 2^k, past the float range either way; flipping
-    # the recorded sign leaves entries 2^(k+2) apart, which must neither
-    # read as agreement nor raise
+    # the recorded sign must neither read as agreement nor raise
     gens = GeneratorSet(
         4,
         (ScaledElement(BasisLabel(0b1, 4), pow2=pow2), ScaledElement(BasisLabel(0b10, 4)),
@@ -124,11 +107,7 @@ def test_disagreement_outside_the_float_range_saturates(pow2):
     cert = certificate(close(gens), BasisLabel(0b11, 4))
     assert replay_certificate(cert).deviation == 0.0
     flipped = replace(cert, scalar_phase=(cert.scalar_phase + 2) % 4)
-    deviation = replay_certificate(flipped).deviation
-    if pow2 > 0:
-        assert deviation == math.inf
-    else:
-        assert 0.0 < deviation < 1e-300
+    assert replay_certificate(flipped).deviation == math.inf
 
 
 def malformed():

@@ -10,17 +10,20 @@ catches an API or CLI change that would break the benchmark in a few
 seconds, without running the full ``perfbench/test_smoke.py``.  The full
 ``dense`` and ``cli`` decks of the benchmark's seeds are built too, so
 that every power input their checkers compare with the scan oracle is
-checked here in process.
+checked here in process.  The malformed and known-defect argv the ``cli``
+workload pins run here too, in process, each against its documented exit
+code.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cliffgate import irrational_power, minimal_power_scan
-from cliffgate.cli import _angle_value
+from cliffgate import format_matrix, irrational_power, minimal_power_scan
+from cliffgate.cli import _angle_value, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("spans", "wl_closure", "wl_dense", "wl_cli")
@@ -76,3 +79,20 @@ def test_power_inputs_of_the_full_decks_match_the_scan_oracle(perfbench, tmp_pat
     for angle, eps in inputs:
         found = irrational_power(angle, eps).applications
         assert found == minimal_power_scan(angle, eps, cap=10**8).applications, (angle, eps)
+
+
+def test_pinned_cli_inputs_end_in_their_documented_exit_codes(perfbench, tmp_path, monkeypatch):
+    # a CLI change that moves one of these exit codes reads as a wrong
+    # output in the benchmark
+    wl_cli = perfbench["wl_cli"]
+    (tmp_path / "nonhermitian.mat").write_text(format_matrix(np.array([[1, 2], [0, 1]])))
+    monkeypatch.chdir(tmp_path)
+    pinned = wl_cli.MALFORMED + wl_cli.KNOWN_DEFECTS
+    assert len(pinned) == 9
+    for argv, code in pinned:
+        argv = [a.replace("{nonhermitian}", "nonhermitian.mat") for a in argv] + wl_cli.RECORDS
+        try:
+            seen = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            seen = exc.code
+        assert seen == code, argv
