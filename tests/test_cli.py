@@ -470,6 +470,14 @@ class TestFlags:
         assert err.value.code == EXIT_PARSE
         assert "unrecognized arguments: " + argv[1].split("=")[0] in capsys.readouterr().err
 
+    def test_bad_tolerance(self, capsys):
+        # synth's Hermiticity bound is fixed, so any --tolerance is refused
+        for tol in ("-1", "0", "nan", "inf"):
+            with pytest.raises(SystemExit) as err:
+                main(["synth", "-n", "1", "-N", "1", "-i", "h.mat", "--tolerance", tol])
+            assert err.value.code == EXIT_PARSE, tol
+            assert "--tolerance" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["power", "--angle", "1", "--eps", "inf"], "--eps must be positive and finite, got inf")],
