@@ -13,7 +13,7 @@ Each subcommand declares only the flags it reads; any other flag is a
 usage error (exit 2).  All six take ``--format`` and ``--cap``, and
 ``verify-rep`` alone takes ``--seed`` (non-negative, default 0).
 ``synth`` accepts a Hermiticity defect up to a fixed 1e-10, and
-``power --angle -pi/4`` reads as ``--angle=-pi/4``.
+``power --angle -pi/4`` (or ``--ang -pi/4``) reads as ``--angle=-pi/4``.
 ``--cap`` has one meaning per layer: the labels a closure may reach in
 ``closure``, ``certify`` and ``gateset`` (default 2^16; an ambient above
 64, or a ``gateset`` above 32 qubits, is refused whatever the cap), the
@@ -282,10 +282,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["power"] and "--angle" in argv[:-1]:
-        # argparse takes a separate value such as -pi/4 for a flag; the = form is unambiguous
-        k = argv.index("--angle")
-        argv[k : k + 2] = [f"--angle={argv[k + 1]}"]
+    if argv[:1] == ["power"]:
+        # argparse takes a separate value such as -pi/4 for a flag; the = form is unambiguous.
+        # Every prefix from --a on names --angle, since power has no other --a flag.
+        for k, word in enumerate(argv[:-1]):
+            if len(word) >= 3 and "--angle".startswith(word):
+                argv[k : k + 2] = [f"--angle={argv[k + 1]}"]
+                break
     args = _build_parser().parse_args(argv)
     config = RunConfig(digits=17 if args.format == "records" else 6)
     try:

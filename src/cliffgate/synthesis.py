@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 ATOL = 1e-12  # synthesize drops coefficients at or below this
-MAX_GATES = 1 << 20  # gates in one product formula; each is held and applied
+MAX_GATES = 1 << 20  # gates in one product formula; each is held, one block applied
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -103,6 +103,21 @@ class Gate:
         return f"gate {self.label} {self.angle:.17g}"
 
 
+def _period(gates: tuple[Gate, ...]) -> int:
+    """The smallest p >= 1 with ``gates == gates[:p] * (len(gates) // p)``.
+
+    Only divisors d of the length whose gate d equals gate 0 are tried, in
+    increasing order.  A repeated tuple holds the same Gate objects, which
+    tuple equality matches by identity at C speed.
+    """
+    n = len(gates)
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    for d in low + [n // d for d in reversed(low)]:
+        if gates[d % n] == gates[0] and gates == gates[:d] * (n // d):
+            return d
+    return 1  # no gates: an empty block repeated zero times
+
+
 @dataclass
 class GateSequence:
     """Ordered gate list; the realized matrix multiplies left to right.
@@ -117,17 +132,27 @@ class GateSequence:
     error: float | None = None
 
     def matrix(self) -> np.ndarray:
+        """The product of the gates, ``gates[0]`` leftmost.
+
+        When the gates repeat one block, as a product formula's do, the
+        block is evaluated once and raised to its repeat count by
+        squaring: O(p*4^n + log(N)*8^n) for N blocks of p gates instead of
+        O(N*p*4^n).  A sequence that does not repeat is one block of its
+        own length.
+        """
+        period = _period(self.gates)
+        block = self.gates[:period]
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
-        # O(4^n) per gate; product formulas repeat labels, so each is built once.
-        labels = list(dict.fromkeys(gate.label for gate in self.gates))
+        # O(4^n) per gate; a label can recur, so each is built once.
+        labels = list(dict.fromkeys(gate.label for gate in block))
         perms, values = signed_permutations([hermitize(l) for l in labels], self.qubits)
         values = 1j * values
         row = {label: k for k, label in enumerate(labels)}
         out = np.eye(2**self.qubits, dtype=complex)
-        for gate in self.gates:
+        for gate in block:
             k = row[gate.label]
             out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perms[k]] * values[k]
-        return out
+        return np.linalg.matrix_power(out, len(self.gates) // period)
 
     def to_text(self) -> str:
         lines = [str(g) for g in self.gates]

@@ -20,7 +20,9 @@ from cliffgate.cli import (
     _build_parser,
     main,
 )
+from cliffgate.matrices import expm_hermitian, random_hermitian
 from cliffgate.pauli import ReplayReport
+from cliffgate.synthesis import GateSequence, _period, operator_distance
 from conftest import label
 
 
@@ -269,6 +271,26 @@ class TestSynthCommand:
 
         assert error_at(32) < error_at(8)
 
+    def test_output_file_round_trips_through_the_block_power(self, capsys, tmp_path):
+        h = random_hermitian(2, np.random.default_rng(2003))
+        infile, outfile = tmp_path / "h.mat", tmp_path / "seq.txt"
+        infile.write_text(format_matrix(h))
+        code, out, _ = run(
+            capsys, "synth", "-n", "2", "-N", "8",
+            "-i", str(infile), "-o", str(outfile), "--format", "records",
+        )
+        assert code == EXIT_OK and "gates=128" in out
+        text = outfile.read_text()
+        *gate_lines, error_line = text.splitlines()
+        assert gate_lines == gate_lines[:16] * 8
+        assert all(line.startswith("gate ") for line in gate_lines)
+        assert error_line.startswith("error ")
+        seq = GateSequence.from_text(text, 2)
+        # parsed gates are new objects: the block is found by Gate equality
+        assert _period(seq.gates) == 16
+        measured = operator_distance(seq.matrix(), expm_hermitian(h, 1.0))
+        assert abs(measured - seq.error) < 1e-12
+
     def test_non_hermitian_rejected_with_deviation(self, capsys, tmp_path):
         infile = tmp_path / "bad.mat"
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -364,6 +386,18 @@ class TestPowerCommand:
             joined = run(capsys, "power", f"--angle={angle}", "--eps", "1e-3", "--format", fmt)
             separate = run(capsys, "power", "--angle", angle, "--eps", "1e-3", "--format", fmt)
             assert separate == joined and joined[0] == EXIT_OK
+
+    @pytest.mark.parametrize("flag", ["--a", "--an", "--ang", "--angl", "--angle"])
+    def test_abbreviated_flag_takes_a_negative_angle(self, capsys, flag):
+        joined = run(capsys, "power", "--angle=-pi/4", "--eps", "1e-3")
+        assert joined[0] == EXIT_OK
+        assert run(capsys, "power", flag, "-pi/4", "--eps", "1e-3") == joined
+
+    def test_abbreviated_flag_without_a_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["power", "--eps", "1e-3", "--ang"])
+        assert err.value.code == EXIT_PARSE
+        assert "argument --angle: expected one argument" in capsys.readouterr().err
 
     def test_angle_without_a_value_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

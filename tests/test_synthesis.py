@@ -6,6 +6,8 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffgate import (
     BasisLabel,
@@ -34,7 +36,7 @@ from cliffgate import (
 )
 from cliffgate.matrices import random_hermitian, unitarity_defect
 from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
-from cliffgate.synthesis import MAX_GATES
+from cliffgate.synthesis import MAX_GATES, _period
 from conftest import label, labels_upto, maxabs
 
 
@@ -144,6 +146,33 @@ class TestTrotter:
             trotter(coeffs, MAX_GATES // 2 + 1)
         # terms at zero emit no gates, so any step count fits
         assert trotter(CoefficientVector(2, {label([0], 4): 0.0}), 10**12).gates == ()
+
+
+def anticommutation_bound(terms, steps):
+    """(1/2N) * sum over label pairs i < j of ||[a_i h_i, a_j h_j]||: 2|a_i a_j|
+    when the labels anticommute, that is when |a|*|b| - |a & b| is odd."""
+    total = 0.0
+    for i, (a, alpha) in enumerate(terms):
+        for b, beta in terms[i + 1 :]:
+            order = a.mask.bit_count() * b.mask.bit_count() - (a.mask & b.mask).bit_count()
+            total += 2 * abs(alpha * beta) * (order % 2)
+    return total / (2 * steps)
+
+
+@st.composite
+def coefficient_vectors(draw):
+    n = draw(st.integers(1, 3))
+    coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    values = draw(st.lists(coeff, min_size=4**n, max_size=4**n))
+    return CoefficientVector(n, dict(zip(labels_upto(2 * n), values)))
+
+
+class TestTrotterBound:
+    @given(coefficient_vectors(), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_error_within_the_first_order_commutator_bound(self, coeffs, steps):
+        bound = anticommutation_bound(coeffs.terms(), steps)
+        assert trotter(coeffs, steps).error <= bound + 1e-10
 
 
 class TestSynthesize:
@@ -390,6 +419,61 @@ class TestGateSequenceText:
     def test_sequence_product_is_unitary(self):
         seq = commutator_gate(label([0], 4), label([3], 4), 1.2)
         assert unitarity_defect(seq.matrix()) < 1e-10
+
+
+def dense_product(gates, n):
+    return reduce(np.matmul, [g.matrix() for g in gates], np.eye(2**n, dtype=complex))
+
+
+class TestBlockPower:
+    """matrix() raises a repeated block to its count; the dense gate-by-gate
+    product is the oracle, and sequences that only nearly repeat must be
+    applied whole."""
+
+    @staticmethod
+    def random_gates(n, size, seed):
+        rng = np.random.default_rng(seed)
+        labs = labels_upto(2 * n)
+        picks = rng.integers(0, len(labs), size=size)
+        return tuple(Gate(labs[i], float(rng.uniform(-np.pi, np.pi))) for i in picks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 32])
+    def test_repeated_block_matches_the_dense_product(self, n, steps):
+        block = self.random_gates(n, 4**n, 70 + n)
+        gates = block * steps
+        assert _period(gates) == len(block)
+        assert maxabs(GateSequence(gates, n).matrix() - dense_product(gates, n)) < 1e-13
+
+    def test_one_extra_gate_breaks_the_period(self):
+        block = self.random_gates(2, 6, 81)
+        gates = block * 8 + block[:1]
+        assert _period(gates) == len(gates)
+        assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
+
+    def test_first_gate_recurring_inside_the_block(self):
+        a, b, c = self.random_gates(2, 3, 82)
+        block = (a, b, a, c)
+        for gates in (block, block * 5):
+            assert _period(gates) == len(block)
+            assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
+
+    def test_same_label_at_two_angles_is_not_a_repeat(self):
+        x, y = label([0], 4), label([1, 2], 4)
+        gates = (Gate(x, 0.3), Gate(y, 0.5), Gate(x, 0.7), Gate(y, 0.5)) * 3
+        assert _period(gates) == 4
+        assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
+
+    def test_empty_sequence_is_the_identity(self):
+        assert _period(()) == 1
+        assert maxabs(GateSequence((), 2).matrix() - np.eye(4)) == 0.0
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 64])
+    def test_single_gate_repeated(self, steps):
+        gate = Gate(label([0, 1, 2], 6), 0.41)
+        gates = (gate,) * steps
+        assert _period(gates) == 1
+        assert maxabs(GateSequence(gates, 3).matrix() - dense_product(gates, 3)) < 1e-13
 
 
 class TestDistances:
