@@ -252,14 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    # argparse reads a word such as -e[0] as a flag; after "--" every word is a generator
+    gens_help = "elements like e[0] or i*e[0,1,2]; after -- also -e[0] or -i*e[1]"
     p = command("closure", cmd_closure, LABEL_CAP, "close a generator set")
     p.add_argument("-m", "--ambient", type=int, required=True, help="generator count")
-    p.add_argument("generators", nargs="+", help="elements like e[0] or i*e[0,1,2]")
+    p.add_argument("generators", nargs="+", help=gens_help)
 
     p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it")
     p.add_argument("-m", "--ambient", type=int, required=True)
     p.add_argument("--target", required=True, help="target label like e[0,1]")
-    p.add_argument("generators", nargs="+")
+    p.add_argument("generators", nargs="+", help=gens_help)
 
     p = command("verify-rep", cmd_verify_rep, QUBIT_CAP, "run the dense-oracle sweep")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps (>= 0)")

@@ -268,24 +268,22 @@ class CheckResult:
     passed: bool
 
 
-def _label_pairs(n: int, rng: np.random.Generator, cap: int):
-    labels = list(all_labels(2 * n))
-    if len(labels) ** 2 <= cap:
-        return [(a, b) for a in labels for b in labels]
-    return [(labels[i], labels[j]) for i, j in rng.integers(0, len(labels), size=(cap, 2))]
-
-
 def _maxabs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _anticommutation_defect(gens: list[np.ndarray], eye: np.ndarray) -> float:
-    # worst deviation from g_i g_j + g_j g_i = 2 delta_ij
-    return max(
-        float(np.max(np.abs(g1 @ g2 + g2 @ g1 - (2.0 if i == j else 0.0) * eye)))
-        for i, g1 in enumerate(gens)
-        for j, g2 in enumerate(gens)
-    )
+def _generator_defects(gens: list[np.ndarray], eye: np.ndarray) -> tuple[float, float]:
+    # worst deviations from g_i g_j + g_j g_i = 2 delta_ij and tr(g_i g_j) =
+    # 2^n delta_ij, forming each ordered product once, one pair at a time
+    anti = trace = 0.0
+    for i, g1 in enumerate(gens):
+        for j in range(i, len(gens)):
+            p = g1 @ gens[j]
+            q = p if i == j else gens[j] @ g1
+            delta = 1.0 if i == j else 0.0
+            anti = max(anti, _maxabs(p + q - 2.0 * delta * eye))
+            trace = max(trace, *(abs(np.trace(m) - len(eye) * delta) for m in (p, q)))
+    return anti, trace
 
 
 def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
@@ -293,8 +291,11 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
 
     Each check runs over all labels, or all label pairs, while they number
     at most SAMPLE_CAP, and over SAMPLE_CAP seeded draws beyond that;
-    deterministic for a fixed seed.  Pairs are checked as stacks of
-    matrices, a chunk at a time.
+    deterministic for a fixed seed.  Pairs are checked a chunk at a time:
+    one stack holds a, b, the symbolic ab and the symbolic [a, b], and the
+    trace orthogonality of the hermitized pair is read off the dense ab,
+    since hermitizing only rescales by a power of i.  Each generator
+    product g_i g_j is formed once.
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
     decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
     """
@@ -310,16 +311,17 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
         )
 
     gammas = [gamma(k, n) for k in range(2 * n)]
-    add("clifford-relations", _anticommutation_defect(gammas, eye), TOL_STRICT)
+    add("clifford-relations", _generator_defects(gammas, eye)[0], TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
 
     # one matrix per label for hermiticity, squares and factorization: the
     # monomial form and its Pauli letters against the Kronecker-chain product
     labels = list(all_labels(2 * n))
+    drawn = labels
     if len(labels) > SAMPLE_CAP:
-        labels = [labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)]
+        drawn = [labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)]
     herm_dev = square_dev = fact_dev = 0.0
-    for label in labels:
+    for label in drawn:
         el = hermitize(label)
         m = represent(el, n)
         oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in label.indices], eye)
@@ -331,7 +333,11 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 
-    pairs = _label_pairs(n, rng, SAMPLE_CAP)
+    if len(labels) ** 2 <= SAMPLE_CAP:
+        pairs = [(a, b) for a in labels for b in labels]
+    else:
+        draws = rng.integers(0, len(labels), size=(SAMPLE_CAP, 2))
+        pairs = [(labels[i], labels[j]) for i, j in draws]
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
     chunk = max(1, (1 << 14) // 4**n)  # ~2^14 entries a stack: memory stays flat
@@ -339,32 +345,27 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
         part = pairs[start : start + chunk]
         ea = [ScaledElement(a) for a, _ in part]
         eb = [ScaledElement(b) for _, b in part]
-        ma, mb = _stack(ea, n), _stack(eb, n)
+        symbolic = ea + eb + list(map(product, ea, eb)) + list(map(commutator, ea, eb))
+        ma, mb, m_prod, m_comm = np.split(_stack(symbolic, n), 4)
         ab, ba = ma @ mb, mb @ ma
-        prod_dev = max(prod_dev, _maxabs(ab - _stack(list(map(product, ea, eb)), n)))
-        comm_dev = max(comm_dev, _maxabs(ab - ba - _stack(list(map(commutator, ea, eb)), n)))
+        prod_dev = max(prod_dev, _maxabs(ab - m_prod))
+        comm_dev = max(comm_dev, _maxabs(ab - ba - m_comm))
         c_norm = np.max(np.abs(ab - ba), axis=(1, 2))
         a_norm = np.max(np.abs(ab + ba), axis=(1, 2))
         dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
         dich_ok &= all((c <= TOL_EXACT) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
-        ha = _stack([hermitize(a) for a, _ in part], n)
-        hb = _stack([hermitize(b) for _, b in part], n)
+        # hermitizing rescales by i^hermitization_phase, so tr(h(a) h(b)) = i^(p_a + p_b) tr(ab)
+        phases = [hermitization_phase(a.order) + hermitization_phase(b.order) for a, b in part]
+        traces = 1j ** np.array(phases) * np.trace(ab, axis1=1, axis2=2)
         expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
-        trace_dev = max(trace_dev, _maxabs(np.einsum("kij,kji->k", ha, hb) - expect))
+        trace_dev = max(trace_dev, _maxabs(traces - expect))
     add("product-homomorphism", prod_dev, TOL_EXACT)
     add("commutator-homomorphism", comm_dev, TOL_EXACT)
     add("commutation-dichotomy", dich_dev, TOL_EXACT, extra_ok=dich_ok)
     add("trace-orthogonality", trace_dev, TOL_EXACT)
     add("factorization-consistency", fact_dev, TOL_EXACT)
 
-    rec = recursive_construct(n)
-    rec_dev = _anticommutation_defect(rec, eye)
-    rec_trace = max(
-        abs(np.trace(g1 @ g2) - (2.0**n if i == j else 0.0))
-        for i, g1 in enumerate(rec)
-        for j, g2 in enumerate(rec)
-    )
-    add("recursive-generators", max(rec_dev, rec_trace), TOL_STRICT)
+    add("recursive-generators", max(_generator_defects(recursive_construct(n), eye)), TOL_STRICT)
 
     h = random_hermitian(n, rng)
     coeffs = decompose(h, n, tol=TOL_ROUNDTRIP)

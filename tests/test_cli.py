@@ -91,6 +91,19 @@ class TestClosureCommand:
         second = run(capsys, *argv)
         assert first == second
 
+    def test_leading_minus_generator_after_the_separator(self, capsys):
+        # -e[0] spans the same algebra as e[0]; after -- argparse reads it as a word
+        plain = run(capsys, "closure", "--format", "records", "-m", "2", "e[0]", "e[1]")
+        signed = run(capsys, "closure", "--format", "records", "-m", "2", "--", "-e[0]", "e[1]")
+        assert signed == plain and plain[0] == EXIT_OK
+
+    @pytest.mark.parametrize("word", ["-e[0]", "-i*e[0]"])
+    def test_leading_minus_generator_without_the_separator_is_usage_error(self, capsys, word):
+        with pytest.raises(SystemExit) as err:
+            main(["closure", "-m", "2", word, "e[1]"])
+        assert err.value.code == EXIT_PARSE
+        assert f"unrecognized arguments: {word}" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     GENS = ["e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1,2]"]
@@ -157,6 +170,20 @@ class TestCertifyCommand:
         )
         assert code == EXIT_VERIFY
         assert out.endswith("replay deviation=9.09495e-13 steps=1 ok=false\n")
+
+    def test_leading_minus_generator_after_the_separator(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "-m", "2", "--target", "e[0,1]", "--", "-e[0]", "e[1]"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "generator -e[0]\n" in out
+        assert out.endswith(" ok=true\n")
+
+    def test_leading_minus_generator_without_the_separator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "-m", "2", "--target", "e[0,1]", "-e[0]", "e[1]"])
+        assert err.value.code == EXIT_PARSE
+        assert "unrecognized arguments: -e[0]" in capsys.readouterr().err
 
     def test_ambient_above_the_symbolic_cap(self, capsys):
         # refused before the generators are parsed: a label mask is an int
@@ -571,6 +598,26 @@ GOLDEN_RECORDS = {
         "element label=i*e[2,3] pauli=-ZI support=1 local=true\n"
         "element label=i*e[0,1,2] pauli=-XI support=1 local=true\n"
         "gateset qubits=2 count=5 dim=16 universal=true local=true\n"
+    ),
+    # four qubits: 65536 label pairs, so the pairs are drawn from the seed
+    ("verify-rep", "-n", "4", "--seed", "5"): (
+        "".join(
+            f"check name={name} deviation={dev} tolerance={tol} status=pass\n"
+            for name, dev, tol in (
+                ("clifford-relations", "0", "1e-14"),
+                ("generator-hermiticity", "0", "1e-14"),
+                ("hermitized-hermiticity", "0", "9.9999999999999998e-13"),
+                ("hermitized-squares", "0", "9.9999999999999998e-13"),
+                ("product-homomorphism", "0", "9.9999999999999998e-13"),
+                ("commutator-homomorphism", "0", "9.9999999999999998e-13"),
+                ("commutation-dichotomy", "0", "9.9999999999999998e-13"),
+                ("trace-orthogonality", "0", "9.9999999999999998e-13"),
+                ("factorization-consistency", "0", "9.9999999999999998e-13"),
+                ("recursive-generators", "0", "1e-14"),
+                ("decompose-roundtrip", "4.5182803598830274e-16", "1e-10"),
+            )
+        )
+        + "verify qubits=4 checks=11 failed=0\n"
     ),
     ("power", "--angle", "pi/2", "--eps", "0.1"): (
         "power angle=1.5707963267948966 eps=0.10000000000000001 N=4 residual=0 signed=0\n"

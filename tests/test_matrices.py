@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,8 +24,9 @@ from cliffgate import (
     represent,
     verify_representation,
 )
-from cliffgate import matrices
-from cliffgate.algebra import AmbientMismatchError, ParseError, qubit_count
+from cliffgate import algebra, matrices
+from cliffgate.algebra import AmbientMismatchError, ParseError, hermitization_phase, qubit_count
+from cliffgate.cli import EXIT_VERIFY, main
 from cliffgate.matrices import (
     PAULI,
     exponent_coincidence_report,
@@ -270,6 +274,43 @@ class TestVerifySuite:
         assert [c.name for c in sampled] == [c.name for c in full] and len(full) == 11
         assert sampled != full  # the draws move the round-trip matrix
         assert verify_representation(2, seed=3) == sampled
+
+    @pytest.mark.parametrize(
+        "check, name, corrupt",
+        [
+            ("product-homomorphism", "product",
+             lambda a, b: dataclasses.replace(product(a, b), phase=product(a, b).phase + 2)),
+            ("commutator-homomorphism", "commutator",
+             lambda a, b: ScaledElement.zero(a.ambient)),
+            ("commutation-dichotomy", "commutes", lambda a, b: True),
+            ("trace-orthogonality", "hermitization_phase",
+             lambda order: 1 - hermitization_phase(order)),
+        ],
+        ids=["product", "commutator", "commutes", "hermitization_phase"],
+    )
+    def test_each_pair_check_can_fail(self, capsys, monkeypatch, check, name, corrupt):
+        # the symbolic side made wrong in one way: the named check must catch it
+        monkeypatch.setattr(matrices, name, corrupt)
+        if name == "hermitization_phase":  # hermitize reads it from algebra
+            monkeypatch.setattr(algebra, name, corrupt)
+        results = {c.name: c for c in verify_representation(2)}
+        assert not results[check].passed
+        assert main(["verify-rep", "-n", "2"]) == EXIT_VERIFY
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if f"name={check} " in ln]
+        assert line.endswith("status=fail")
+
+    def test_memory_stays_flat_at_six_qubits(self, monkeypatch):
+        # 4096 labels of 64x64 matrices, 64 of them and 64 pairs drawn; forming
+        # all 144 generator products at once would peak near 27 MiB
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 64)
+        tracemalloc.start()
+        try:
+            results = verify_representation(6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in results), [c for c in results if not c.passed]
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_qubit(self, n):
