@@ -324,7 +324,7 @@ def all_labels(ambient: int) -> Iterator[BasisLabel]:
 
 _PREFIX_BY_PHASE = ("", "i*", "-", "-i*")
 _PREFIXES = (("-i*", 3), ("i*", 1), ("-", 2))
-_POW2_RE = re.compile(r"2\^(-?\d+)\*")
+_POW2_RE = re.compile(r"2\^(-?[0-9]+)\*")
 _LABEL_RE = re.compile(r"e\[([0-9,]*)\]")
 
 
@@ -345,6 +345,14 @@ def _parse_prefix(text: str) -> tuple[int, int]:
     return 0, 0
 
 
+def _parse_int(digits: str, what: str, column: int) -> int:
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} of {len(digits)} digits is too long", column) from None
+
+
 def format_element(elem: ScaledElement) -> str:
     if elem.is_zero:
         return "0"
@@ -361,7 +369,7 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
     pow2 = 0
     m = _POW2_RE.match(stripped, pos)
     if m:
-        pow2 = int(m.group(1))
+        pow2 = _parse_int(m.group(1), "exponent", offset + pos + 2)
         pos = m.end()
     m = _LABEL_RE.match(stripped, pos)
     if m is None:
@@ -374,7 +382,7 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
         for part in body.split(","):
             if not part.isdigit():
                 raise ParseError(f"bad generator index {part!r} in {text!r}", col)
-            idx = int(part)
+            idx = _parse_int(part, "generator index", col)
             if idx >= ambient:
                 raise ParseError(
                     f"generator index {idx} out of range for ambient {ambient}", col
@@ -410,7 +418,7 @@ def parse_scalar(text: str) -> tuple[int, int]:
     rest = stripped[pos:]
     if rest == "1":
         return phase, 0
-    m = re.fullmatch(r"2\^(-?\d+)", rest)
+    m = re.fullmatch(r"2\^(-?[0-9]+)", rest)
     if m is None:
         raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", pos)
-    return phase, int(m.group(1))
+    return phase, _parse_int(m.group(1), "exponent", pos + 2)

@@ -28,11 +28,17 @@ Only ``verify-rep`` and ``synth`` load numpy; ``closure``, ``certify``
 (which replays on integer Pauli monomials), ``gateset`` and ``power``
 (an exact convergent walk) run on integers.
 
-Exit codes: 0 success, 2 parse/usage error, 3 precondition failure,
-4 verification failure, 5 cap exceeded (including a ``synth`` product
-formula above the gate budget of 2^20 gates).  A reader that closes
-stdout early (``| head``) is no failure: the run stops at exit 0 with
-nothing on stderr.
+``synth`` reads its matrix file as UTF-8 and at most 64 bytes per entry
+of the 2^n x 2^n matrix, so ``--cap`` also bounds the bytes it reads.
+A product formula is written as its block of gate lines repeated N
+times.
+
+Exit codes: 0 success, 2 parse/usage error (a matrix file that is not
+UTF-8 included), 3 precondition failure, 4 verification failure, 5 cap
+exceeded (including a ``synth`` matrix file past its byte budget and a
+product formula above the gate budget of 2^20 gate lines).  A reader
+that closes stdout early (``| head``) is no failure: the run stops at
+exit 0 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -201,12 +207,32 @@ def cmd_gateset(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_matrix_text(path: str, qubits: int) -> str:
+    """The matrix file of ``synth``, read up to 64 bytes per entry of the
+    2^n x 2^n matrix (a %.17g re,im pair and its separator take at most 50)."""
+    dim = 2 ** max(qubits, 1)  # decompose refuses n < 1 with its own message
+    budget = 64 * dim * dim
+    chunks, size = [], 0  # read(n) allocates n bytes up front, so read in chunks
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            size += len(chunk)
+            if size > budget:
+                raise CapExceededError(
+                    f"input {path} exceeds {budget} bytes, 64 per entry of a {dim}x{dim} matrix"
+                )
+            chunks.append(chunk)
+    try:
+        return b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input {path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def cmd_synth(args, config: RunConfig) -> int:
     _check_qubits(args.qubits, args.cap)
     from .matrices import parse_matrix  # loads numpy
     from .synthesis import synthesize
 
-    h = parse_matrix(Path(args.input).read_text())
+    h = parse_matrix(_read_matrix_text(args.input, args.qubits))
     seq = synthesize(h, args.steps, args.qubits)
     serialized = seq.to_text()
     if args.output:
@@ -214,7 +240,8 @@ def cmd_synth(args, config: RunConfig) -> int:
     else:
         sys.stdout.write(serialized)
     config.emit(
-        "synth", qubits=args.qubits, steps=args.steps, gates=len(seq.gates), error=float(seq.error)
+        "synth", qubits=args.qubits, steps=args.steps, gates=len(seq.block) * seq.repeats,
+        error=float(seq.error),
     )
     return EXIT_OK
 

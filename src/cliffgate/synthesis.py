@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 ATOL = 1e-12  # synthesize drops coefficients at or below this
-MAX_GATES = 1 << 20  # gates in one product formula; each is held, one block applied
+MAX_GATES = 1 << 20  # steps x terms of one product formula: the gate lines it writes
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -103,62 +103,53 @@ class Gate:
         return f"gate {self.label} {self.angle:.17g}"
 
 
-def _period(gates: tuple[Gate, ...]) -> int:
-    """The smallest p >= 1 with ``gates == gates[:p] * (len(gates) // p)``.
-
-    Only divisors d of the length whose gate d equals gate 0 are tried, in
-    increasing order.  A repeated tuple holds the same Gate objects, which
-    tuple equality matches by identity at C speed.
-    """
-    n = len(gates)
-    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    for d in low + [n // d for d in reversed(low)]:
-        if gates[d % n] == gates[0] and gates == gates[:d] * (n // d):
-            return d
-    return 1  # no gates: an empty block repeated zero times
-
-
 @dataclass
 class GateSequence:
-    """Ordered gate list; the realized matrix multiplies left to right.
+    """``repeats`` copies of one block of gates; the realized matrix
+    multiplies left to right.
 
-    ``gates[0]`` is the leftmost factor of the product.  ``error`` is the
-    operator-norm distance to the target of the construction that built
-    the sequence.
+    ``block[0]`` is the leftmost factor of the block.  A product formula is
+    its per-term block and its step count; every other sequence, one read
+    back from text included, is one block with ``repeats`` 1.  ``error`` is
+    the operator-norm distance to the target of the construction that
+    built the sequence.
     """
 
-    gates: tuple[Gate, ...]
+    block: tuple[Gate, ...]
     qubits: int
+    repeats: int = 1
     error: float | None = None
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """Every gate in order: the block ``repeats`` times."""
+        return self.block * self.repeats
 
     def matrix(self) -> np.ndarray:
         """The product of the gates, ``gates[0]`` leftmost.
 
-        When the gates repeat one block, as a product formula's do, the
-        block is evaluated once and raised to its repeat count by
-        squaring: O(p*4^n + log(N)*8^n) for N blocks of p gates instead of
-        O(N*p*4^n).  A sequence that does not repeat is one block of its
-        own length.
+        The block is evaluated once and raised to ``repeats`` by squaring:
+        O(L*4^n + log(N)*8^n) for N blocks of L gates instead of
+        O(N*L*4^n).
         """
-        period = _period(self.gates)
-        block = self.gates[:period]
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
         # O(4^n) per gate; a label can recur, so each is built once.
-        labels = list(dict.fromkeys(gate.label for gate in block))
+        labels = list(dict.fromkeys(gate.label for gate in self.block))
         perms, values = signed_permutations([hermitize(l) for l in labels], self.qubits)
         values = 1j * values
         row = {label: k for k, label in enumerate(labels)}
         out = np.eye(2**self.qubits, dtype=complex)
-        for gate in block:
+        for gate in self.block:
             k = row[gate.label]
             out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perms[k]] * values[k]
-        return np.linalg.matrix_power(out, len(self.gates) // period)
+        return np.linalg.matrix_power(out, self.repeats)
 
     def to_text(self) -> str:
-        lines = [str(g) for g in self.gates]
+        # the block's lines are formatted once and the text repeated
+        text = "".join(f"{g}\n" for g in self.block) * self.repeats
         if self.error is not None:
-            lines.append(f"error {self.error:.17g}")
-        return "\n".join(lines) + "\n"
+            text += f"error {self.error:.17g}\n"
+        return text
 
     @classmethod
     def from_text(cls, text: str, qubits: int) -> "GateSequence":
@@ -176,7 +167,7 @@ class GateSequence:
                 error = _float(rest)
             else:
                 raise ParseError(f"unknown gate-sequence record {kind!r}")
-        return cls(gates=tuple(gates), qubits=qubits, error=error)
+        return cls(tuple(gates), qubits, error=error)
 
 
 def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> GateSequence:
@@ -200,12 +191,7 @@ def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> G
             "conjugation collapses; emit an identity gate instead"
         )
     seq = GateSequence(
-        gates=(
-            Gate(label_i, math.pi / 4),
-            Gate(label_j, float(angle)),
-            Gate(label_i, -math.pi / 4),
-        ),
-        qubits=n,
+        (Gate(label_i, math.pi / 4), Gate(label_j, float(angle)), Gate(label_i, -math.pi / 4)), n
     )
     target = math.cos(angle) * np.eye(2**n, dtype=complex) - math.sin(angle) * (
         hermitized_matrix(label_i, n) @ hermitized_matrix(label_j, n)
@@ -235,7 +221,7 @@ class CoefficientVector:
 
 
 def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
-    # the gate list of trotter and synthesize, before its error is measured
+    # the block and step count of trotter and synthesize, before the error is measured
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
     terms = coeffs.terms()
@@ -244,17 +230,17 @@ def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
             f"a product formula of {steps * len(terms)} gates exceeds the gate budget {MAX_GATES}"
         )
     block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
-    return GateSequence(gates=block * steps, qubits=coeffs.qubits)
+    return GateSequence(block, coeffs.qubits, steps)
 
 
 def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
     """First-order product formula for exp(i * sum_I alpha_I h_I).
 
-    ``steps`` repetitions of the per-term gates at angles alpha_I/steps,
-    terms in ascending canonical label order inside each repetition.  The
+    One block of per-term gates at angles alpha_I/steps, terms in
+    ascending canonical label order, repeated ``steps`` times.  The
     reported error is the operator-norm distance to the exact exponential
     and shrinks like (sum alpha^2)/steps.  Raises
-    :class:`CapExceededError` before building more than ``MAX_GATES`` gates.
+    :class:`CapExceededError` when steps x terms exceeds ``MAX_GATES``.
     """
     seq = _product_formula(coeffs, steps)
     target = expm_hermitian(reconstruct(dict(coeffs.terms()), coeffs.qubits), 1.0)
@@ -263,7 +249,7 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
 
 
 def synthesize(h: np.ndarray, steps: int, qubits: int) -> GateSequence:
-    """Decompose a Hermitian target and build the trotter gate list.
+    """Decompose a Hermitian target and build the trotter sequence.
 
     Coefficients with |alpha| <= ATOL are dropped.  The reported error is
     measured against exp(i*h).  :func:`decompose` rejects a matrix of the

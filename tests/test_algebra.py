@@ -235,6 +235,29 @@ class TestTextForm:
         with pytest.raises(ParseError, match="expected a scalar"):
             parse_scalar(text)
 
+    # int() refuses more than 4300 digits, and a non-ASCII digit such as the
+    # Arabic-Indic one is no digit of the grammar
+    @pytest.mark.parametrize(
+        "text, column",
+        [(f"2^{'1' * 5000}*e[0]", 2), (f"e[{'1' * 5000}]", 2), ("2^\u0661*e[0]", 0)],
+    )
+    def test_unreadable_digits_are_parse_errors(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, 4)
+        assert err.value.column == column
+
+    @pytest.mark.parametrize(
+        "text", [f"2^{'1' * 5000}", f"-i*2^{'1' * 5000}", "2^\u0661", f"e[{'1' * 5000}]"]
+    )
+    def test_scalar_unreadable_digits_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+
+    def test_exponent_of_4300_digits_is_legal(self):
+        digits = "1" * 4300
+        assert parse_element(f"2^{digits}*e[0]", 4).pow2 == int(digits)
+        assert parse_scalar(f"-2^{digits}") == (2, int(digits))
+
     @pytest.mark.parametrize("pow2", [-1074, 1023])
     def test_scalar_value_spans_the_float_range(self, pow2):
         assert ScaledElement(label([0], 4), pow2=pow2).coefficient == 2.0**pow2 != 0.0

@@ -22,7 +22,7 @@ from cliffgate.cli import (
 )
 from cliffgate.matrices import expm_hermitian, random_hermitian
 from cliffgate.pauli import ReplayReport
-from cliffgate.synthesis import GateSequence, _period, operator_distance
+from cliffgate.synthesis import GateSequence, operator_distance
 from conftest import label
 
 
@@ -72,6 +72,14 @@ class TestClosureCommand:
         code, out, err = run(capsys, "closure", "-m", "4", "e[0", "e[1]")
         assert code == EXIT_PARSE
         assert "column" in err
+
+    @pytest.mark.parametrize(
+        "word", [f"2^{'1' * 5000}*e[0]", f"e[{'1' * 5000}]", "2^\u0661*e[0]"]
+    )
+    def test_unreadable_digits_are_parse_errors(self, capsys, word):
+        code, out, err = run(capsys, "closure", "-m", "4", word, "e[1]")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("parse error: generator 1: column ")
 
     def test_odd_ambient_reports_unsupported(self, capsys):
         code, out, _ = run(capsys, "closure", "-m", "3", "e[0]", "e[1]", "e[2]")
@@ -313,8 +321,6 @@ class TestSynthCommand:
         assert all(line.startswith("gate ") for line in gate_lines)
         assert error_line.startswith("error ")
         seq = GateSequence.from_text(text, 2)
-        # parsed gates are new objects: the block is found by Gate equality
-        assert _period(seq.gates) == 16
         measured = operator_distance(seq.matrix(), expm_hermitian(h, 1.0))
         assert abs(measured - seq.error) < 1e-12
 
@@ -366,6 +372,43 @@ class TestSynthCommand:
             "cap exceeded: a product formula of 1000000000 gates exceeds the gate budget 1048576\n"
         )
         assert not outfile.exists()
+
+    # the input budget is 64 bytes per matrix entry: 256 bytes at one qubit
+    @pytest.mark.parametrize("size, code", [(256, EXIT_OK), (257, EXIT_CAP)])
+    def test_input_byte_budget(self, capsys, tmp_path, size, code):
+        text = format_matrix(hermitized_matrix(label([0], 2), 1))
+        infile = tmp_path / "h.mat"
+        infile.write_text(text + " " * (size - len(text)))
+        run_code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))
+        assert run_code == code, err
+        if code == EXIT_CAP:
+            assert (out, err) == (
+                "", f"cap exceeded: input {infile} exceeds 256 bytes, 64 per entry of a 2x2 matrix\n"
+            )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_input_stops_at_the_budget(self, capsys):
+        code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", "/dev/zero")
+        assert (code, out) == (EXIT_CAP, "")
+        assert "exceeds 256 bytes" in err
+
+    def test_widest_entries_fit_the_budget_at_six_qubits(self, capsys, tmp_path):
+        # every number written in 24 characters, the most a %.17g double takes
+        h = random_hermitian(6, np.random.default_rng(6))
+        rows = [" ".join(f"{v.real:+024.16e},{v.imag:+024.16e}" for v in row) for row in h]
+        infile = tmp_path / "wide.mat"
+        infile.write_text("\n".join(rows) + "\n")
+        assert infile.stat().st_size == 4096 * 50
+        code, out, err = run(capsys, "synth", "-n", "6", "-N", "1", "-i", str(infile))
+        assert code == EXIT_OK, err
+        assert "synth qubits=6 steps=1 gates=4096" in out
+
+    def test_non_utf8_input_is_a_parse_error(self, capsys, tmp_path):
+        infile = tmp_path / "latin1.mat"
+        infile.write_bytes("1,0 0,0\n0,0 1,0 \u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"parse error: input {infile} is not UTF-8 text (byte 16)\n"
 
     def test_dimension_mismatch(self, capsys, tmp_path):
         infile = tmp_path / "small.mat"

@@ -18,7 +18,13 @@ bounds the run:
   up to 10^5, with tolerances down to 1e-12; the convergent walk settles
   even an exhausted search at once.
 - ``synth`` draws, about one time in ten, 10^7, 10^9 or 10^12 steps,
-  which the gate budget refuses (exit 5) before any gate is built.
+  which the gate budget refuses (exit 5) before any gate is built.  Among
+  its bad input files are one a byte past the input budget of the largest
+  drawn qubit count (exit 5 before parsing) and one that is not UTF-8.
+
+Among the bad elements are 5000-digit exponents and indices, past the
+4300 digits that ``int()`` reads.  A targeted test pins the exact exit of
+these oversized and undecodable inputs.
 """
 
 import contextlib
@@ -37,7 +43,11 @@ DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e999", "pi/0", "-2*pi/0", "x", ""]
 ELEMENTS = ["e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1]", "i*e[0,1,2]", "-i*2^1*e[1,2,3]", "e[]", "0"]
-BAD_ELEMENTS = ["e[0", "e[1,0]", "x", "e[99]", "e[0,0]", "i*", "2^x*e[0]", ""]
+LONG_DIGITS = "1" * 5000
+BAD_ELEMENTS = [
+    "e[0", "e[1,0]", "x", "e[99]", "e[0,0]", "i*", "2^x*e[0]", "",
+    f"2^{LONG_DIGITS}*e[0]", f"e[{LONG_DIGITS}]", "2^\u0661*e[0]",
+]
 
 
 def _mostly(good, bad):
@@ -130,7 +140,12 @@ def qubits_argv(command, cap_high, *flags):
     )
 
 
-BAD_FILES = ["nonhermitian.mat", "bad.mat", "nan.mat", "empty.mat", "text.mat", "missing.mat"]
+BAD_FILES = [
+    "nonhermitian.mat", "bad.mat", "nan.mat", "empty.mat", "text.mat", "missing.mat",
+    "oversized.mat", "latin1.mat",
+]
+# the synth input budget at the largest drawn qubit count, 3: 64 bytes per entry
+BUDGET_AT_THREE_QUBITS = 64 * 4**3
 
 
 def synth_argv():
@@ -183,6 +198,8 @@ def workdir(tmp_path_factory):
     (path / "nan.mat").write_text("nan,0 0,0\n0,0 inf,0\n")
     (path / "empty.mat").write_text("")
     (path / "text.mat").write_text("e[0] e[1]\n")
+    (path / "oversized.mat").write_text(" " * (BUDGET_AT_THREE_QUBITS + 1))
+    (path / "latin1.mat").write_bytes("1,0 0,0\n0,0 1,0 \u00e9\n".encode("latin-1"))
     return path
 
 
@@ -247,3 +264,18 @@ def test_closure_label_cap_counts_every_label(cap, code, tmp_path):
         assert (out, err) == ("", "cap exceeded: the closure has more than 4095 labels\n")
     else:
         assert "dim=4096 universal=true" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["synth", "-n", "3", "-N", "1", "-i", "oversized.mat"], 5, "cap exceeded: "),
+        (["synth", "-n", "1", "-N", "1", "-i", "latin1.mat"], 2, "parse error: "),
+        (["closure", "-m", "4", f"2^{LONG_DIGITS}*e[0]", "e[1]"], 2, "parse error: "),
+        (["closure", "-m", "4", f"e[{LONG_DIGITS}]", "e[1]"], 2, "parse error: "),
+    ],
+)
+def test_oversized_and_undecodable_inputs_exit_exactly(argv, code, message, workdir):
+    code_seen, out, err = run_main(argv, workdir)
+    assert (code_seen, out) == (code, ""), err
+    assert err.startswith(message)

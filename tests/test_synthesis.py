@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -36,7 +37,7 @@ from cliffgate import (
 )
 from cliffgate.matrices import random_hermitian, unitarity_defect
 from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
-from cliffgate.synthesis import MAX_GATES, _period
+from cliffgate.synthesis import MAX_GATES
 from conftest import label, labels_upto, maxabs
 
 
@@ -173,6 +174,38 @@ class TestTrotterBound:
     def test_error_within_the_first_order_commutator_bound(self, coeffs, steps):
         bound = anticommutation_bound(coeffs.terms(), steps)
         assert trotter(coeffs, steps).error <= bound + 1e-10
+
+
+class TestBlockText:
+    """A product formula is one block and its step count; its text is the
+    gate-by-gate text of the whole sequence."""
+
+    @given(coefficient_vectors(), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_text_is_the_flat_gate_text(self, coeffs, steps):
+        seq = trotter(coeffs, steps)
+        assert (len(seq.block), seq.repeats) == (len(coeffs.terms()), steps)
+        flat = "".join(f"{g}\n" for g in seq.gates) + f"error {seq.error:.17g}\n"
+        assert seq.to_text() == flat
+
+    def test_text_read_back_is_one_block(self):
+        seq = trotter(CoefficientVector(2, {label([0], 4): 0.1, label([0, 1], 4): 0.2}), 5)
+        back = GateSequence.from_text(seq.to_text(), 2)
+        assert (back.block, back.repeats, back.error) == (seq.gates, 1, seq.error)
+        assert back.to_text() == seq.to_text()
+
+    def test_memory_at_the_gate_budget_stays_near_the_text(self):
+        # 2^20 gate lines; holding them as a flat gate tuple and a list of
+        # line strings peaked near 4.9 times the text
+        h = random_hermitian(1, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            text = synthesize(h, MAX_GATES // 4, 1).to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == MAX_GATES + 1
+        assert peak < 3 * len(text)
 
 
 class TestSynthesize:
@@ -426,9 +459,9 @@ def dense_product(gates, n):
 
 
 class TestBlockPower:
-    """matrix() raises a repeated block to its count; the dense gate-by-gate
-    product is the oracle, and sequences that only nearly repeat must be
-    applied whole."""
+    """matrix() raises the block to its repeat count; the dense gate-by-gate
+    product is the oracle, also for sequences that only nearly repeat and
+    are one block repeated once."""
 
     @staticmethod
     def random_gates(n, size, seed):
@@ -441,39 +474,43 @@ class TestBlockPower:
     @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 32])
     def test_repeated_block_matches_the_dense_product(self, n, steps):
         block = self.random_gates(n, 4**n, 70 + n)
-        gates = block * steps
-        assert _period(gates) == len(block)
-        assert maxabs(GateSequence(gates, n).matrix() - dense_product(gates, n)) < 1e-13
+        seq = GateSequence(block, n, steps)
+        assert seq.gates == block * steps
+        assert maxabs(seq.matrix() - dense_product(block * steps, n)) < 1e-13
 
     def test_one_extra_gate_breaks_the_period(self):
         block = self.random_gates(2, 6, 81)
         gates = block * 8 + block[:1]
-        assert _period(gates) == len(gates)
         assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
 
     def test_first_gate_recurring_inside_the_block(self):
         a, b, c = self.random_gates(2, 3, 82)
         block = (a, b, a, c)
         for gates in (block, block * 5):
-            assert _period(gates) == len(block)
             assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
 
     def test_same_label_at_two_angles_is_not_a_repeat(self):
         x, y = label([0], 4), label([1, 2], 4)
         gates = (Gate(x, 0.3), Gate(y, 0.5), Gate(x, 0.7), Gate(y, 0.5)) * 3
-        assert _period(gates) == 4
         assert maxabs(GateSequence(gates, 2).matrix() - dense_product(gates, 2)) < 1e-13
 
     def test_empty_sequence_is_the_identity(self):
-        assert _period(()) == 1
         assert maxabs(GateSequence((), 2).matrix() - np.eye(4)) == 0.0
 
     @pytest.mark.parametrize("steps", [1, 2, 7, 64])
     def test_single_gate_repeated(self, steps):
         gate = Gate(label([0, 1, 2], 6), 0.41)
         gates = (gate,) * steps
-        assert _period(gates) == 1
         assert maxabs(GateSequence(gates, 3).matrix() - dense_product(gates, 3)) < 1e-13
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 64])
+    def test_single_gate_block(self, steps):
+        gate = Gate(label([0, 1, 2], 6), 0.41)
+        want = dense_product((gate,) * steps, 3)
+        assert maxabs(GateSequence((gate,), 3, steps).matrix() - want) < 1e-13
+
+    def test_empty_block_repeated_is_the_identity(self):
+        assert maxabs(GateSequence((), 2, 10**12).matrix() - np.eye(4)) == 0.0
 
 
 class TestDistances:
