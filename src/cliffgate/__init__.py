@@ -48,7 +48,7 @@ _LAZY = {
     ),
     **dict.fromkeys(
         ("CoefficientVector", "Gate", "GateSequence", "commutator_gate", "operator_distance",
-         "phase_aligned_distance", "synthesize", "trotter"),
+         "synthesize", "trotter"),
         "synthesis",
     ),
 }

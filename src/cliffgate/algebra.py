@@ -345,12 +345,18 @@ def _parse_prefix(text: str) -> tuple[int, int]:
     return 0, 0
 
 
-def _parse_int(digits: str, what: str, column: int) -> int:
-    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"{what} of {len(digits)} digits is too long", column) from None
+def _parse_number(text: str, kind: type, what: str, column: int = 0):
+    """The one reader of numbers in file and argv text: ``kind(text)``, for
+    ``kind`` int or float, when the text is ASCII without ``_``, and a
+    :class:`ParseError` at ``column`` otherwise.  int() and float() alone
+    also read non-ASCII digits and ``_`` separators."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            if text.lstrip("+-").isdigit():  # int() reads at most 4300 digits
+                raise ParseError(f"{what} of {len(text)} digits is too long", column) from None
+    raise ParseError(f"bad {what} {text!r}", column)
 
 
 def format_element(elem: ScaledElement) -> str:
@@ -369,7 +375,7 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
     pow2 = 0
     m = _POW2_RE.match(stripped, pos)
     if m:
-        pow2 = _parse_int(m.group(1), "exponent", offset + pos + 2)
+        pow2 = _parse_number(m.group(1), int, "exponent", offset + pos + 2)
         pos = m.end()
     m = _LABEL_RE.match(stripped, pos)
     if m is None:
@@ -380,9 +386,9 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
     if body:
         col = offset + pos + 2
         for part in body.split(","):
-            if not part.isdigit():
+            if not part:
                 raise ParseError(f"bad generator index {part!r} in {text!r}", col)
-            idx = _parse_int(part, "generator index", col)
+            idx = _parse_number(part, int, "generator index", col)
             if idx >= ambient:
                 raise ParseError(
                     f"generator index {idx} out of range for ambient {ambient}", col
@@ -421,4 +427,4 @@ def parse_scalar(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"2\^(-?[0-9]+)", rest)
     if m is None:
         raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", pos)
-    return phase, _parse_int(m.group(1), "exponent", pos + 2)
+    return phase, _parse_number(m.group(1), int, "exponent", pos + 2)

@@ -33,12 +33,19 @@ of the 2^n x 2^n matrix, so ``--cap`` also bounds the bytes it reads.
 A product formula is written as its block of gate lines repeated N
 times.
 
+Every number in argv and in the matrix file is read by one rule
+(``algebra._parse_number``): ASCII text that ``int()`` or ``float()``
+reads, with no ``_`` separator.  Any other digit, such as an Arabic-Indic
+or fullwidth one, is a parse or usage error (exit 2).
+
 Exit codes: 0 success, 2 parse/usage error (a matrix file that is not
 UTF-8 included), 3 precondition failure, 4 verification failure, 5 cap
-exceeded (including a ``synth`` matrix file past its byte budget and a
-product formula above the gate budget of 2^20 gate lines).  A reader
-that closes stdout early (``| head``) is no failure: the run stops at
-exit 0 with nothing on stderr.
+exceeded (including a ``synth`` matrix file past its byte budget, a
+product formula above the gate budget of 2^20 gate lines and an
+allocation the machine refuses, such as ``verify-rep -n 20 --cap 20``,
+each with nothing on stdout).  A reader that closes stdout early
+(``| head``) is no failure: the run stops at exit 0 with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import ParseError, format_element, parse_element, parse_label
+from .algebra import ParseError, _parse_number, format_element, parse_element, parse_label
 from .closure import (
     DEFAULT_LABEL_CAP,
     CapExceededError,
@@ -97,17 +104,33 @@ class RunConfig:
         print(" ".join(parts))
 
 
+def _number_flag(kind: type):
+    """The ``type=`` of a number flag: the one number reader, named ``int``
+    or ``float`` as argparse's "invalid ... value" message shows it."""
+
+    def read(text: str):
+        return _parse_number(text, kind, kind.__name__)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_INT, _FLOAT = _number_flag(int), _number_flag(float)
+
+
 def _angle_value(text: str) -> float:
     """Accept a finite float or a simple multiple of pi such as pi/2 or -2*pi/3."""
     try:
-        value = float(text)
-    except ValueError:
-        m = re.fullmatch(r"\s*(-)?(\d+\.?\d*|\.\d+)?\*?pi(?:/(\d+\.?\d*))?\s*", text)
+        value = _parse_number(text, float, "angle")
+    except ParseError:
+        m = re.fullmatch(
+            r"\s*(-)?([0-9]+\.?[0-9]*|\.[0-9]+)?\*?pi(?:/([0-9]+\.?[0-9]*))?\s*", text, re.ASCII
+        )
         if m is None:
             raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None
         sign = -1.0 if m.group(1) else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
+        num = _parse_number(m.group(2), float, "angle") if m.group(2) else 1.0
+        den = _parse_number(m.group(3), float, "angle") if m.group(3) else 1.0
         if den == 0:
             raise ParseError(f"angle {text!r} divides by zero") from None
         value = sign * num * math.pi / den
@@ -275,37 +298,37 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("human", "records"), default="human",
             help="float precision of the records: 6 (human) or 17 (records) significant digits",
         )
-        p.add_argument("--cap", type=int, default=cap[0], help=cap[1])
+        p.add_argument("--cap", type=_INT, default=cap[0], help=cap[1])
         p.set_defaults(handler=handler)
         return p
 
     # argparse reads a word such as -e[0] as a flag; after "--" every word is a generator
     gens_help = "elements like e[0] or i*e[0,1,2]; after -- also -e[0] or -i*e[1]"
     p = command("closure", cmd_closure, LABEL_CAP, "close a generator set")
-    p.add_argument("-m", "--ambient", type=int, required=True, help="generator count")
+    p.add_argument("-m", "--ambient", type=_INT, required=True, help="generator count")
     p.add_argument("generators", nargs="+", help=gens_help)
 
     p = command("certify", cmd_certify, LABEL_CAP, "derive one label and replay it")
-    p.add_argument("-m", "--ambient", type=int, required=True)
+    p.add_argument("-m", "--ambient", type=_INT, required=True)
     p.add_argument("--target", required=True, help="target label like e[0,1]")
     p.add_argument("generators", nargs="+", help=gens_help)
 
     p = command("verify-rep", cmd_verify_rep, QUBIT_CAP, "run the dense-oracle sweep")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps (>= 0)")
-    p.add_argument("-n", "--qubits", type=int, required=True)
+    p.add_argument("--seed", type=_INT, default=0, help="seed for sampled sweeps (>= 0)")
+    p.add_argument("-n", "--qubits", type=_INT, required=True)
 
     p = command("gateset", cmd_gateset, LABEL_CAP, "list the local universal gate set")
-    p.add_argument("-n", "--qubits", type=int, required=True)
+    p.add_argument("-n", "--qubits", type=_INT, required=True)
 
     p = command("synth", cmd_synth, QUBIT_CAP, "synthesize exp(i*H) from a matrix file")
-    p.add_argument("-n", "--qubits", type=int, required=True)
-    p.add_argument("-N", "--steps", type=int, required=True, help="product-formula repetitions")
+    p.add_argument("-n", "--qubits", type=_INT, required=True)
+    p.add_argument("-N", "--steps", type=_INT, required=True, help="product-formula repetitions")
     p.add_argument("-i", "--input", required=True, help="Hermitian matrix text file")
     p.add_argument("-o", "--output", default=None, help="gate sequence output file")
 
     p = command("power", cmd_power, POWER_CAP, "minimal power near a full turn")
     p.add_argument("--angle", required=True, help="gate angle (float or k*pi/m)")
-    p.add_argument("--eps", type=float, required=True, help="residual tolerance")
+    p.add_argument("--eps", type=_FLOAT, required=True, help="residual tolerance")
     return parser
 
 
@@ -337,6 +360,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:  # a --cap set past what the machine can allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"cap exceeded: out of memory{detail}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:  # unreachable targets and ambient mismatches too
         print(f"error: {exc}", file=sys.stderr)

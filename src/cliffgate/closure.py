@@ -37,6 +37,7 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
+    _parse_number,
     canonical_key,
     commutator,
     format_element,
@@ -135,10 +136,9 @@ def chain_generators(ambient: int) -> GeneratorSet:
 
 @dataclass(frozen=True)
 class CertificateStep:
-    """One bracket: [rep(parent_a), rep(parent_b)] = element, whose label is
-    ``result``.  In a closure's provenance ``parent_b`` is a generator."""
+    """One bracket: [rep(parent_a), rep(parent_b)] = element, the step's
+    result.  In a closure's provenance ``parent_b`` is a generator."""
 
-    result: BasisLabel
     parent_a: BasisLabel
     parent_b: BasisLabel
     element: ScaledElement
@@ -225,7 +225,7 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
                 if len(seen) > cap:
                     raise _label_cap_exceeded(cap)
                 c = commutator(rep_a, rep_b)
-                found[c.label] = CertificateStep(c.label, a, b, c)
+                found[c.label] = CertificateStep(a, b, c)
         if not found:
             break
         layer = sorted(found, key=canonical_key)
@@ -299,9 +299,9 @@ class Certificate:
                 if parent not in avail:
                     raise ValueError(f"step parent {parent} has no prior derivation")
             c = commutator(avail[step.parent_a], avail[step.parent_b])
-            if c.is_zero or c.label != step.result or c != step.element:
-                raise ValueError(f"step for {step.result} does not replay: got {c}")
-            avail[step.result] = c
+            if c.is_zero or c != step.element:
+                raise ValueError(f"step for {step.element.label} does not replay: got {c}")
+            avail[c.label] = c
         if self.target.order and self.target not in avail:
             raise ValueError(f"target {self.target} never derived")
         actual = avail.get(self.target, ScaledElement.unit(self.ambient))
@@ -319,8 +319,8 @@ class Certificate:
         lines = [f"ambient {self.ambient}", f"target {self.target}"]
         lines += [f"generator {format_element(g)}" for g in self.generators]
         for step in self.steps:
-            coeff = format_scalar(step.element.phase, step.element.pow2)
-            lines.append(f"step {step.result} := [{step.parent_a}, {step.parent_b}] * {coeff}")
+            head = f"step {step.element.label} := [{step.parent_a}, {step.parent_b}]"
+            lines.append(f"{head} * {format_scalar(step.element.phase, step.element.pow2)}")
         lines.append(f"scalar {format_scalar(self.scalar_phase, self.scalar_pow2)}")
         return "\n".join(lines) + "\n"
 
@@ -338,7 +338,7 @@ class Certificate:
             kind, _, rest = line.partition(" ")
             if kind == "ambient":
                 try:
-                    ambient = int(rest)
+                    ambient = _parse_number(rest, int, "ambient")
                 except ValueError:
                     raise ParseError(f"line {ln}: bad ambient {rest!r}") from None
             elif ambient is None:
@@ -357,7 +357,6 @@ class Certificate:
                 result = parse_label(result_text.strip(), ambient)
                 steps.append(
                     CertificateStep(
-                        result=result,
                         parent_a=parse_label(a_text.strip(), ambient),
                         parent_b=parse_label(b_text.strip(), ambient),
                         element=ScaledElement(result, phase=phase, pow2=pow2),

@@ -27,6 +27,7 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
+    _parse_number,
     _require_qubits,
     all_labels,
     commutator,
@@ -40,7 +41,6 @@ from .pauli import pauli_factorization, pauli_monomial
 __all__ = [
     "CheckResult",
     "decompose",
-    "exponent_coincidence_report",
     "expm_hermitian",
     "format_matrix",
     "gamma",
@@ -52,7 +52,6 @@ __all__ = [
     "reconstruct",
     "represent",
     "signed_permutations",
-    "unitarity_defect",
     "verify_representation",
 ]
 
@@ -149,10 +148,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-
-
 def _require_hermitian(h: np.ndarray, tol: float) -> None:
     if not np.isfinite(h).all():
         raise ValueError("matrix has a non-finite entry")
@@ -243,8 +238,10 @@ def parse_matrix(text: str) -> np.ndarray:
             parts = tok.split(",")
             if len(parts) != 2:
                 raise ParseError(f"line {ln}: expected re,im pairs, got {tok!r}")
+            re_text, im_text = parts
             try:
-                row.append(complex(float(parts[0]), float(parts[1])))
+                row.append(complex(_parse_number(re_text, float, "number"),
+                                   _parse_number(im_text, float, "number")))
             except ValueError:
                 raise ParseError(f"line {ln}: bad number in {tok!r}") from None
         rows.append(row)
@@ -371,29 +368,3 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     coeffs = decompose(h, n, tol=TOL_ROUNDTRIP)
     add("decompose-roundtrip", _maxabs(reconstruct(coeffs, n) - h), TOL_ROUNDTRIP)
     return results
-
-
-def exponent_coincidence_report(axis_a: str = "x", axis_b: str = "z") -> dict:
-    """Evaluate three pi-angle exponentials that share matrix values.
-
-    Returns the matrices exp(i*pi*(A (x) I)), exp(i*pi*(A (x) I + I (x) B))
-    and exp(i*pi*(A (x) B)) for the chosen Pauli axes, together with their
-    pairwise max-abs distances and the pairs within TOL_EXACT.  Several
-    distinct Hermitian exponents map to the same unitary, so recovering an
-    exponent from a gate is not unique; this report shows the phenomenon in
-    whatever form the numbers actually take.
-    """
-    pa, pb = PAULI[axis_a.upper()], PAULI[axis_b.upper()]
-    mats = {
-        "single": expm_hermitian(np.kron(pa, _I2), np.pi),
-        "sum": expm_hermitian(np.kron(pa, _I2) + np.kron(_I2, pb), np.pi),
-        "product": expm_hermitian(np.kron(pa, pb), np.pi),
-    }
-    names = sorted(mats)
-    distances = {
-        (x, y): float(np.max(np.abs(mats[x] - mats[y])))
-        for i, x in enumerate(names)
-        for y in names[i + 1 :]
-    }
-    coincide = sorted(pair for pair, d in distances.items() if d <= TOL_EXACT)
-    return {"matrices": mats, "distances": distances, "coincide": coincide}

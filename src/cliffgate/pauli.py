@@ -157,7 +157,7 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
                 raise ValueError(f"step parent {parent} appears before its derivation")
         form = _bracket(forms[step.parent_a], forms[step.parent_b])
         agree &= form == _monomial(step.element)
-        forms[step.result] = form
+        forms[step.element.label] = form
     if cert.target in forms:
         final = forms[cert.target]
     elif cert.target.order:

@@ -23,12 +23,10 @@ import numpy as np
 
 from .algebra import (
     BasisLabel,
-    ParseError,
     _require_qubits,
     canonical_key,
     commutes,
     hermitize,
-    parse_label,
     qubit_count,
 )
 from .closure import CapExceededError
@@ -46,7 +44,6 @@ __all__ = [
     "GateSequence",
     "commutator_gate",
     "operator_distance",
-    "phase_aligned_distance",
     "synthesize",
     "trotter",
 ]
@@ -58,28 +55,10 @@ MAX_GATES = 1 << 20  # steps x terms of one product formula: the gate lines it w
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Operator-norm distance (largest singular value of the difference).
 
-    Sensitive to global phase, which is the default comparison; it
-    composes under products, so per-gate errors bound sequence errors.
+    Sensitive to global phase; it composes under products, so per-gate
+    errors bound sequence errors.
     """
     return float(np.linalg.norm(a - b, 2))
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Operator-norm distance after aligning a global phase.
-
-    The phase is the Frobenius-optimal arg(trace(b^dag a)); for unitaries
-    this is the standard phase-invariant comparison.
-    """
-    overlap = np.trace(b.conj().T @ a)
-    phi = np.angle(overlap) if abs(overlap) > 0 else 0.0
-    return operator_distance(a, np.exp(1j * phi) * b)
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"bad number {text!r} in gate-sequence text") from None
 
 
 @dataclass(frozen=True)
@@ -109,8 +88,8 @@ class GateSequence:
     multiplies left to right.
 
     ``block[0]`` is the leftmost factor of the block.  A product formula is
-    its per-term block and its step count; every other sequence, one read
-    back from text included, is one block with ``repeats`` 1.  ``error`` is
+    its per-term block and its step count; every other sequence is one
+    block with ``repeats`` 1.  ``error`` is
     the operator-norm distance to the target of the construction that
     built the sequence.
     """
@@ -150,24 +129,6 @@ class GateSequence:
         if self.error is not None:
             text += f"error {self.error:.17g}\n"
         return text
-
-    @classmethod
-    def from_text(cls, text: str, qubits: int) -> "GateSequence":
-        gates: list[Gate] = []
-        error = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "gate":
-                label_text, _, angle_text = rest.rpartition(" ")
-                gates.append(Gate(parse_label(label_text, 2 * qubits), _float(angle_text)))
-            elif kind == "error":
-                error = _float(rest)
-            else:
-                raise ParseError(f"unknown gate-sequence record {kind!r}")
-        return cls(tuple(gates), qubits, error=error)
 
 
 def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> GateSequence:

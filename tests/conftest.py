@@ -62,6 +62,10 @@ def maxabs(m):
     return float(np.max(np.abs(m)))
 
 
+def unitarity_defect(u):
+    return maxabs(u.conj().T @ u - np.eye(u.shape[0]))
+
+
 def oracle_replay(cert):
     """Certificate replay with dense matrices: each step's commutator from
     two matmuls, the worst max-abs entry deviation from the recorded
@@ -76,7 +80,7 @@ def oracle_replay(cert):
                 raise ValueError(f"step parent {parent} appears before its derivation")
         m = mats[step.parent_a] @ mats[step.parent_b] - mats[step.parent_b] @ mats[step.parent_a]
         worst = max(worst, maxabs(m - represent(step.element, n)))
-        mats[step.result] = m
+        mats[step.element.label] = m
     final = mats.get(cert.target)
     if final is None:
         if cert.target.order:

@@ -2,6 +2,7 @@ import argparse
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgate import BasisLabel, cli, format_matrix, hermitize, hermitized_matrix
+from cliffgate import BasisLabel, cli, format_matrix, hermitize, hermitized_matrix, parse_label
 from cliffgate.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -22,7 +23,7 @@ from cliffgate.cli import (
 )
 from cliffgate.matrices import expm_hermitian, random_hermitian
 from cliffgate.pauli import ReplayReport
-from cliffgate.synthesis import GateSequence, operator_distance
+from cliffgate.synthesis import Gate, GateSequence, operator_distance
 from conftest import label
 
 
@@ -320,9 +321,11 @@ class TestSynthCommand:
         assert gate_lines == gate_lines[:16] * 8
         assert all(line.startswith("gate ") for line in gate_lines)
         assert error_line.startswith("error ")
-        seq = GateSequence.from_text(text, 2)
+        # each line is "gate <label> <angle>"
+        words = [line.split(" ") for line in gate_lines]
+        seq = GateSequence(tuple(Gate(parse_label(lab, 4), float(t)) for _, lab, t in words), 2)
         measured = operator_distance(seq.matrix(), expm_hermitian(h, 1.0))
-        assert abs(measured - seq.error) < 1e-12
+        assert abs(measured - float(error_line.split(" ")[1])) < 1e-12
 
     def test_non_hermitian_rejected_with_deviation(self, capsys, tmp_path):
         infile = tmp_path / "bad.mat"
@@ -504,6 +507,55 @@ class TestPowerCommand:
         code, out, err = run(capsys, "power", "--angle", "6.28", "--eps", "0.1", "--cap", cap)
         assert (code, out) == (EXIT_CAP, "")
         assert err.startswith("cap exceeded: ")
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("cliffgate.matrices.verify_representation", ["verify-rep", "-n", "2"]),
+            ("cliffgate.synthesis.synthesize", ["synth", "-n", "1", "-N", "1", "-i", "{file}"]),
+        ],
+        ids=["verify-rep", "synth"],
+    )
+    def test_an_allocation_failure_is_cap_exceeded(self, capsys, monkeypatch, tmp_path,
+                                                   target, argv):
+        infile = tmp_path / "h.mat"
+        infile.write_text(format_matrix(np.eye(2)))
+
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(target, allocate)
+        code, out, err = run(capsys, *(word.format(file=infile) for word in argv))
+        assert (code, out, err) == (
+            EXIT_CAP, "", "cap exceeded: out of memory: Unable to allocate 8.00 TiB\n"
+        )
+
+    def test_a_bare_memory_error_is_cap_exceeded(self, capsys, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("cliffgate.matrices.verify_representation", allocate)
+        assert run(capsys, "verify-rep", "-n", "2") == (
+            EXIT_CAP, "", "cap exceeded: out of memory\n"
+        )
+
+    def test_verify_rep_past_the_address_space_exits_5(self):
+        # 2^20 x 2^20 matrices: the first allocation asks for 8 TiB, past a
+        # 3 GB address-space limit on this child alone
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "cliffgate.cli", "verify-rep", "-n", "20", "--cap", "20"],
+            capture_output=True, text=True, preexec_fn=limit, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        )
+        assert (done.returncode, done.stdout) == (EXIT_CAP, ""), done.stderr
+        assert done.stderr.startswith("cap exceeded: out of memory: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestClosedStdout:

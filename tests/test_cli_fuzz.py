@@ -23,8 +23,11 @@ bounds the run:
   drawn qubit count (exit 5 before parsing) and one that is not UTF-8.
 
 Among the bad elements are 5000-digit exponents and indices, past the
-4300 digits that ``int()`` reads.  A targeted test pins the exact exit of
-these oversized and undecodable inputs.
+4300 digits that ``int()`` reads.  Among the bad numbers, elements and
+files are an Arabic-Indic digit, a fullwidth digit and ``1_0``, which
+``int()`` and ``float()`` read but the number grammar refuses.  A targeted
+test pins the exact exit of these oversized, undecodable and non-ASCII
+inputs.
 """
 
 import contextlib
@@ -41,12 +44,12 @@ from cliffgate.cli import main
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
-BAD_NUMBERS = ["nan", "inf", "-inf", "1e999", "pi/0", "-2*pi/0", "x", ""]
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e999", "pi/0", "-2*pi/0", "x", "", "\u0661", "\uff11", "1_0"]
 ELEMENTS = ["e[0]", "e[1]", "e[2]", "e[3]", "i*e[0,1]", "i*e[0,1,2]", "-i*2^1*e[1,2,3]", "e[]", "0"]
 LONG_DIGITS = "1" * 5000
 BAD_ELEMENTS = [
     "e[0", "e[1,0]", "x", "e[99]", "e[0,0]", "i*", "2^x*e[0]", "",
-    f"2^{LONG_DIGITS}*e[0]", f"e[{LONG_DIGITS}]", "2^\u0661*e[0]",
+    f"2^{LONG_DIGITS}*e[0]", f"e[{LONG_DIGITS}]", "2^\u0661*e[0]", "e[\uff11]", "2^1_0*e[0]",
 ]
 
 
@@ -75,7 +78,9 @@ def _flag(name, values):
 REALS = _mostly(
     st.sampled_from(["1e-10", "1e-6", "0.5", "1e-300"]),
     st.one_of(
-        st.sampled_from(["0", "-1", "1e999", "nan", "inf", "-inf", "tiny", ""]),
+        st.sampled_from(
+            ["0", "-1", "1e999", "nan", "inf", "-inf", "tiny", "", "\u0661.\u0665", "1_0"]
+        ),
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
     ),
 )
@@ -142,7 +147,7 @@ def qubits_argv(command, cap_high, *flags):
 
 BAD_FILES = [
     "nonhermitian.mat", "bad.mat", "nan.mat", "empty.mat", "text.mat", "missing.mat",
-    "oversized.mat", "latin1.mat",
+    "oversized.mat", "latin1.mat", "arabic.mat", "underscore.mat",
 ]
 # the synth input budget at the largest drawn qubit count, 3: 64 bytes per entry
 BUDGET_AT_THREE_QUBITS = 64 * 4**3
@@ -200,6 +205,8 @@ def workdir(tmp_path_factory):
     (path / "text.mat").write_text("e[0] e[1]\n")
     (path / "oversized.mat").write_text(" " * (BUDGET_AT_THREE_QUBITS + 1))
     (path / "latin1.mat").write_bytes("1,0 0,0\n0,0 1,0 \u00e9\n".encode("latin-1"))
+    (path / "arabic.mat").write_text("\u0661,0 0,0\n0,0 \u0661,0\n")
+    (path / "underscore.mat").write_text("1_0,0 0,0\n0,0 1,0\n")
     return path
 
 
@@ -273,6 +280,10 @@ def test_closure_label_cap_counts_every_label(cap, code, tmp_path):
         (["synth", "-n", "1", "-N", "1", "-i", "latin1.mat"], 2, "parse error: "),
         (["closure", "-m", "4", f"2^{LONG_DIGITS}*e[0]", "e[1]"], 2, "parse error: "),
         (["closure", "-m", "4", f"e[{LONG_DIGITS}]", "e[1]"], 2, "parse error: "),
+        (["synth", "-n", "1", "-N", "1", "-i", "arabic.mat"], 2, "parse error: "),
+        (["synth", "-n", "1", "-N", "1", "-i", "underscore.mat"], 2, "parse error: "),
+        (["power", "--angle", "pi/\u0662", "--eps", "0.1"], 2, "parse error: "),
+        (["closure", "-m", "\u0664", "e[0]", "e[1]"], 2, "usage: "),
     ],
 )
 def test_oversized_and_undecodable_inputs_exit_exactly(argv, code, message, workdir):

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def oracle_close(gens):
                 c = oracle_commutator(reps[a], reps[b])
                 if c.is_zero or c.label in reps or c.label in found:
                     continue
-                found[c.label] = CertificateStep(c.label, a, b, c)
+                found[c.label] = CertificateStep(a, b, c)
         if not found:
             break
         layer = sorted(found, key=canonical_key)
@@ -487,6 +488,14 @@ class TestCertificates:
         with pytest.raises(ValueError, match=re.escape(message)):
             Certificate.from_text(tamper(text))
 
+    def test_validate_rejects_a_vanishing_step(self):
+        # [g, g] is zero, so a step may not record the zero element for it
+        cert = certificate(close(universal_generators(4)), label([0, 1], 4))
+        g = cert.generators[0].label
+        vanishing = CertificateStep(g, g, ScaledElement.zero(4))
+        with pytest.raises(ValueError, match=re.escape("step for e[] does not replay: got 0")):
+            replace(cert, steps=(vanishing, *cert.steps)).validate()
+
     def test_from_text_rejects_bad_ambient_as_parse_error(self):
         with pytest.raises(ParseError):
             Certificate.from_text("ambient x")
@@ -509,7 +518,7 @@ class TestCertificates:
                     assert step.parent_a in result.initial
                 else:
                     assert step.parent_a == previous
-                previous = step.result
+                previous = step.element.label
 
     def test_certificates_survive_serialization_and_replay(self):
         result = close(chain_generators(6))

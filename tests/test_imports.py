@@ -28,8 +28,7 @@ PUBLIC = (
     "parse_matrix pauli_factorization reconstruct recursive_construct "
     "replay_certificate represent verify_representation "
     "CoefficientVector Gate GateSequence PowerResult commutator_gate "
-    "irrational_power minimal_power_scan operator_distance "
-    "phase_aligned_distance synthesize trotter"
+    "irrational_power minimal_power_scan operator_distance synthesize trotter"
 ).split()
 
 

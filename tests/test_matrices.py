@@ -27,14 +27,8 @@ from cliffgate import (
 from cliffgate import algebra, matrices
 from cliffgate.algebra import AmbientMismatchError, ParseError, hermitization_phase, qubit_count
 from cliffgate.cli import EXIT_VERIFY, main
-from cliffgate.matrices import (
-    PAULI,
-    exponent_coincidence_report,
-    hermiticity_defect,
-    random_hermitian,
-    unitarity_defect,
-)
-from conftest import elem, gamma_product, label, labels_upto, maxabs
+from cliffgate.matrices import PAULI, hermiticity_defect, random_hermitian
+from conftest import elem, gamma_product, label, labels_upto, maxabs, unitarity_defect
 
 
 class TestGamma:
@@ -321,21 +315,3 @@ class TestVerifySuite:
         with pytest.raises(ValueError):
             qubit_count(5)
         assert qubit_count(6) == 3
-
-
-class TestExponentCoincidence:
-    def test_distinct_hamiltonians_share_a_gate(self):
-        report = exponent_coincidence_report("x", "z")
-        eye = np.eye(4)
-        # pi rotations: the single-factor and product-factor exponents both
-        # land on -1, the commuting sum lands back on +1
-        assert maxabs(report["matrices"]["single"] + eye) < 1e-12
-        assert maxabs(report["matrices"]["product"] + eye) < 1e-12
-        assert maxabs(report["matrices"]["sum"] - eye) < 1e-12
-        assert report["coincide"] == [("product", "single")]
-
-    def test_any_axis_pair(self):
-        for a in "xyz":
-            for b in "xyz":
-                report = exponent_coincidence_report(a, b)
-                assert ("product", "single") in report["coincide"]

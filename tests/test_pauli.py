@@ -5,7 +5,8 @@ and compares them exactly; ``conftest.oracle_replay`` multiplies the dense
 matrices and measures the largest entry difference.  Both must report 0.0
 and the same step count on sound certificates, the replay must report inf
 exactly where the oracle reports a positive deviation, and both must raise
-on the same malformed certificates.
+on the same malformed certificates, a step that records an element of
+another label among them.
 """
 
 import math
@@ -47,7 +48,8 @@ def certificates(family, ambient):
 
 
 def corruptions(cert):
-    """Certificates that differ from ``cert`` in its scalar or in one step."""
+    """Certificates that differ from ``cert`` in its scalar or in one step's
+    coefficient or parent."""
     out = [replace(cert, scalar_phase=cert.scalar_phase + k) for k in (1, 2, 3)]
     out.append(replace(cert, scalar_pow2=cert.scalar_pow2 + 1))
     if not cert.steps:
@@ -55,22 +57,31 @@ def corruptions(cert):
     k = len(cert.steps) // 2
     step = cert.steps[k]
     el = step.element
-    x0 = BasisLabel(el.label.mask ^ 0b01, el.ambient)
-    z0 = BasisLabel(el.label.mask ^ 0b11, el.ambient)
-    wrong = [
-        ScaledElement(el.label, el.phase + 2, el.pow2),  # flipped sign
-        ScaledElement(x0, el.phase, el.pow2),  # another x-mask
-        # another z-mask, at every phase: the signs agree on some columns
-        *(ScaledElement(z0, el.phase + ph, el.pow2) for ph in range(4)),
-    ]
-    for element in wrong:
-        steps = cert.steps[:k] + (replace(step, element=element),) + cert.steps[k + 1 :]
-        out.append(replace(cert, steps=steps))
+    flipped = ScaledElement(el.label, el.phase + 2, el.pow2)
     # a bracket of an element with itself is zero, so the recorded element
     # is the whole deviation
-    steps = cert.steps[:k] + (replace(step, parent_b=step.parent_a),) + cert.steps[k + 1 :]
-    out.append(replace(cert, steps=steps))
+    for bad in (replace(step, element=flipped), replace(step, parent_b=step.parent_a)):
+        out.append(replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :]))
     return out
+
+
+def relabelings(cert):
+    """Certificates whose middle step records an element of another label,
+    one x-mask or one z-mask (at every phase) away.  A step's result is its
+    element's label, so the chain loses the label the next step or the
+    target needs."""
+    k = len(cert.steps) // 2
+    step = cert.steps[k]
+    el = step.element
+    wrong = [
+        ScaledElement(BasisLabel(el.label.mask ^ 0b01, el.ambient), el.phase, el.pow2),
+        *(ScaledElement(BasisLabel(el.label.mask ^ 0b11, el.ambient), el.phase + ph, el.pow2)
+          for ph in range(4)),
+    ]
+    return [
+        replace(cert, steps=cert.steps[:k] + (replace(step, element=w),) + cert.steps[k + 1 :])
+        for w in wrong
+    ]
 
 
 @pytest.mark.parametrize("ambient", [4, 6, 8])
@@ -93,6 +104,18 @@ def test_corrupted_certificates_deviate_like_the_oracle(family, ambient):
             assert report.steps == steps
             seen += 1
     assert seen > 4 * len(certificates(family, ambient))
+
+
+@pytest.mark.parametrize("family, ambient", [("universal", 4), ("chain", 6), ("scaled", 6)])
+def test_relabeled_steps_raise_like_the_oracle(family, ambient):
+    derived = [cert for cert in certificates(family, ambient) if cert.steps]
+    assert derived
+    for cert in derived:
+        for bad in relabelings(cert):
+            with pytest.raises(ValueError, match="before its derivation|never derives"):
+                replay_certificate(bad)
+            with pytest.raises(ValueError, match="before its derivation|never derives"):
+                oracle_replay(bad)
 
 
 @pytest.mark.parametrize("pow2", [-2000, 2000])
