@@ -345,6 +345,17 @@ def _parse_prefix(text: str) -> tuple[int, int]:
     return 0, 0
 
 
+# The padding and separators of file and argv text: ASCII space, tab, CR
+# and LF.  str.strip(), split() and splitlines() alone also take Unicode
+# spaces and line breaks such as U+00A0, U+2003 and U+2028.
+_BLANKS = " \t\r\n"
+
+
+def _lines(text: str) -> list[str]:
+    # the lines of file text, ended by LF, CR LF or CR
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_number(text: str, kind: type, what: str, column: int = 0):
     """The one reader of numbers in file and argv text: ``kind(text)``, for
     ``kind`` int or float, when the text is ASCII without ``_``, and a
@@ -367,8 +378,8 @@ def format_element(elem: ScaledElement) -> str:
 
 def parse_element(text: str, ambient: int) -> ScaledElement:
     """Parse the canonical element grammar; inverse of :func:`format_element`."""
-    stripped = text.strip()
-    offset = len(text) - len(text.lstrip())
+    stripped = text.strip(_BLANKS)
+    offset = len(text) - len(text.lstrip(_BLANKS))
     if stripped == "0":
         return ScaledElement.zero(ambient)
     phase, pos = _parse_prefix(stripped)
@@ -419,7 +430,7 @@ def format_scalar(phase: int, pow2: int) -> str:
 
 def parse_scalar(text: str) -> tuple[int, int]:
     """Parse a coefficient of the form i^m * 2^p; returns (phase, pow2)."""
-    stripped = text.strip()
+    stripped = text.strip(_BLANKS)
     phase, pos = _parse_prefix(stripped)
     rest = stripped[pos:]
     if rest == "1":

@@ -37,6 +37,8 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
+    _BLANKS,
+    _lines,
     _parse_number,
     canonical_key,
     commutator,
@@ -331,8 +333,8 @@ class Certificate:
         gens: list[ScaledElement] = []
         steps: list[CertificateStep] = []
         scalar = None
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
+        for ln, raw in enumerate(_lines(text), start=1):
+            line = raw.strip(_BLANKS)
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
@@ -354,11 +356,11 @@ class Certificate:
                     raise ParseError(f"line {ln}: malformed step {raw!r}")
                 a_text, _, b_text = bracket[1:-1].partition(", ")
                 phase, pow2 = parse_scalar(coeff_text)
-                result = parse_label(result_text.strip(), ambient)
+                result = parse_label(result_text, ambient)
                 steps.append(
                     CertificateStep(
-                        parent_a=parse_label(a_text.strip(), ambient),
-                        parent_b=parse_label(b_text.strip(), ambient),
+                        parent_a=parse_label(a_text, ambient),
+                        parent_b=parse_label(b_text, ambient),
                         element=ScaledElement(result, phase=phase, pow2=pow2),
                     )
                 )

@@ -17,6 +17,7 @@ a basis element's Pauli monomial i^phase X^x Z^z
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
@@ -27,6 +28,7 @@ from .algebra import (
     BasisLabel,
     ParseError,
     ScaledElement,
+    _lines,
     _parse_number,
     _require_qubits,
     all_labels,
@@ -63,17 +65,21 @@ PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
 # verify_representation: tolerances of the generator checks, the label
 # checks and the decomposition round trip of an exactly Hermitian matrix,
-# and the label or pair count above which labels or pairs are sampled
+# the label or pair count above which labels or pairs are sampled, and the
+# labels or pairs checked at a time (their arrays and elements stay small)
 TOL_STRICT = 1e-14
 TOL_EXACT = 1e-12
 TOL_ROUNDTRIP = 1e-10
 SAMPLE_CAP = 4096
+PAIR_CHUNK = 128
 
 
 def _kron_chain(factors) -> np.ndarray:
+    # np.kron, one broadcast multiply and reshape per factor
     out = np.array([[1.0 + 0j]])
     for f in factors:
-        out = np.kron(out, f)
+        (r, c), (fr, fc) = out.shape, f.shape
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * fr, c * fc)
     return out
 
 
@@ -96,28 +102,25 @@ def signed_permutations(
     """Matrices of scaled elements: M_k[perms[k, c], c] = values[k, c], else 0.
 
     So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
-    c ^ xmask, and the zero element has all-zero values.
+    c ^ xmask, and the zero element has all-zero values.  Every element's
+    ambient is checked, and each distinct label's monomial is formed once.
     """
-    for el in elems:
-        _require_qubits(el, n)
-    forms = [pauli_monomial(el.label) for el in elems]
-    coeffs = np.array([el.coefficient * 1j ** f[2] for el, f in zip(elems, forms)], dtype=complex)
-    masks = np.array(forms, dtype=np.int64).reshape(-1, 3)
+    for el in {el.label.ambient: el for el in elems}.values():
+        _require_qubits(el, n)  # one element of each ambient
+    labels = {el.label.mask: el.label for el in elems}
+    forms = {mask: pauli_monomial(label) for mask, label in labels.items()}
+    masks = np.array([forms[el.label.mask] for el in elems], dtype=np.int64).reshape(-1, 3)
+    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** masks[:, 2]
     idx = np.arange(2**n)
     return idx ^ masks[:, :1], coeffs[:, None] * _signs(idx, masks[:, 1:2])
 
 
-def _stack(elems: Sequence[ScaledElement], n: int) -> np.ndarray:
-    # dense matrices of the elements, stacked along a new first axis
-    perms, values = signed_permutations(elems, n)
-    out = np.zeros((len(elems), 2**n, 2**n), dtype=complex)
-    out[np.arange(len(elems))[:, None], perms, np.arange(2**n)] = values
-    return out
-
-
 def represent(elem: ScaledElement, n: int) -> np.ndarray:
     """Dense matrix of a scaled basis element on n qubits (a fresh array)."""
-    return _stack([elem], n)[0]
+    (perm,), (values,) = signed_permutations([elem], n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[perm, np.arange(2**n)] = values
+    return out
 
 
 def hermitized_matrix(label: BasisLabel, n: int) -> np.ndarray:
@@ -217,7 +220,7 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Matrix text format: one row per line, entries as "re,im" separated by
-# whitespace.
+# spaces or tabs.
 
 
 def format_matrix(m: np.ndarray) -> str:
@@ -229,12 +232,9 @@ def format_matrix(m: np.ndarray) -> str:
 
 def parse_matrix(text: str) -> np.ndarray:
     rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ln, line in enumerate(_lines(text), start=1):
         row = []
-        for tok in line.split():
+        for tok in re.findall(r"[^ \t]+", line):
             parts = tok.split(",")
             if len(parts) != 2:
                 raise ParseError(f"line {ln}: expected re,im pairs, got {tok!r}")
@@ -244,7 +244,8 @@ def parse_matrix(text: str) -> np.ndarray:
                                    _parse_number(im_text, float, "number")))
             except ValueError:
                 raise ParseError(f"line {ln}: bad number in {tok!r}") from None
-        rows.append(row)
+        if row:
+            rows.append(row)
     if not rows:
         raise ParseError("empty matrix text")
     width = len(rows[0])
@@ -269,6 +270,25 @@ def _maxabs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def _peaks(*terms) -> np.ndarray:
+    # Max |entry| of each matrix k of the sum of signed permutations
+    # M[k][perm[k, c], c] = values[k, c], given as (perm, values) terms: the
+    # entries that share a row in a column add up in term order, as in the
+    # dense sum, so the result is the dense one bit for bit.
+    peak = 0.0
+    for perm, _ in terms:
+        entry = sum(np.where(other == perm, values, 0) for other, values in terms)
+        peak = np.maximum(peak, np.max(np.abs(entry), axis=-1))
+    return peak
+
+
+def _composed(a, b):
+    # M_a M_b: column c of M_b holds vb[c] at row pb[c], which M_a sends to
+    # row pa[pb[c]] times va[pb[c]]
+    (pa, va), (pb, vb) = a, b
+    return np.take_along_axis(pa, pb, -1), np.take_along_axis(va, pb, -1) * vb
+
+
 def _generator_defects(gens: list[np.ndarray], eye: np.ndarray) -> tuple[float, float]:
     # worst deviations from g_i g_j + g_j g_i = 2 delta_ij and tr(g_i g_j) =
     # 2^n delta_ij, forming each ordered product once, one pair at a time
@@ -288,17 +308,21 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
 
     Each check runs over all labels, or all label pairs, while they number
     at most SAMPLE_CAP, and over SAMPLE_CAP seeded draws beyond that;
-    deterministic for a fixed seed.  Pairs are checked a chunk at a time:
-    one stack holds a, b, the symbolic ab and the symbolic [a, b], and the
-    trace orthogonality of the hermitized pair is read off the dense ab,
-    since hermitizing only rescales by a power of i.  Each generator
-    product g_i g_j is formed once.
+    deterministic for a fixed seed.  Label and pair checks compose signed
+    permutations (:func:`signed_permutations`), PAIR_CHUNK at a time, and
+    read each deviation as the exact max |entry| of their sum, the dense
+    one bit for bit.  A pair chunk holds a, b, the symbolic ab and the
+    symbolic [a, b]; the trace orthogonality of the hermitized pair is read
+    off ab, since hermitizing only rescales by a power of i.  Only the
+    oracle is dense: per label, the Kronecker-chain product of its
+    generators and the Kronecker product of its Pauli letters.
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
     decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     rng = np.random.default_rng(seed)
+    idx = np.arange(2**n)
     eye = np.eye(2**n)
     results: list[CheckResult] = []
 
@@ -311,22 +335,26 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("clifford-relations", _generator_defects(gammas, eye)[0], TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
 
-    # one matrix per label for hermiticity, squares and factorization: the
-    # monomial form and its Pauli letters against the Kronecker-chain product
     labels = list(all_labels(2 * n))
     drawn = labels
     if len(labels) > SAMPLE_CAP:
         drawn = [labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)]
     herm_dev = square_dev = fact_dev = 0.0
-    for label in drawn:
-        el = hermitize(label)
-        m = represent(el, n)
-        oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in label.indices], eye)
-        herm_dev = max(herm_dev, hermiticity_defect(m))
-        square_dev = max(square_dev, _maxabs(m @ m - eye))
-        fact_dev = max(
-            fact_dev, _maxabs(m - oracle), _maxabs(pauli_factorization(el, n).matrix() - oracle)
-        )
+    minus_eye = idx, -np.ones(2**n)
+    for start in range(0, len(drawn), PAIR_CHUNK):
+        part = [hermitize(label) for label in drawn[start : start + PAIR_CHUNK]]
+        m = perms, values = signed_permutations(part, n)
+        inverse = np.argsort(perms, axis=-1)  # M^H holds conj(v[c]) at (c, p[c])
+        adjoint = inverse, -np.take_along_axis(values.conj(), inverse, -1)
+        herm_dev = max(herm_dev, _peaks(m, adjoint).max())
+        square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
+        for el, perm, vals in zip(part, perms, values):
+            oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in el.label.indices], eye)
+            deviation = -oracle  # the label's matrix minus the oracle
+            deviation[perm, idx] += vals
+            fact_dev = max(
+                fact_dev, _maxabs(deviation), _maxabs(pauli_factorization(el, n).matrix() - oracle)
+            )
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 
@@ -337,23 +365,23 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
         pairs = [(labels[i], labels[j]) for i, j in draws]
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
-    chunk = max(1, (1 << 14) // 4**n)  # ~2^14 entries a stack: memory stays flat
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start : start + chunk]
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        part = pairs[start : start + PAIR_CHUNK]
         ea = [ScaledElement(a) for a, _ in part]
         eb = [ScaledElement(b) for _, b in part]
         symbolic = ea + eb + list(map(product, ea, eb)) + list(map(commutator, ea, eb))
-        ma, mb, m_prod, m_comm = np.split(_stack(symbolic, n), 4)
-        ab, ba = ma @ mb, mb @ ma
-        prod_dev = max(prod_dev, _maxabs(ab - m_prod))
-        comm_dev = max(comm_dev, _maxabs(ab - ba - m_comm))
-        c_norm = np.max(np.abs(ab - ba), axis=(1, 2))
-        a_norm = np.max(np.abs(ab + ba), axis=(1, 2))
+        perms, values = signed_permutations(symbolic, n)
+        ma, mb, m_prod, m_comm = zip(np.split(perms, 4), np.split(values, 4))
+        ab, ba = _composed(ma, mb), _composed(mb, ma)
+        minus_ba = ba[0], -ba[1]
+        prod_dev = max(prod_dev, _peaks(ab, (m_prod[0], -m_prod[1])).max())
+        comm_dev = max(comm_dev, _peaks(ab, minus_ba, (m_comm[0], -m_comm[1])).max())
+        c_norm, a_norm = _peaks(ab, minus_ba), _peaks(ab, ba)
         dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
         dich_ok &= all((c <= TOL_EXACT) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
         # hermitizing rescales by i^hermitization_phase, so tr(h(a) h(b)) = i^(p_a + p_b) tr(ab)
         phases = [hermitization_phase(a.order) + hermitization_phase(b.order) for a, b in part]
-        traces = 1j ** np.array(phases) * np.trace(ab, axis1=1, axis2=2)
+        traces = 1j ** np.array(phases) * np.sum(np.where(ab[0] == idx, ab[1], 0), axis=-1)
         expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
         trace_dev = max(trace_dev, _maxabs(traces - expect))
     add("product-homomorphism", prod_dev, TOL_EXACT)

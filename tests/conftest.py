@@ -2,9 +2,22 @@ from functools import reduce
 
 import numpy as np
 
-from cliffgate import BasisLabel, ScaledElement, all_labels
+from cliffgate import BasisLabel, ScaledElement, all_labels, matrices
 from cliffgate.algebra import _scalar_value, qubit_count
-from cliffgate.matrices import gamma, hermitized_matrix, represent
+from cliffgate.matrices import (
+    CheckResult,
+    _generator_defects,
+    decompose,
+    gamma,
+    hermiticity_defect,
+    hermitized_matrix,
+    random_hermitian,
+    reconstruct,
+    recursive_construct,
+    represent,
+    signed_permutations,
+)
+from cliffgate.pauli import pauli_factorization
 
 
 def label(indices, ambient):
@@ -89,3 +102,84 @@ def oracle_replay(cert):
     scalar = _scalar_value(cert.scalar_phase, cert.scalar_pow2)
     worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
     return worst, len(cert.steps)
+
+
+def dense_verify(n, seed=0):
+    """``verify_representation`` on dense stacks: the same draws and the same
+    checks, with every matrix formed entry by entry and every product a
+    matmul.  The symbolic side is read from ``cliffgate.matrices`` at call
+    time, so a corruption patched in there reaches both sweeps."""
+    M = matrices
+    rng = np.random.default_rng(seed)
+    eye = np.eye(2**n)
+    results = []
+
+    def add(name, deviation, tolerance, extra_ok=True):
+        results.append(
+            CheckResult(name, float(deviation), tolerance, bool(deviation <= tolerance) and extra_ok)
+        )
+
+    def stack(elems):
+        perms, values = signed_permutations(list(elems), n)
+        out = np.zeros((len(perms), 2**n, 2**n), dtype=complex)
+        out[np.arange(len(perms))[:, None], perms, np.arange(2**n)] = values
+        return out
+
+    gammas = [gamma(k, n) for k in range(2 * n)]
+    add("clifford-relations", _generator_defects(gammas, eye)[0], M.TOL_STRICT)
+    add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), M.TOL_STRICT)
+
+    labels = list(all_labels(2 * n))
+    drawn = labels
+    if len(labels) > M.SAMPLE_CAP:
+        drawn = [labels[i] for i in rng.integers(0, len(labels), size=M.SAMPLE_CAP)]
+    herm_dev = square_dev = fact_dev = 0.0
+    for lab in drawn:
+        el = M.hermitize(lab)
+        m = represent(el, n)
+        oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in lab.indices], eye)
+        herm_dev = max(herm_dev, hermiticity_defect(m))
+        square_dev = max(square_dev, maxabs(m @ m - eye))
+        fact_dev = max(
+            fact_dev, maxabs(m - oracle), maxabs(pauli_factorization(el, n).matrix() - oracle)
+        )
+    add("hermitized-hermiticity", herm_dev, M.TOL_EXACT)
+    add("hermitized-squares", square_dev, M.TOL_EXACT)
+
+    if len(labels) ** 2 <= M.SAMPLE_CAP:
+        pairs = [(a, b) for a in labels for b in labels]
+    else:
+        draws = rng.integers(0, len(labels), size=(M.SAMPLE_CAP, 2))
+        pairs = [(labels[i], labels[j]) for i, j in draws]
+    prod_dev = comm_dev = dich_dev = trace_dev = 0.0
+    dich_ok = True
+    chunk = max(1, (1 << 14) // 4**n)
+    for start in range(0, len(pairs), chunk):
+        part = pairs[start : start + chunk]
+        ea = [ScaledElement(a) for a, _ in part]
+        eb = [ScaledElement(b) for _, b in part]
+        ma, mb = stack(ea), stack(eb)
+        m_prod, m_comm = stack(map(M.product, ea, eb)), stack(map(M.commutator, ea, eb))
+        ab, ba = ma @ mb, mb @ ma
+        prod_dev = max(prod_dev, maxabs(ab - m_prod))
+        comm_dev = max(comm_dev, maxabs(ab - ba - m_comm))
+        c_norm = np.max(np.abs(ab - ba), axis=(1, 2))
+        a_norm = np.max(np.abs(ab + ba), axis=(1, 2))
+        dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
+        dich_ok &= all((c <= M.TOL_EXACT) == M.commutes(a, b) for c, (a, b) in zip(c_norm, part))
+        phases = [M.hermitization_phase(a.order) + M.hermitization_phase(b.order) for a, b in part]
+        traces = 1j ** np.array(phases) * np.trace(ab, axis1=1, axis2=2)
+        expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
+        trace_dev = max(trace_dev, maxabs(traces - expect))
+    add("product-homomorphism", prod_dev, M.TOL_EXACT)
+    add("commutator-homomorphism", comm_dev, M.TOL_EXACT)
+    add("commutation-dichotomy", dich_dev, M.TOL_EXACT, extra_ok=dich_ok)
+    add("trace-orthogonality", trace_dev, M.TOL_EXACT)
+    add("factorization-consistency", fact_dev, M.TOL_EXACT)
+
+    add("recursive-generators", max(_generator_defects(recursive_construct(n), eye)), M.TOL_STRICT)
+
+    h = random_hermitian(n, rng)
+    coeffs = decompose(h, n, tol=M.TOL_ROUNDTRIP)
+    add("decompose-roundtrip", maxabs(reconstruct(coeffs, n) - h), M.TOL_ROUNDTRIP)
+    return results

@@ -27,8 +27,17 @@ from cliffgate import (
 from cliffgate import algebra, matrices
 from cliffgate.algebra import AmbientMismatchError, ParseError, hermitization_phase, qubit_count
 from cliffgate.cli import EXIT_VERIFY, main
-from cliffgate.matrices import PAULI, hermiticity_defect, random_hermitian
-from conftest import elem, gamma_product, label, labels_upto, maxabs, unitarity_defect
+from cliffgate.matrices import PAULI, hermiticity_defect, random_hermitian, signed_permutations
+from cliffgate.pauli import pauli_monomial
+from conftest import (
+    dense_verify,
+    elem,
+    gamma_product,
+    label,
+    labels_upto,
+    maxabs,
+    unitarity_defect,
+)
 
 
 class TestGamma:
@@ -39,6 +48,16 @@ class TestGamma:
     def test_second_block_has_z_tail(self):
         assert np.array_equal(gamma(2, 2), np.kron(PAULI["X"], PAULI["Z"]))
         assert np.array_equal(gamma(3, 2), np.kron(PAULI["Y"], PAULI["Z"]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_np_kron_chain(self, n):
+        # the chain is one broadcast multiply per factor; np.kron gives the same bits
+        for k in range(2 * n):
+            letters = ["I"] * (n - k // 2 - 1) + ["Y" if k % 2 else "X"] + ["Z"] * (k // 2)
+            want = np.array([[1.0 + 0j]])
+            for letter in letters:
+                want = np.kron(want, PAULI[letter])
+            assert np.array_equal(gamma(k, n), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_clifford_relations(self, n):
@@ -66,6 +85,14 @@ class TestRepresent:
 
     def test_zero_element(self):
         assert maxabs(represent(ScaledElement.zero(4), 2)) == 0.0
+
+    def test_every_ambient_of_a_stack_is_checked(self):
+        # the monomials are formed once per distinct mask, the ambients per element
+        good = elem([0], 4)
+        with pytest.raises(AmbientMismatchError):
+            signed_permutations([good, good, elem([0], 6)], 2)
+        with pytest.raises(ValueError, match="odd"):
+            signed_permutations([good, elem([0], 5), good], 2)
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
@@ -241,6 +268,19 @@ class TestMatrixText:
             parse_matrix("\n")
 
 
+# the symbolic side of the pair checks made wrong in one way each
+PAIR_CORRUPTIONS = [
+    pytest.param("product-homomorphism", "product",
+                 lambda a, b: dataclasses.replace(product(a, b), phase=product(a, b).phase + 2),
+                 id="product"),
+    pytest.param("commutator-homomorphism", "commutator",
+                 lambda a, b: ScaledElement.zero(a.ambient), id="commutator"),
+    pytest.param("commutation-dichotomy", "commutes", lambda a, b: True, id="commutes"),
+    pytest.param("trace-orthogonality", "hermitization_phase",
+                 lambda order: 1 - hermitization_phase(order), id="hermitization_phase"),
+]
+
+
 class TestVerifySuite:
     def test_all_checks_pass_small(self):
         for n in (1, 2):
@@ -269,24 +309,54 @@ class TestVerifySuite:
         assert sampled != full  # the draws move the round-trip matrix
         assert verify_representation(2, seed=3) == sampled
 
-    @pytest.mark.parametrize(
-        "check, name, corrupt",
-        [
-            ("product-homomorphism", "product",
-             lambda a, b: dataclasses.replace(product(a, b), phase=product(a, b).phase + 2)),
-            ("commutator-homomorphism", "commutator",
-             lambda a, b: ScaledElement.zero(a.ambient)),
-            ("commutation-dichotomy", "commutes", lambda a, b: True),
-            ("trace-orthogonality", "hermitization_phase",
-             lambda order: 1 - hermitization_phase(order)),
-        ],
-        ids=["product", "commutator", "commutes", "hermitization_phase"],
-    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_dense_sweep(self, n):
+        # the same draws, checks and deviations, bit for bit, as dense
+        # stacks and matmuls give
+        for seed in (0, 5, 9):
+            assert verify_representation(n, seed=seed) == dense_verify(n, seed)
+
+    def test_matches_the_dense_sweep_sampled_and_in_part_chunks(self, monkeypatch):
+        # 12 of the 16 labels and 12 of their pairs drawn, 7 and then 5 at a time
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 12)
+        monkeypatch.setattr(matrices, "PAIR_CHUNK", 7)
+        assert verify_representation(2, seed=1) == dense_verify(2, 1)
+
+    @pytest.mark.parametrize("check, name, corrupt", PAIR_CORRUPTIONS)
+    def test_failing_deviations_match_the_dense_sweep(self, monkeypatch, check, name, corrupt):
+        monkeypatch.setattr(matrices, name, corrupt)
+        if name == "hermitization_phase":
+            monkeypatch.setattr(algebra, name, corrupt)
+        for n in (2, 3):
+            results = verify_representation(n, seed=5)
+            assert not {c.name: c for c in results}[check].passed
+            assert results == dense_verify(n, 5)
+
+    @pytest.mark.parametrize("check, name, corrupt", PAIR_CORRUPTIONS)
     def test_each_pair_check_can_fail(self, capsys, monkeypatch, check, name, corrupt):
         # the symbolic side made wrong in one way: the named check must catch it
         monkeypatch.setattr(matrices, name, corrupt)
         if name == "hermitization_phase":  # hermitize reads it from algebra
             monkeypatch.setattr(algebra, name, corrupt)
+        results = {c.name: c for c in verify_representation(2)}
+        assert not results[check].passed
+        assert main(["verify-rep", "-n", "2"]) == EXIT_VERIFY
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if f"name={check} " in ln]
+        assert line.endswith("status=fail")
+
+    @pytest.mark.parametrize(
+        "check, module, name, corrupt",
+        [
+            ("factorization-consistency", matrices, "pauli_monomial",
+             lambda lab: (*pauli_monomial(lab)[:2], (pauli_monomial(lab)[2] + 2) % 4)),
+            ("hermitized-squares", algebra, "hermitization_phase", lambda order: 0),
+        ],
+        ids=["pauli_monomial", "hermitization_phase"],
+    )
+    def test_each_label_check_can_fail(self, capsys, monkeypatch, check, module, name, corrupt):
+        # the element's matrix made wrong in one way: the named label check
+        # must catch it (hermitize reads hermitization_phase from algebra)
+        monkeypatch.setattr(module, name, corrupt)
         results = {c.name: c for c in verify_representation(2)}
         assert not results[check].passed
         assert main(["verify-rep", "-n", "2"]) == EXIT_VERIFY

@@ -1,10 +1,13 @@
-"""One number grammar for every file and flag.
+"""One number grammar for every file and flag, and one set of blanks.
 
 ``algebra._parse_number`` is the only code that turns file or argv text
 into an int or a float.  On ASCII text without ``_`` it returns exactly
 what ``int()`` or ``float()`` returns; any other text is a ``ParseError``.
 ``int()`` and ``float()`` alone read non-ASCII digits, such as the
-Arabic-Indic and fullwidth ones, and ``_`` separators.
+Arabic-Indic and fullwidth ones, and ``_`` separators.  The element,
+scalar, certificate and matrix readers take only ASCII space, tab, CR and
+LF as padding and separators, where ``str.strip()`` and ``split()`` alone
+take any Unicode space.
 """
 
 import ast
@@ -14,11 +17,21 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffgate import Certificate, ParseError, parse_element, parse_matrix
+from cliffgate import (
+    BasisLabel,
+    Certificate,
+    ParseError,
+    certificate,
+    close,
+    parse_element,
+    parse_matrix,
+    universal_generators,
+)
 from cliffgate.algebra import _parse_number, parse_scalar
 from cliffgate.cli import main
 
@@ -85,6 +98,78 @@ def test_every_number_flag_and_file_refuses_other_digits(template, digit, tmp_pa
     bad.write_text(f"{digit},0 0,0\n0,0 {digit},0\n")
     good.write_text("1,0 0,0\n0,0 1,0\n")
     argv = [word.format(d=digit, bad=bad, good=good) for word in template.split()]
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err
+
+
+# a no-break, an em and an ideographic space
+NOT_ASCII_BLANKS = ["\u00a0", "\u2003", "\u3000"]
+CERT = certificate(close(universal_generators(4)), BasisLabel(0b1111, 4)).to_text()
+STEP = "step e[0,1,2,3] := [e[3], e[0,1,2]] * -i*2^1"
+assert STEP in CERT
+
+# each reader with the blank b where an ASCII space or tab reads the same
+BLANK_LIBRARY = {
+    "element padding": lambda b: parse_element(f"{b}-i*2^1*e[0,3]{b}", 4),
+    "scalar padding": lambda b: parse_scalar(f"{b}-i*2^1{b}"),
+    "certificate line padding": lambda b: Certificate.from_text(
+        CERT.replace("target", f"{b}target").replace("\nscalar -i*2^1", f"\nscalar -i*2^1{b}")
+    ),
+    "certificate step labels": lambda b: Certificate.from_text(
+        CERT.replace(STEP, f"step e[0,1,2,3]{b} := [e[3], {b}e[0,1,2]] * -i*2^1")
+    ),
+    "certificate ambient": lambda b: Certificate.from_text(CERT.replace("ambient 4", f"ambient {b}4")),
+    "matrix separator": lambda b: parse_matrix(f"1,0{b}0,0\n0,0{b}{b}1,0\n"),
+    "matrix padding": lambda b: parse_matrix(f"{b}1,0 0,0{b}\n0,0 1,0\n{b}\n"),
+}
+
+
+@pytest.mark.parametrize("blank", NOT_ASCII_BLANKS, ids=["nbsp", "em", "ideographic"])
+@pytest.mark.parametrize("entry", list(BLANK_LIBRARY))
+def test_library_readers_refuse_other_blanks(entry, blank):
+    with pytest.raises(ParseError):
+        BLANK_LIBRARY[entry](blank)
+
+
+@pytest.mark.parametrize("blank", ["\t", " \t "], ids=["tab", "mixed"])
+@pytest.mark.parametrize("entry", list(BLANK_LIBRARY))
+def test_library_readers_take_ascii_blanks(entry, blank):
+    got, want = BLANK_LIBRARY[entry](blank), BLANK_LIBRARY[entry](" ")
+    assert np.array_equal(got, want) if "matrix" in entry else got == want
+
+
+def test_lines_end_at_lf_cr_lf_and_cr_only():
+    for end in ("\n", "\r\n", "\r"):
+        assert Certificate.from_text(CERT.replace("\n", end)).to_text() == CERT
+        assert (parse_matrix(f"1,0 0,0{end}0,0 1,0{end}") == np.eye(2)).all()
+    for end in ("\u2028", "\x85", "\x0c"):
+        with pytest.raises(ParseError):
+            parse_matrix(f"1,0 0,0{end}0,0 1,0\n")
+        with pytest.raises(ParseError):
+            Certificate.from_text(CERT.replace("\n", end))
+
+
+# {bad} names a matrix file with the blank between or around its entries
+CLI_BLANKS = [
+    "closure -m 4 {b}e[0] e[1]",
+    "closure -m 4 e[0] e[1]{b}",
+    "certify -m 4 --target e[0,1] e[0] {b}e[1]",
+    "certify -m 4 --target {b}e[0,1] e[0] e[1]",
+    "synth -n 1 -N 1 -i {between}",
+    "synth -n 1 -N 1 -i {around}",
+    "verify-rep -n {b}2",
+    "power --angle {b}pi/2 --eps 0.1",
+]
+
+
+@pytest.mark.parametrize("blank", NOT_ASCII_BLANKS, ids=["nbsp", "em", "ideographic"])
+@pytest.mark.parametrize("template", CLI_BLANKS)
+def test_every_file_and_flag_refuses_other_blanks(template, blank, tmp_path):
+    between, around = tmp_path / "between.mat", tmp_path / "around.mat"
+    between.write_text(f"1,0{blank}0,0\n0,0 1,0\n")
+    around.write_text(f"{blank}1,0 0,0\n0,0 1,0{blank}\n")
+    argv = [w.format(b=blank, between=between, around=around) for w in template.split(" ")]
     code, out, err = run_main(argv)
     assert (code, out) == (2, ""), err
     assert "Traceback" not in err

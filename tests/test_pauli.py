@@ -7,12 +7,19 @@ and the same step count on sound certificates, the replay must report inf
 exactly where the oracle reports a positive deviation, and both must raise
 on the same malformed certificates, a step that records an element of
 another label among them.
+
+The model under both, and under ``verify_representation``'s pair sweep,
+is checked in integers alone at every even ambient up to 64: the monomial
+of a product or commutator is the product or bracket of the monomials,
+and every hermitized label squares to +1.
 """
 
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffgate import (
     BasisLabel,
@@ -21,9 +28,13 @@ from cliffgate import (
     certificate,
     chain_generators,
     close,
+    commutator,
+    hermitize,
+    product,
     replay_certificate,
     universal_generators,
 )
+from cliffgate.pauli import pauli_monomial
 from conftest import oracle_replay
 
 
@@ -152,3 +163,38 @@ def test_malformed_certificates_raise_like_the_oracle(case):
         replay_certificate(cert)
     with pytest.raises(ValueError):
         oracle_replay(cert)
+
+
+def monomial(el):
+    """(xmask, zmask, phase, pow2) of a nonzero scaled element, None for zero."""
+    if el.is_zero:
+        return None
+    x, z, phase = pauli_monomial(el.label)
+    return x, z, (phase + el.phase) % 4, el.pow2
+
+
+def times(a, b):
+    # (X^xa Z^za)(X^xb Z^zb) = (-1)^|za & xb| X^(xa ^ xb) Z^(za ^ zb)
+    xa, za, pa, ea = a
+    xb, zb, pb, eb = b
+    return xa ^ xb, za ^ zb, (pa + pb + 2 * (za & xb).bit_count()) % 4, ea + eb
+
+
+def elements(ambient):
+    labels = st.integers(0, (1 << ambient) - 1).map(lambda mask: BasisLabel(mask, ambient))
+    return st.builds(ScaledElement, labels, st.integers(0, 3), st.integers(-3, 3))
+
+
+@pytest.mark.parametrize("ambient", range(2, 65, 2))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_monomials_follow_the_algebra_at_every_ambient(ambient, data):
+    a, b = data.draw(elements(ambient)), data.draw(elements(ambient))
+    ab, ba = times(monomial(a), monomial(b)), times(monomial(b), monomial(a))
+    assert monomial(product(a, b)) == ab
+    # two monomials commute or anticommute, and [a, b] is 0 or 2ab
+    x, z, phase, pow2 = ab
+    assert ba in (ab, (x, z, (phase + 2) % 4, pow2))
+    assert monomial(commutator(a, b)) == (None if ba == ab else (x, z, phase, pow2 + 1))
+    h = monomial(hermitize(a.label))
+    assert times(h, h) == (0, 0, 0, 0)

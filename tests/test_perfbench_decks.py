@@ -7,8 +7,9 @@ checks and the runner's comparison of repeats: the closure and dense jobs
 in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
 processes (exit codes, record fields, byte-identical output).  That
 catches an API or CLI change that would break the benchmark in a few
-seconds, without running the full ``perfbench/test_smoke.py``.  The full
-``dense`` and ``cli`` decks of the benchmark's seeds are built too, so
+seconds, without running the full ``perfbench/test_smoke.py``.  The
+verify jobs of the full ``dense`` deck (seed 7) run twice too, and the
+full ``dense`` and ``cli`` decks of the benchmark's seeds are built, so
 that every power input their checkers compare with the scan oracle is
 checked here in process.  The malformed and known-defect argv the ``cli``
 workload pins run here too, in process, each against its documented exit
@@ -46,10 +47,21 @@ def perfbench():
 @pytest.mark.parametrize("workload", ["closure", "dense", "cli"])
 def test_smoke_deck_runs_and_passes_its_checks(workload, perfbench, tmp_path):
     module = perfbench[f"wl_{workload}"]
-    tracer = perfbench["spans"].NullTracer()
     deck = module.build(7, True, tmp_path)
     assert deck
-    for job in deck:
+    run_twice(deck, perfbench["spans"].NullTracer(), workload)
+
+
+def test_verify_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_path):
+    # the two verify jobs (n = 3 and 4) of the benchmark's deck, not the
+    # smoke deck's n = 2
+    jobs = [job for job in perfbench["wl_dense"].build(7, False, tmp_path) if job.kind == "verify"]
+    assert [job.n for job in jobs] == [3, 4]
+    run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
+
+
+def run_twice(jobs, tracer, workload):
+    for job in jobs:
         out = job.run(tracer)
         assert job.check(out) == [], (workload, job.kind)
         # the runner compares the digests of repeated runs
