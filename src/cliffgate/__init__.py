@@ -6,6 +6,7 @@ import importlib
 from .algebra import (
     AmbientMismatchError,
     BasisLabel,
+    CapExceededError,
     ParseError,
     ScaledElement,
     all_labels,
@@ -20,7 +21,6 @@ from .algebra import (
     product,
 )
 from .closure import (
-    CapExceededError,
     Certificate,
     ClosureResult,
     GeneratorSet,

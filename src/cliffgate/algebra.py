@@ -13,7 +13,8 @@ basis terms are out of scope (the dense-matrix layer handles those).
 
 The other layers take two rules from here: an even ambient 2n is n qubits
 and an odd one has no matrix form (:func:`qubit_count`), and i^phase *
-2^pow2 has one text form and one complex value.
+2^pow2 has one text form and one complex value.  The error types that
+every layer raises live here too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "AmbientMismatchError",
     "BasisLabel",
+    "CapExceededError",
     "ParseError",
     "ScaledElement",
     "all_labels",
@@ -55,6 +57,10 @@ class ParseError(ValueError):
 
 class AmbientMismatchError(ValueError):
     """Operands live over different generator counts."""
+
+
+class CapExceededError(RuntimeError):
+    """A configured search or size cap was hit before the answer."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def _scalar_value(phase: int, pow2: int) -> complex:
     overflowing or reading a nonzero scalar as 0.
     """
     if not -1074 <= pow2 <= 1023:
-        raise ValueError(f"scalar {_scaled_text(phase, pow2)} is outside the float range")
+        raise ValueError(f"scalar {format_scalar(phase, pow2)} is outside the float range")
     return (1j ** phase) * 2.0 ** pow2
 
 
@@ -328,9 +334,10 @@ _POW2_RE = re.compile(r"2\^(-?[0-9]+)\*")
 _LABEL_RE = re.compile(r"e\[([0-9,]*)\]")
 
 
-def _scaled_text(phase: int, pow2: int, body: str = "") -> str:
-    # body times i^phase * 2^pow2, the factor 2^0 left out; with no body,
-    # the bare scalar "1" or "2^p"
+def format_scalar(phase: int, pow2: int, body: str = "") -> str:
+    """``body`` times i^phase * 2^pow2 as text, the factor 2^0 left out;
+    with no body, the bare scalar "1" or "2^p" that :func:`parse_scalar`
+    reads."""
     head = _PREFIX_BY_PHASE[phase % 4]
     if not body:
         return head + (f"2^{pow2}" if pow2 else "1")
@@ -358,10 +365,11 @@ def _lines(text: str) -> list[str]:
 
 def _parse_number(text: str, kind: type, what: str, column: int = 0):
     """The one reader of numbers in file and argv text: ``kind(text)``, for
-    ``kind`` int or float, when the text is ASCII without ``_``, and a
-    :class:`ParseError` at ``column`` otherwise.  int() and float() alone
-    also read non-ASCII digits and ``_`` separators."""
-    if text.isascii() and "_" not in text:
+    ``kind`` int or float, when the text is ASCII without ``_`` and padded
+    only with ``_BLANKS``, and a :class:`ParseError` at ``column``
+    otherwise.  int() and float() alone also read non-ASCII digits, ``_``
+    separators and padding by vertical tab or form feed."""
+    if text.isascii() and "_" not in text and text.strip() == text.strip(_BLANKS):
         try:
             return kind(text)
         except ValueError:
@@ -373,7 +381,7 @@ def _parse_number(text: str, kind: type, what: str, column: int = 0):
 def format_element(elem: ScaledElement) -> str:
     if elem.is_zero:
         return "0"
-    return _scaled_text(elem.phase, elem.pow2, str(elem.label))
+    return format_scalar(elem.phase, elem.pow2, str(elem.label))
 
 
 def parse_element(text: str, ambient: int) -> ScaledElement:
@@ -422,10 +430,6 @@ def parse_label(text: str, ambient: int) -> BasisLabel:
     if elem.is_zero or elem.phase or elem.pow2:
         raise ParseError(f"expected a bare label, got {text!r}", 0)
     return elem.label
-
-
-def format_scalar(phase: int, pow2: int) -> str:
-    return _scaled_text(phase, pow2)
 
 
 def parse_scalar(text: str) -> tuple[int, int]:

@@ -34,9 +34,10 @@ A product formula is written as its block of gate lines repeated N
 times.
 
 Every number in argv and in the matrix file is read by one rule
-(``algebra._parse_number``): ASCII text that ``int()`` or ``float()``
-reads, with no ``_`` separator.  Any other digit, such as an Arabic-Indic
-or fullwidth one, is a parse or usage error (exit 2).
+(``algebra._parse_number``): ASCII text, padded only by space, tab, CR or
+LF, that ``int()`` or ``float()`` reads, with no ``_``.  Any other digit
+or blank (an Arabic-Indic digit, a form feed) is a parse or usage error
+(exit 2).
 
 Exit codes: 0 success, 2 parse/usage error (a matrix file that is not
 UTF-8 included), 3 precondition failure, 4 verification failure, 5 cap
@@ -58,10 +59,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import ParseError, _parse_number, format_element, parse_element, parse_label
+from .algebra import (
+    CapExceededError,
+    ParseError,
+    _parse_number,
+    format_element,
+    parse_element,
+    parse_label,
+)
 from .closure import (
     DEFAULT_LABEL_CAP,
-    CapExceededError,
     Certificate,
     GeneratorSet,
     certificate,
@@ -124,7 +131,7 @@ def _angle_value(text: str) -> float:
         value = _parse_number(text, float, "angle")
     except ParseError:
         m = re.fullmatch(
-            r"\s*(-)?([0-9]+\.?[0-9]*|\.[0-9]+)?\*?pi(?:/([0-9]+\.?[0-9]*))?\s*", text, re.ASCII
+            r"[ \t\r\n]*(-)?([0-9]+\.?[0-9]*|\.[0-9]+)?\*?pi(?:/([0-9]+\.?[0-9]*))?[ \t\r\n]*", text
         )
         if m is None:
             raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None

@@ -31,6 +31,7 @@ from .algebra import (
     _lines,
     _parse_number,
     _require_qubits,
+    _scalar_value,
     all_labels,
     commutator,
     commutes,
@@ -75,7 +76,7 @@ PAIR_CHUNK = 128
 
 
 def _kron_chain(factors) -> np.ndarray:
-    # np.kron, one broadcast multiply and reshape per factor
+    # the Kronecker product of the factors, one broadcast multiply and reshape each
     out = np.array([[1.0 + 0j]])
     for f in factors:
         (r, c), (fr, fc) = out.shape, f.shape
@@ -143,7 +144,7 @@ def recursive_construct(n: int) -> list[np.ndarray]:
     h = hermitized_matrix(BasisLabel(0b11, 2), 1)
     for m in range(1, n):
         eye = np.eye(2**m, dtype=complex)
-        gens = [np.kron(eye, _SX), np.kron(eye, _SY)] + [np.kron(g, h) for g in gens]
+        gens = [_kron_chain([eye, f]) for f in (_SX, _SY)] + [_kron_chain([g, h]) for g in gens]
     return gens
 
 
@@ -344,17 +345,17 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     for start in range(0, len(drawn), PAIR_CHUNK):
         part = [hermitize(label) for label in drawn[start : start + PAIR_CHUNK]]
         m = perms, values = signed_permutations(part, n)
-        inverse = np.argsort(perms, axis=-1)  # M^H holds conj(v[c]) at (c, p[c])
-        adjoint = inverse, -np.take_along_axis(values.conj(), inverse, -1)
+        # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
+        adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
         herm_dev = max(herm_dev, _peaks(m, adjoint).max())
         square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
         for el, perm, vals in zip(part, perms, values):
             oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in el.label.indices], eye)
             deviation = -oracle  # the label's matrix minus the oracle
             deviation[perm, idx] += vals
-            fact_dev = max(
-                fact_dev, _maxabs(deviation), _maxabs(pauli_factorization(el, n).matrix() - oracle)
-            )
+            f = pauli_factorization(el, n)
+            letters = _scalar_value(f.phase, f.pow2) * _kron_chain([PAULI[c] for c in f.factors])
+            fact_dev = max(fact_dev, _maxabs(deviation), _maxabs(letters - oracle))
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 

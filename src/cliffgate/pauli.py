@@ -9,9 +9,9 @@ either mask refers to qubit q.  Monomials multiply by
 
 which this module uses to factor elements into per-qubit Pauli letters
 (and so tell whether an element acts on at most two adjacent qubits) and
-to replay certificates through an independent homomorphism, all without
-building a matrix.  The qubit count of an ambient and the text and value
-of a coefficient i^phase * 2^pow2 come from :mod:`cliffgate.algebra`.
+to replay certificates through an independent homomorphism.  It builds no
+matrix and imports only :mod:`cliffgate.algebra`, for the qubit count of
+an ambient and the text of a coefficient i^phase * 2^pow2.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .algebra import (
     BasisLabel,
     ScaledElement,
     _require_qubits,
-    _scalar_value,
-    _scaled_text,
+    format_scalar,
     hermitize,
     qubit_count,
 )
@@ -79,15 +78,8 @@ class PauliFactorization:
         """True iff the letters act on at most two adjacent qubits."""
         return len(self.factors.strip("I")) <= 2
 
-    def matrix(self):
-        """The Kronecker product of the letters (the oracle's form; loads numpy)."""
-        from .matrices import PAULI, _kron_chain
-
-        coeff = _scalar_value(self.phase, self.pow2)
-        return coeff * _kron_chain([PAULI[f] for f in self.factors])
-
     def __str__(self) -> str:
-        return _scaled_text(self.phase, self.pow2, self.factors)
+        return format_scalar(self.phase, self.pow2, self.factors)
 
 
 def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:

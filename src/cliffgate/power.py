@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closure import CapExceededError
+from .algebra import CapExceededError
 
 __all__ = ["PowerResult", "irrational_power", "minimal_power_scan"]
 

@@ -23,13 +23,13 @@ import numpy as np
 
 from .algebra import (
     BasisLabel,
+    CapExceededError,
     _require_qubits,
     canonical_key,
     commutes,
     hermitize,
     qubit_count,
 )
-from .closure import CapExceededError
 from .matrices import (
     decompose,
     expm_hermitian,
@@ -112,15 +112,11 @@ class GateSequence:
         O(N*L*4^n).
         """
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
-        # O(4^n) per gate; a label can recur, so each is built once.
-        labels = list(dict.fromkeys(gate.label for gate in self.block))
-        perms, values = signed_permutations([hermitize(l) for l in labels], self.qubits)
-        values = 1j * values
-        row = {label: k for k, label in enumerate(labels)}
+        # O(4^n) per gate.
+        perms, values = signed_permutations([hermitize(g.label) for g in self.block], self.qubits)
         out = np.eye(2**self.qubits, dtype=complex)
-        for gate in self.block:
-            k = row[gate.label]
-            out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perms[k]] * values[k]
+        for gate, perm, vals in zip(self.block, perms, 1j * values):
+            out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perm] * vals
         return np.linalg.matrix_power(out, self.repeats)
 
     def to_text(self) -> str:

@@ -2,11 +2,13 @@ from functools import reduce
 
 import numpy as np
 
-from cliffgate import BasisLabel, ScaledElement, all_labels, matrices
+from cliffgate import BasisLabel, ScaledElement, all_labels, commutator, matrices
 from cliffgate.algebra import _scalar_value, qubit_count
 from cliffgate.matrices import (
+    PAULI,
     CheckResult,
     _generator_defects,
+    _kron_chain,
     decompose,
     gamma,
     hermiticity_defect,
@@ -79,6 +81,26 @@ def unitarity_defect(u):
     return maxabs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
+def oracle_audit(result):
+    """``ClosureResult.audit_closed`` on objects: the commutator of every
+    ordered pair of representatives, built in full; True iff none of them
+    leaves the closure."""
+    labels = result.labels()
+    for a in labels:
+        ra = result.representatives[a]
+        for b in labels:
+            c = commutator(ra, result.representatives[b])
+            if not c.is_zero and c.label not in result.representatives:
+                return False
+    return True
+
+
+def pauli_matrix(fact):
+    """The Kronecker product of a ``PauliFactorization``'s letters times its
+    coefficient, formed as ``verify_representation`` forms it."""
+    return _scalar_value(fact.phase, fact.pow2) * _kron_chain([PAULI[f] for f in fact.factors])
+
+
 def oracle_replay(cert):
     """Certificate replay with dense matrices: each step's commutator from
     two matmuls, the worst max-abs entry deviation from the recorded
@@ -140,9 +162,8 @@ def dense_verify(n, seed=0):
         oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in lab.indices], eye)
         herm_dev = max(herm_dev, hermiticity_defect(m))
         square_dev = max(square_dev, maxabs(m @ m - eye))
-        fact_dev = max(
-            fact_dev, maxabs(m - oracle), maxabs(pauli_factorization(el, n).matrix() - oracle)
-        )
+        letters = pauli_matrix(pauli_factorization(el, n))
+        fact_dev = max(fact_dev, maxabs(m - oracle), maxabs(letters - oracle))
     add("hermitized-hermiticity", herm_dev, M.TOL_EXACT)
     add("hermitized-squares", square_dev, M.TOL_EXACT)
 

@@ -27,7 +27,7 @@ from cliffgate import (
 )
 from cliffgate.algebra import canonical_key, qubit_count
 from cliffgate.closure import CertificateStep
-from conftest import elem, gamma_product, label, oracle_commutator
+from conftest import elem, gamma_product, label, oracle_audit, oracle_commutator
 
 
 def generators_only(ambient):
@@ -374,6 +374,28 @@ class TestClosureProperties:
     @settings(max_examples=40, deadline=None)
     def test_audit_always_closed(self, gens):
         assert close(gens).audit_closed()
+
+
+class TestAuditMatchesOracle:
+    """``audit_closed`` checks masks; ``oracle_audit`` builds every
+    commutator.  They must give the same verdict, closed or not."""
+
+    @given(small_generator_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_verdict_closed_and_with_a_label_deleted(self, gens, data):
+        result = close(gens)
+        assert result.audit_closed() is oracle_audit(result) is True
+        derived = sorted(result.representatives.keys() - set(result.initial), key=canonical_key)
+        if derived:
+            del result.representatives[data.draw(st.sampled_from(derived))]
+            assert result.audit_closed() is oracle_audit(result)
+
+    @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
+    def test_stock_sets_at_m12(self, stock):
+        result = close(stock(12))
+        assert result.audit_closed()
+        del result.representatives[label([3, 7], 12)]
+        assert not result.audit_closed()
 
 
 class TestCertificates:

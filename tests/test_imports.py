@@ -1,5 +1,5 @@
-"""Import hygiene: the symbolic subcommands never load numpy, and the
-package still offers every public name.
+"""Import hygiene: the symbolic subcommands never load numpy, the layers
+import only downward, and the package still offers every public name.
 
 Each check runs in a fresh interpreter, since this test process has
 numpy loaded already.
@@ -115,9 +115,42 @@ def test_each_public_name_has_one_home():
     assert strays == []
 
 
-def test_pauli_layer_stands_below_closure():
-    # the monomial layer needs no closure: the gate set's closure is the
-    # command line's to run
-    tree = ast.parse((SRC / "cliffgate" / "pauli.py").read_text())
-    sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "algebra" in sources and "closure" not in sources
+def package_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports, at any depth of its
+    source: a function-local import counts too."""
+    tree = ast.parse((SRC / "cliffgate" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found |= {name.split(".")[1] for name in names if name.startswith("cliffgate.")}
+    return found
+
+
+def reachable(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        for other in package_imports(todo.pop()) - seen:
+            seen.add(other)
+            todo.append(other)
+    return seen
+
+
+# The integer layers never reach the dense ones, ``pauli`` and ``power``
+# reach only ``algebra``, and ``synthesis`` needs no closure; a module
+# reached through another counts as imported.
+LAYERS = {path.stem for path in (SRC / "cliffgate").glob("*.py")} - {"__init__"}
+FORBIDDEN = {
+    "algebra": LAYERS - {"algebra"},
+    "closure": {"matrices", "synthesis"},
+    "pauli": LAYERS - {"algebra", "pauli"},
+    "power": LAYERS - {"algebra", "power"},
+    "synthesis": {"closure"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN))
+def test_layers_import_only_downward(module):
+    assert reachable(module) & FORBIDDEN[module] == set()

@@ -36,6 +36,7 @@ from conftest import (
     label,
     labels_upto,
     maxabs,
+    pauli_matrix,
     unitarity_defect,
 )
 
@@ -187,7 +188,7 @@ class TestPauliFactorization:
         for lab in labels_upto(2 * n):
             el = hermitize(lab)
             f = pauli_factorization(el, n)
-            assert maxabs(f.matrix() - represent(el, n)) == 0.0
+            assert maxabs(pauli_matrix(f) - represent(el, n)) == 0.0
 
     def test_unit_has_empty_support(self):
         assert pauli_factorization(ScaledElement.unit(4), 2).support() == ()

@@ -1,13 +1,14 @@
 """One number grammar for every file and flag, and one set of blanks.
 
 ``algebra._parse_number`` is the only code that turns file or argv text
-into an int or a float.  On ASCII text without ``_`` it returns exactly
-what ``int()`` or ``float()`` returns; any other text is a ``ParseError``.
-``int()`` and ``float()`` alone read non-ASCII digits, such as the
-Arabic-Indic and fullwidth ones, and ``_`` separators.  The element,
-scalar, certificate and matrix readers take only ASCII space, tab, CR and
-LF as padding and separators, where ``str.strip()`` and ``split()`` alone
-take any Unicode space.
+into an int or a float.  On ASCII text without ``_``, vertical tab or
+form feed it returns exactly what ``int()`` or ``float()`` returns; any
+other text is a ``ParseError``.  ``int()`` and ``float()`` alone read
+non-ASCII digits, such as the Arabic-Indic and fullwidth ones, ``_``
+separators and padding by vertical tab or form feed.  The element,
+scalar, certificate and matrix readers and every number flag take only
+ASCII space, tab, CR and LF as padding and separators, where
+``str.strip()`` and ``split()`` alone take any Unicode space.
 """
 
 import ast
@@ -103,8 +104,10 @@ def test_every_number_flag_and_file_refuses_other_digits(template, digit, tmp_pa
     assert "Traceback" not in err
 
 
-# a no-break, an em and an ideographic space
-NOT_ASCII_BLANKS = ["\u00a0", "\u2003", "\u3000"]
+# a no-break, an em and an ideographic space, and the two ASCII blanks,
+# vertical tab and form feed, that int() and float() take as padding
+OTHER_BLANKS = ["\u00a0", "\u2003", "\u3000", "\v", "\f"]
+BLANK_IDS = ["nbsp", "em", "ideographic", "vt", "ff"]
 CERT = certificate(close(universal_generators(4)), BasisLabel(0b1111, 4)).to_text()
 STEP = "step e[0,1,2,3] := [e[3], e[0,1,2]] * -i*2^1"
 assert STEP in CERT
@@ -125,7 +128,7 @@ BLANK_LIBRARY = {
 }
 
 
-@pytest.mark.parametrize("blank", NOT_ASCII_BLANKS, ids=["nbsp", "em", "ideographic"])
+@pytest.mark.parametrize("blank", OTHER_BLANKS, ids=BLANK_IDS)
 @pytest.mark.parametrize("entry", list(BLANK_LIBRARY))
 def test_library_readers_refuse_other_blanks(entry, blank):
     with pytest.raises(ParseError):
@@ -163,7 +166,7 @@ CLI_BLANKS = [
 ]
 
 
-@pytest.mark.parametrize("blank", NOT_ASCII_BLANKS, ids=["nbsp", "em", "ideographic"])
+@pytest.mark.parametrize("blank", OTHER_BLANKS, ids=BLANK_IDS)
 @pytest.mark.parametrize("template", CLI_BLANKS)
 def test_every_file_and_flag_refuses_other_blanks(template, blank, tmp_path):
     between, around = tmp_path / "between.mat", tmp_path / "around.mat"
@@ -171,6 +174,41 @@ def test_every_file_and_flag_refuses_other_blanks(template, blank, tmp_path):
     around.write_text(f"{blank}1,0 0,0\n0,0 1,0{blank}\n")
     argv = [w.format(b=blank, between=between, around=around) for w in template.split(" ")]
     code, out, err = run_main(argv)
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err
+
+
+# every number flag, with {b} around its value
+CLI_NUMBER_PADDING = [
+    "closure -m {b}4{b} e[0] e[1]",
+    "closure -m 4 --cap {b}4 e[0] e[1]",
+    "certify -m 4 --target e[0,1] --cap 4{b} e[0] e[1]",
+    "verify-rep -n {b}1 --seed {b}3",
+    "gateset -n {b}2",
+    "synth -n {b}1 -N {b}2{b} -i {good}",
+    "power --angle {b}pi/2{b} --eps {b}0.1",
+    "power --angle 1.5{b} --eps 0.1{b} --cap {b}1000",
+]
+
+
+def run_padded(template, blank, tmp_path):
+    good = tmp_path / "good.mat"
+    good.write_text("1,0 0,0\n0,0 1,0\n")
+    return run_main([w.format(b=blank, good=good) for w in template.split(" ")])
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\r", "\n"], ids=["space", "tab", "cr", "lf"])
+@pytest.mark.parametrize("template", CLI_NUMBER_PADDING)
+def test_every_number_flag_reads_ascii_padding(template, blank, tmp_path):
+    code, out, err = run_padded(template, blank, tmp_path)
+    assert (code, out, err) == run_padded(template, "", tmp_path)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("blank", OTHER_BLANKS, ids=BLANK_IDS)
+@pytest.mark.parametrize("template", CLI_NUMBER_PADDING)
+def test_every_number_flag_refuses_other_padding(template, blank, tmp_path):
+    code, out, err = run_padded(template, blank, tmp_path)
     assert (code, out) == (2, ""), err
     assert "Traceback" not in err
 
@@ -206,9 +244,12 @@ def same_value(a, b):
 @given(data=st.data())
 def test_ascii_text_reads_as_int_and_float_read_it(kind, texts, data):
     text = data.draw(PADDING) + data.draw(texts) + data.draw(PADDING)
+    refused = "\v" in text or "\f" in text  # padding to int() and float(), not a blank here
     try:
         want = kind(text)
     except ValueError:
+        refused = True
+    if refused:
         with pytest.raises(ParseError):
             _parse_number(text, kind, "number")
     else:

@@ -8,7 +8,8 @@ in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
 processes (exit codes, record fields, byte-identical output).  That
 catches an API or CLI change that would break the benchmark in a few
 seconds, without running the full ``perfbench/test_smoke.py``.  The
-verify jobs of the full ``dense`` deck (seed 7) run twice too, and the
+verify jobs of the full ``dense`` deck and the audited jobs of the full
+``closure`` deck (seed 7) run twice too, and the
 full ``dense`` and ``cli`` decks of the benchmark's seeds are built, so
 that every power input their checkers compare with the scan oracle is
 checked here in process.  The malformed and known-defect argv the ``cli``
@@ -58,6 +59,13 @@ def test_verify_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_pat
     jobs = [job for job in perfbench["wl_dense"].build(7, False, tmp_path) if job.kind == "verify"]
     assert [job.n for job in jobs] == [3, 4]
     run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
+
+
+def test_audited_jobs_of_the_full_closure_deck_pass_their_checks(perfbench, tmp_path):
+    # the jobs whose check calls ClosureResult.audit_closed
+    jobs = [job for job in perfbench["wl_closure"].build(7, False, tmp_path) if job.audit]
+    assert [job.m for job in jobs] == [6, 7, 8]
+    run_twice(jobs, perfbench["spans"].NullTracer(), "closure")
 
 
 def run_twice(jobs, tracer, workload):
