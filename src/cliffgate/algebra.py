@@ -435,11 +435,12 @@ def parse_label(text: str, ambient: int) -> BasisLabel:
 def parse_scalar(text: str) -> tuple[int, int]:
     """Parse a coefficient of the form i^m * 2^p; returns (phase, pow2)."""
     stripped = text.strip(_BLANKS)
+    offset = len(text) - len(text.lstrip(_BLANKS))
     phase, pos = _parse_prefix(stripped)
     rest = stripped[pos:]
     if rest == "1":
         return phase, 0
     m = re.fullmatch(r"2\^(-?[0-9]+)", rest)
     if m is None:
-        raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", pos)
-    return phase, _parse_number(m.group(1), int, "exponent", pos + 2)
+        raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", offset + pos)
+    return phase, _parse_number(m.group(1), int, "exponent", offset + pos + 2)

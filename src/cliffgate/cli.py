@@ -52,11 +52,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -95,20 +95,18 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    digits: int  # significant digits of printed floats
-
-    def emit(self, kind: str, *words, **fields) -> None:
-        """Print one record: the kind, bare words, then key=value fields."""
-        parts = [kind, *map(str, words)]
-        for key, value in fields.items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = f"{value:.{self.digits}g}"
-            parts.append(f"{key}={value}")
-        print(" ".join(parts))
+def _emit(digits: int, kind: str, *words, **fields) -> None:
+    """Print one record: the kind, bare words, then key=value fields, floats
+    at ``digits`` significant digits.  ``main`` binds ``digits`` and hands
+    the result to each handler as ``emit``."""
+    parts = [kind, *map(str, words)]
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = f"{value:.{digits}g}"
+        parts.append(f"{key}={value}")
+    print(" ".join(parts))
 
 
 def _number_flag(kind: type):
@@ -126,13 +124,13 @@ _INT, _FLOAT = _number_flag(int), _number_flag(float)
 
 
 def _angle_value(text: str) -> float:
-    """Accept a finite float or a simple multiple of pi such as pi/2 or -2*pi/3."""
+    """Accept a finite float or a multiple of pi, [-][k[*]]pi[/m], such as
+    pi/2, -2*pi/3 or pi/.5; k and m are unsigned decimals, and a * needs a k."""
     try:
         value = _parse_number(text, float, "angle")
     except ParseError:
-        m = re.fullmatch(
-            r"[ \t\r\n]*(-)?([0-9]+\.?[0-9]*|\.[0-9]+)?\*?pi(?:/([0-9]+\.?[0-9]*))?[ \t\r\n]*", text
-        )
+        number = r"[0-9]+\.?[0-9]*|\.[0-9]+"
+        m = re.fullmatch(rf"[ \t\r\n]*(-)?(?:({number})\*?)?pi(?:/({number}))?[ \t\r\n]*", text)
         if m is None:
             raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None
         sign = -1.0 if m.group(1) else 1.0
@@ -170,20 +168,20 @@ def _check_qubits(qubits: int, cap: int) -> None:
         raise CapExceededError(f"{qubits} qubits exceeds the matrix cap {cap}")
 
 
-def cmd_closure(args, config: RunConfig) -> int:
+def cmd_closure(args, emit) -> int:
     gens = _parse_generators(args.generators, args.ambient)
     result = close(gens, cap=args.cap)
     dim = result.dimension
     verdict = "unsupported" if args.ambient % 2 else result.universal
-    config.emit(
+    emit(
         "closure", ambient=args.ambient, generators=len(gens.elements), dim=dim, universal=verdict
     )
     for label in result.labels():
-        config.emit("label", label)
+        emit("label", label)
     return EXIT_OK
 
 
-def cmd_certify(args, config: RunConfig) -> int:
+def cmd_certify(args, emit) -> int:
     gens = _parse_generators(args.generators, args.ambient)
     target = parse_label(args.target, args.ambient)
     serialized = certificate(close(gens, cap=args.cap), target).to_text()
@@ -192,15 +190,15 @@ def cmd_certify(args, config: RunConfig) -> int:
     # exercised on every run
     cert = Certificate.from_text(serialized)
     if args.ambient % 2:
-        config.emit("replay", skipped=True, reason="odd-ambient")
+        emit("replay", skipped=True, reason="odd-ambient")
         return EXIT_OK
     report = replay_certificate(cert)
     ok = report.deviation == 0.0  # the replay is exact
-    config.emit("replay", deviation=report.deviation, steps=report.steps, ok=ok)
+    emit("replay", deviation=report.deviation, steps=report.steps, ok=ok)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_verify_rep(args, config: RunConfig) -> int:
+def cmd_verify_rep(args, emit) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _check_qubits(args.qubits, args.cap)
@@ -208,29 +206,24 @@ def cmd_verify_rep(args, config: RunConfig) -> int:
 
     checks = verify_representation(args.qubits, seed=args.seed)
     for check in checks:
-        config.emit(
-            "check",
-            name=check.name,
-            deviation=check.deviation,
-            tolerance=check.tolerance,
-            status="pass" if check.passed else "fail",
-        )
+        emit("check", name=check.name, deviation=check.deviation, tolerance=check.tolerance,
+             status="pass" if check.passed else "fail")
     failed = sum(not check.passed for check in checks)
-    config.emit("verify", qubits=args.qubits, checks=len(checks), failed=failed)
+    emit("verify", qubits=args.qubits, checks=len(checks), failed=failed)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def cmd_gateset(args, config: RunConfig) -> int:
+def cmd_gateset(args, emit) -> int:
     _check_ambient(2 * args.qubits)
     gens = chain_generators(2 * args.qubits)
     result = close(gens, cap=args.cap)  # before any output: a capped run prints nothing
     facts = [pauli_factorization(el, args.qubits) for el in gens.elements]
     for el, fact in zip(gens.elements, facts):
         support = ",".join(map(str, fact.support())) or "-"
-        config.emit(
+        emit(
             "element", label=format_element(el), pauli=str(fact), support=support, local=fact.local
         )
-    config.emit(
+    emit(
         "gateset", qubits=args.qubits, count=len(facts), dim=result.dimension,
         universal=result.universal, local=all(fact.local for fact in facts),
     )
@@ -257,7 +250,7 @@ def _read_matrix_text(path: str, qubits: int) -> str:
         raise ParseError(f"input {path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def cmd_synth(args, config: RunConfig) -> int:
+def cmd_synth(args, emit) -> int:
     _check_qubits(args.qubits, args.cap)
     from .matrices import parse_matrix  # loads numpy
     from .synthesis import synthesize
@@ -269,26 +262,20 @@ def cmd_synth(args, config: RunConfig) -> int:
         Path(args.output).write_text(serialized)
     else:
         sys.stdout.write(serialized)
-    config.emit(
+    emit(
         "synth", qubits=args.qubits, steps=args.steps, gates=len(seq.block) * seq.repeats,
         error=float(seq.error),
     )
     return EXIT_OK
 
 
-def cmd_power(args, config: RunConfig) -> int:
+def cmd_power(args, emit) -> int:
     angle = _angle_value(args.angle)
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise UsageError(f"--eps must be positive and finite, got {args.eps}")
     result = irrational_power(angle, args.eps, cap=args.cap)
-    config.emit(
-        "power",
-        angle=angle,
-        eps=args.eps,
-        N=result.applications,
-        residual=result.residual,
-        signed=result.signed_angle,
-    )
+    emit("power", angle=angle, eps=args.eps, N=result.applications, residual=result.residual,
+         signed=result.signed_angle)
     return EXIT_OK
 
 
@@ -349,9 +336,9 @@ def main(argv=None) -> int:
                 argv[k : k + 2] = [f"--angle={argv[k + 1]}"]
                 break
     args = _build_parser().parse_args(argv)
-    config = RunConfig(digits=17 if args.format == "records" else 6)
+    emit = functools.partial(_emit, 17 if args.format == "records" else 6)
     try:
-        code = args.handler(args, config)
+        code = args.handler(args, emit)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except BrokenPipeError:  # the reader stopped early; keep the flush at shutdown quiet

@@ -205,12 +205,14 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
 
 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:
-    terms = [(label, alpha) for label, alpha in coeffs.items() if alpha]
-    perms, values = signed_permutations([hermitize(label) for label, _ in terms], n)
-    idx = np.arange(2**n)
+    """sum_I alpha_I M(I) over the hermitized basis, the inverse of
+    :func:`decompose`.  One unbuffered scatter adds the nonzero terms'
+    signed permutations, so each entry sums its terms in coefficient order."""
+    terms = {label: alpha for label, alpha in coeffs.items() if alpha}
+    perms, values = signed_permutations([hermitize(label) for label in terms], n)
+    values *= np.array(list(terms.values()), dtype=float).reshape(-1, 1)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for (_, alpha), perm, vals in zip(terms, perms, values):
-        out[perm, idx] += alpha * vals
+    np.add.at(out, (perms, np.arange(2**n)), values)
     return out
 
 
@@ -309,13 +311,14 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
 
     Each check runs over all labels, or all label pairs, while they number
     at most SAMPLE_CAP, and over SAMPLE_CAP seeded draws beyond that;
-    deterministic for a fixed seed.  Label and pair checks compose signed
-    permutations (:func:`signed_permutations`), PAIR_CHUNK at a time, and
-    read each deviation as the exact max |entry| of their sum, the dense
-    one bit for bit.  A pair chunk holds a, b, the symbolic ab and the
-    symbolic [a, b]; the trace orthogonality of the hermitized pair is read
-    off ab, since hermitizing only rescales by a power of i.  Only the
-    oracle is dense: per label, the Kronecker-chain product of its
+    deterministic for a fixed seed.  A label is drawn as its bitmask in
+    0..4^n - 1, so no list of all labels is formed.  Label and pair checks
+    compose signed permutations (:func:`signed_permutations`), PAIR_CHUNK
+    at a time, and read each deviation as the exact max |entry| of their
+    sum, the dense one bit for bit.  A pair chunk holds a, b, the symbolic
+    ab and the symbolic [a, b]; the trace orthogonality of the hermitized
+    pair is read off ab, since hermitizing only rescales by a power of i.
+    Only the oracle is dense: per label, the Kronecker-chain product of its
     generators and the Kronecker product of its Pauli letters.
     Generator checks use TOL_STRICT, label checks TOL_EXACT and the
     decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
@@ -336,14 +339,13 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("clifford-relations", _generator_defects(gammas, eye)[0], TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
 
-    labels = list(all_labels(2 * n))
-    drawn = labels
-    if len(labels) > SAMPLE_CAP:
-        drawn = [labels[i] for i in rng.integers(0, len(labels), size=SAMPLE_CAP)]
+    ambient, count = 2 * n, 4**n
+    drawn = range(count) if count <= SAMPLE_CAP else rng.integers(0, count, SAMPLE_CAP).tolist()
     herm_dev = square_dev = fact_dev = 0.0
     minus_eye = idx, -np.ones(2**n)
     for start in range(0, len(drawn), PAIR_CHUNK):
-        part = [hermitize(label) for label in drawn[start : start + PAIR_CHUNK]]
+        masks = drawn[start : start + PAIR_CHUNK]
+        part = [hermitize(BasisLabel(mask, ambient)) for mask in masks]
         m = perms, values = signed_permutations(part, n)
         # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
         adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
@@ -359,11 +361,12 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 
-    if len(labels) ** 2 <= SAMPLE_CAP:
-        pairs = [(a, b) for a in labels for b in labels]
+    if count**2 <= SAMPLE_CAP:
+        draws = [(a, b) for a in range(count) for b in range(count)]
     else:
-        draws = rng.integers(0, len(labels), size=(SAMPLE_CAP, 2))
-        pairs = [(labels[i], labels[j]) for i, j in draws]
+        draws = rng.integers(0, count, size=(SAMPLE_CAP, 2)).tolist()
+    labels = {mask: BasisLabel(mask, ambient) for mask in {m for pair in draws for m in pair}}
+    pairs = [(labels[a], labels[b]) for a, b in draws]
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
     for start in range(0, len(pairs), PAIR_CHUNK):

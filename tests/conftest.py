@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 
-from cliffgate import BasisLabel, ScaledElement, all_labels, commutator, matrices
+from cliffgate import BasisLabel, ScaledElement, all_labels, commutator, hermitize, matrices
 from cliffgate.algebra import _scalar_value, qubit_count
 from cliffgate.matrices import (
     PAULI,
@@ -126,6 +126,18 @@ def oracle_replay(cert):
     return worst, len(cert.steps)
 
 
+def loop_reconstruct(coeffs, n):
+    """``reconstruct`` one term at a time: each nonzero term's signed
+    permutation added in turn, in coefficient order."""
+    terms = [(lab, alpha) for lab, alpha in coeffs.items() if alpha]
+    perms, values = signed_permutations([hermitize(lab) for lab, _ in terms], n)
+    idx = np.arange(2**n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for (_, alpha), perm, vals in zip(terms, perms, values):
+        out[perm, idx] += alpha * vals
+    return out
+
+
 def dense_verify(n, seed=0):
     """``verify_representation`` on dense stacks: the same draws and the same
     checks, with every matrix formed entry by entry and every product a
@@ -151,12 +163,14 @@ def dense_verify(n, seed=0):
     add("clifford-relations", _generator_defects(gammas, eye)[0], M.TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), M.TOL_STRICT)
 
-    labels = list(all_labels(2 * n))
-    drawn = labels
-    if len(labels) > M.SAMPLE_CAP:
-        drawn = [labels[i] for i in rng.integers(0, len(labels), size=M.SAMPLE_CAP)]
+    # a label is drawn as its mask, as verify_representation draws it
+    ambient, count = 2 * n, 4**n
+    drawn = range(count)
+    if count > M.SAMPLE_CAP:
+        drawn = rng.integers(0, count, size=M.SAMPLE_CAP).tolist()
     herm_dev = square_dev = fact_dev = 0.0
-    for lab in drawn:
+    for mask in drawn:
+        lab = BasisLabel(mask, ambient)
         el = M.hermitize(lab)
         m = represent(el, n)
         oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in lab.indices], eye)
@@ -167,11 +181,11 @@ def dense_verify(n, seed=0):
     add("hermitized-hermiticity", herm_dev, M.TOL_EXACT)
     add("hermitized-squares", square_dev, M.TOL_EXACT)
 
-    if len(labels) ** 2 <= M.SAMPLE_CAP:
-        pairs = [(a, b) for a in labels for b in labels]
+    if count**2 <= M.SAMPLE_CAP:
+        draws = [(a, b) for a in range(count) for b in range(count)]
     else:
-        draws = rng.integers(0, len(labels), size=(M.SAMPLE_CAP, 2))
-        pairs = [(labels[i], labels[j]) for i, j in draws]
+        draws = rng.integers(0, count, size=(M.SAMPLE_CAP, 2)).tolist()
+    pairs = [(BasisLabel(a, ambient), BasisLabel(b, ambient)) for a, b in draws]
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
     chunk = max(1, (1 << 14) // 4**n)

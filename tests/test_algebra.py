@@ -253,6 +253,25 @@ class TestTextForm:
         with pytest.raises(ParseError):
             parse_scalar(text)
 
+    # a column counts the leading blanks, in a scalar as in an element
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("2^x", 0),
+            ("  2^x", 2),
+            ("\t-i*2^x", 4),
+            (f"2^{'1' * 4301}", 2),
+            (f"  i*2^{'1' * 4301}", 6),
+            (f"\r\n-2^{'1' * 4301}", 5),
+        ],
+        ids=["bad", "blanks-bad", "tab-bad", "long", "blanks-long", "crlf-long"],
+    )
+    def test_scalar_error_column_counts_leading_blanks(self, text, column):
+        for parse in (parse_scalar, lambda t: parse_element(t + "*e[0]", 4)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.column == column
+
     def test_exponent_of_4300_digits_is_legal(self):
         digits = "1" * 4300
         assert parse_element(f"2^{digits}*e[0]", 4).pow2 == int(digits)

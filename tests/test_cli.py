@@ -442,13 +442,15 @@ class TestPowerCommand:
         code, _, err = run(capsys, "power", "--angle", "two-pi", "--eps", "0.1")
         assert code == EXIT_PARSE
 
-    @pytest.mark.parametrize("angle", [".pi", "-.pi", ".*pi"])
+    @pytest.mark.parametrize("angle", [".pi", "-.pi", ".*pi", "*pi", "-*pi"])
     def test_numerator_without_a_digit_is_parse_error(self, capsys, angle):
         code, out, err = run(capsys, "power", f"--angle={angle}", "--eps", "0.1")
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("parse error: cannot parse angle")
 
-    @pytest.mark.parametrize("angle, value", [(".5pi", 0.5), ("2pi", 2.0), ("pi", 1.0)])
+    @pytest.mark.parametrize(
+        "angle, value", [(".5pi", 0.5), ("2pi", 2.0), ("pi", 1.0), ("pi/.5", 2.0)]
+    )
     def test_multiples_of_pi(self, angle, value):
         assert cli._angle_value(angle) == value * math.pi
 

@@ -35,6 +35,7 @@ from conftest import (
     gamma_product,
     label,
     labels_upto,
+    loop_reconstruct,
     maxabs,
     pauli_matrix,
     unitarity_defect,
@@ -220,6 +221,21 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0, 1], [0, 0]], dtype=complex), 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_reconstruct_equals_the_term_loop_bit_for_bit(self, n):
+        # the scatter adds each entry's terms in the loop's order
+        coeffs = decompose(random_hermitian(n, np.random.default_rng(n)), n)
+        assert reconstruct(coeffs, n).tobytes() == loop_reconstruct(coeffs, n).tobytes()
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{}, {label([0, 1, 2], 4): -0.75}, {label([], 4): 0.0}],
+        ids=["empty", "one-term", "zero-term"],
+    )
+    def test_reconstruct_of_few_terms(self, coeffs):
+        out = reconstruct(coeffs, 2)
+        assert out.shape == (4, 4) and out.tobytes() == loop_reconstruct(coeffs, 2).tobytes()
+
 
 class TestExpm:
     def test_zero_hamiltonian(self):
@@ -316,6 +332,21 @@ class TestVerifySuite:
         # stacks and matmuls give
         for seed in (0, 5, 9):
             assert verify_representation(n, seed=seed) == dense_verify(n, seed)
+
+    def test_sampled_sweep_lists_no_labels(self, monkeypatch):
+        # labels are drawn as masks: the one all_labels call left is
+        # decompose's, in the round trip
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 8)
+        calls = []
+
+        def counted(ambient):
+            calls.append(ambient)
+            return all_labels(ambient)
+
+        monkeypatch.setattr(matrices, "all_labels", counted)
+        results = verify_representation(2, seed=4)
+        assert calls == [4]
+        assert results == dense_verify(2, 4)
 
     def test_matches_the_dense_sweep_sampled_and_in_part_chunks(self, monkeypatch):
         # 12 of the 16 labels and 12 of their pairs drawn, 7 and then 5 at a time

@@ -8,9 +8,9 @@ in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
 processes (exit codes, record fields, byte-identical output).  That
 catches an API or CLI change that would break the benchmark in a few
 seconds, without running the full ``perfbench/test_smoke.py``.  The
-verify jobs of the full ``dense`` deck and the audited jobs of the full
-``closure`` deck (seed 7) run twice too, and the
-full ``dense`` and ``cli`` decks of the benchmark's seeds are built, so
+synth and verify jobs of the full ``dense`` deck and the audited jobs of
+the full ``closure`` deck (seed 7) run twice too, and the full ``dense``
+and ``cli`` decks of the benchmark's seeds are built, so
 that every power input their checkers compare with the scan oracle is
 checked here in process.  The malformed and known-defect argv the ``cli``
 workload pins run here too, in process, each against its documented exit
@@ -58,6 +58,14 @@ def test_verify_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_pat
     # smoke deck's n = 2
     jobs = [job for job in perfbench["wl_dense"].build(7, False, tmp_path) if job.kind == "verify"]
     assert [job.n for job in jobs] == [3, 4]
+    run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
+
+
+def test_synth_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_path):
+    # trotter at n = 3..6, and a check that compares reconstruct(decompose(h)) with h
+    deck = perfbench["wl_dense"].build(7, False, tmp_path)
+    jobs = [job for job in deck if job.kind.startswith("synth-")]
+    assert [job.n for job in jobs] == [3, 3, 3, 4, 4, 5, 4, 4, 5, 6, 6, 6]
     run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
 
 
