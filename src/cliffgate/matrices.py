@@ -10,9 +10,9 @@ qubit (qubit 0 is the rightmost factor and bit 0 of a row index).  All 2n
 generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
-a basis element's Pauli monomial i^phase X^x Z^z
-(:func:`cliffgate.pauli.pauli_monomial`); the Kronecker chains of
-:func:`gamma` serve only as the checks' oracle.
+a basis element's Pauli monomial i^phase X^x Z^z, one call of
+:func:`cliffgate.pauli.pauli_monomial` per array of masks; the Kronecker
+chains of :func:`gamma` serve only as the checks' oracle.
 """
 
 from __future__ import annotations
@@ -104,16 +104,15 @@ def signed_permutations(
 
     So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
     c ^ xmask, and the zero element has all-zero values.  Every element's
-    ambient is checked, and each distinct label's monomial is formed once.
+    ambient is checked, and one call of :func:`pauli_monomial` on the array
+    of their masks gives every monomial.
     """
     for el in {el.label.ambient: el for el in elems}.values():
         _require_qubits(el, n)  # one element of each ambient
-    labels = {el.label.mask: el.label for el in elems}
-    forms = {mask: pauli_monomial(label) for mask, label in labels.items()}
-    masks = np.array([forms[el.label.mask] for el in elems], dtype=np.int64).reshape(-1, 3)
-    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** masks[:, 2]
+    x, z, phase = pauli_monomial(np.array([el.label.mask for el in elems], dtype=np.int64), n)
+    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** phase
     idx = np.arange(2**n)
-    return idx ^ masks[:, :1], coeffs[:, None] * _signs(idx, masks[:, 1:2])
+    return idx ^ x[:, None], coeffs[:, None] * _signs(idx, z[:, None])
 
 
 def represent(elem: ScaledElement, n: int) -> np.ndarray:
@@ -186,7 +185,8 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     alpha_I = trace(h @ M(I)) / 2^n for every label I; the coefficients are
     real and reconstruct h exactly up to floating error.  All the traces
     trace(h X^x Z^z) = sum_c h[c, c ^ x] (-1)^|z & c| are one gather and one
-    Sylvester-Hadamard product (Hantzko, Binkowski & Gupta 2023).
+    Sylvester-Hadamard product (Hantzko, Binkowski & Gupta 2023), read at
+    every label's monomial, from one :func:`pauli_monomial` call on all masks.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
@@ -196,12 +196,12 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     _require_hermitian(h, tol)
     idx = np.arange(dim)
     traces = h[idx, idx ^ idx[:, None]] @ _signs(idx[:, None], idx)
-    coeffs = {}
-    for label in all_labels(2 * n):
-        x, z, phase = pauli_monomial(label)
-        phase += hermitization_phase(label.order)
-        coeffs[label] = float(((1j ** (phase % 4)) * traces[x, z]).real) / dim
-    return coeffs
+    labels = list(all_labels(2 * n))
+    masks = np.array([label.mask for label in labels], dtype=np.int64)
+    x, z, phase = pauli_monomial(masks, n)
+    phase += hermitization_phase(np.bitwise_count(masks).astype(np.int64))
+    alphas = (1j ** (phase % 4) * traces[x, z]).real / dim
+    return dict(zip(labels, alphas.tolist()))
 
 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:

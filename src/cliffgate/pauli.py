@@ -1,9 +1,10 @@
-"""Basis elements as Pauli monomials, in integers only.
+"""Basis elements as Pauli monomials, in integer bit operations only.
 
 Generator 2k maps to X_k Z_{<k} and generator 2k+1 to i X_k Z_{<=k} (the
 Kronecker chains of :func:`cliffgate.matrices.gamma`), so every basis
 label maps onto one Pauli monomial i^phase X^xmask Z^zmask, where bit q of
-either mask refers to qubit q.  Monomials multiply by
+either mask refers to qubit q (:func:`pauli_monomial`, in closed form and
+elementwise on an int or an integer array of masks).  Monomials multiply by
 
     (X^a Z^b)(X^c Z^d) = (-1)^|b & c| X^(a ^ c) Z^(b ^ d),
 
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (
-    BasisLabel,
     ScaledElement,
     _require_qubits,
     format_scalar,
@@ -37,23 +37,23 @@ __all__ = [
 ]
 
 
-def pauli_monomial(label: BasisLabel) -> tuple[int, int, int]:
-    """(xmask, zmask, phase) with M(label) = i^phase X^xmask Z^zmask.
+def pauli_monomial(masks, n: int):
+    """(xmask, zmask, phase) with M(label) = i^phase X^xmask Z^zmask for
+    label masks over 2n generators, elementwise on an int or an int array.
 
-    Generator 2k is X_k Z_{<k} and generator 2k+1 is i X_k Z_{<=k}; the
-    ordered product follows from (X^a Z^b)(X^c Z^d) = (-1)^|b & c|
-    X^(a ^ c) Z^(b ^ d).
+    Generator 2k is X_k Z_{<k} and 2k+1 is i X_k Z_{<=k}.  In ascending
+    order no earlier Z reaches the qubit of a later X, so the product
+    picks up no sign: bit q of xmask is the parity of mask bits 2q and
+    2q+1, bit q of zmask that of the mask bits above 2q, and phase counts
+    the odd generators mod 4.
     """
-    x = z = phase = 0
-    mask = label.mask
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        k = j >> 1
-        phase += (j & 1) + 2 * (z >> k & 1)
-        x ^= 1 << k
-        z ^= (1 << (k + (j & 1))) - 1
-    return x, z, phase % 4
+    x = z = phase = above = masks & 0
+    for q in reversed(range(n)):  # highest qubit first, carrying the parity above
+        even, odd = masks >> 2 * q & 1, masks >> 2 * q + 1 & 1
+        above = above ^ odd
+        x, z = x | (even ^ odd) << q, z | above << q
+        above, phase = above ^ even, phase + odd
+    return x, z, phase & 3
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
     _require_qubits(elem, n)
     if elem.is_zero:
         raise ValueError("the zero element has no Pauli factorization")
-    x, z, phase = pauli_monomial(elem.label)
+    x, z, phase = pauli_monomial(elem.label.mask, n)
     # a qubit in both masks is X Z = -i Y
     letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in reversed(range(n)))
     return PauliFactorization((elem.phase + phase - (x & z).bit_count()) % 4, elem.pow2, letters)
@@ -98,10 +98,10 @@ def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
 # (xmask, zmask, phase, pow2) = i^phase 2^pow2 X^xmask Z^zmask; None is the
 # zero matrix.
 
-def _monomial(elem: ScaledElement):
+def _monomial(elem: ScaledElement, n: int):
     if elem.is_zero:
         return None
-    x, z, phase = pauli_monomial(elem.label)
+    x, z, phase = pauli_monomial(elem.label.mask, n)
     return x, z, (phase + elem.phase) & 3, elem.pow2
 
 
@@ -140,15 +140,15 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
     derivation and on a target never derived.  ``tol`` is accepted and
     unused: the comparison is exact.
     """
-    qubit_count(cert.ambient)
-    forms = {g.label: _monomial(g) for g in cert.generators}
+    n = qubit_count(cert.ambient)
+    forms = {g.label: _monomial(g, n) for g in cert.generators}
     agree = True
     for step in cert.steps:
         for parent in (step.parent_a, step.parent_b):
             if parent not in forms:
                 raise ValueError(f"step parent {parent} appears before its derivation")
         form = _bracket(forms[step.parent_a], forms[step.parent_b])
-        agree &= form == _monomial(step.element)
+        agree &= form == _monomial(step.element, n)
         forms[step.element.label] = form
     if cert.target in forms:
         final = forms[cert.target]
@@ -156,6 +156,6 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
         raise ValueError("certificate never derives its target")
     else:
         final = (0, 0, 0, 0)  # the unit is the empty derivation
-    x, z, phase, _ = _monomial(hermitize(cert.target))
+    x, z, phase, _ = _monomial(hermitize(cert.target), n)
     agree &= final == (x, z, (phase + cert.scalar_phase) & 3, cert.scalar_pow2)
     return ReplayReport(deviation=0.0 if agree else math.inf, steps=len(cert.steps))

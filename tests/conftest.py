@@ -3,12 +3,13 @@ from functools import reduce
 import numpy as np
 
 from cliffgate import BasisLabel, ScaledElement, all_labels, commutator, hermitize, matrices
-from cliffgate.algebra import _scalar_value, qubit_count
+from cliffgate.algebra import _scalar_value, hermitization_phase, qubit_count
 from cliffgate.matrices import (
     PAULI,
     CheckResult,
     _generator_defects,
     _kron_chain,
+    _signs,
     decompose,
     gamma,
     hermiticity_defect,
@@ -124,6 +125,36 @@ def oracle_replay(cert):
     scalar = _scalar_value(cert.scalar_phase, cert.scalar_pow2)
     worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
     return worst, len(cert.steps)
+
+
+def loop_monomial(label):
+    """(xmask, zmask, phase) with M(label) = i^phase X^xmask Z^zmask, one
+    generator at a time: each set bit, lowest first, multiplied on by
+    (X^a Z^b)(X^c Z^d) = (-1)^|b & c| X^(a ^ c) Z^(b ^ d)."""
+    x = z = phase = 0
+    mask = label.mask
+    while mask:
+        j = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        k = j >> 1
+        phase += (j & 1) + 2 * (z >> k & 1)
+        x ^= 1 << k
+        z ^= (1 << (k + (j & 1))) - 1
+    return x, z, phase % 4
+
+
+def loop_decompose(h, n):
+    """``decompose`` one label at a time: the same gathered traces, each
+    label's read at its ``loop_monomial`` in canonical order."""
+    dim = 2**n
+    idx = np.arange(dim)
+    traces = h[idx, idx ^ idx[:, None]] @ _signs(idx[:, None], idx)
+    coeffs = {}
+    for label in all_labels(2 * n):
+        x, z, phase = loop_monomial(label)
+        phase += hermitization_phase(label.order)
+        coeffs[label] = float(((1j ** (phase % 4)) * traces[x, z]).real) / dim
+    return coeffs
 
 
 def loop_reconstruct(coeffs, n):

@@ -35,6 +35,7 @@ from conftest import (
     gamma_product,
     label,
     labels_upto,
+    loop_decompose,
     loop_reconstruct,
     maxabs,
     pauli_matrix,
@@ -89,7 +90,7 @@ class TestRepresent:
         assert maxabs(represent(ScaledElement.zero(4), 2)) == 0.0
 
     def test_every_ambient_of_a_stack_is_checked(self):
-        # the monomials are formed once per distinct mask, the ambients per element
+        # the monomials come from one array of masks, the ambients per element
         good = elem([0], 4)
         with pytest.raises(AmbientMismatchError):
             signed_permutations([good, good, elem([0], 6)], 2)
@@ -220,6 +221,16 @@ class TestDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             decompose(np.array([[0, 1], [0, 0]], dtype=complex), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_label_loop_bit_for_bit(self, n):
+        # the same keys in the same order and the same floats as one
+        # monomial per label; float entries, so every rounding shows
+        h = random_hermitian(n, np.random.default_rng(70 + n))
+        got, want = decompose(h, n), loop_decompose(h, n)
+        assert list(got) == list(want)
+        assert all(type(alpha) is float for alpha in got.values())
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_reconstruct_equals_the_term_loop_bit_for_bit(self, n):
@@ -380,7 +391,7 @@ class TestVerifySuite:
         "check, module, name, corrupt",
         [
             ("factorization-consistency", matrices, "pauli_monomial",
-             lambda lab: (*pauli_monomial(lab)[:2], (pauli_monomial(lab)[2] + 2) % 4)),
+             lambda masks, n: (*pauli_monomial(masks, n)[:2], pauli_monomial(masks, n)[2] + 2 & 3)),
             ("hermitized-squares", algebra, "hermitization_phase", lambda order: 0),
         ],
         ids=["pauli_monomial", "hermitization_phase"],

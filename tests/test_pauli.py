@@ -11,12 +11,17 @@ another label among them.
 The model under both, and under ``verify_representation``'s pair sweep,
 is checked in integers alone at every even ambient up to 64: the monomial
 of a product or commutator is the product or bracket of the monomials,
-and every hermitized label squares to +1.
+and every hermitized label squares to +1.  The closed form of
+``pauli_monomial`` is pinned to ``conftest.loop_monomial``, the product
+taken one generator at a time, on ints at every even ambient up to 64
+and on int64 arrays of every mask up to six qubits.
 """
 
 import math
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +40,7 @@ from cliffgate import (
     universal_generators,
 )
 from cliffgate.pauli import pauli_monomial
-from conftest import oracle_replay
+from conftest import loop_monomial, oracle_replay
 
 
 def scaled_universal(ambient):
@@ -165,11 +170,37 @@ def test_malformed_certificates_raise_like_the_oracle(case):
         oracle_replay(cert)
 
 
+@pytest.mark.parametrize("ambient", range(2, 65, 2))
+def test_closed_form_matches_the_loop_on_ints(ambient):
+    # every mask up to ambient 12, 3000 seeded draws beyond
+    masks = range(1 << ambient)
+    if ambient > 12:
+        rng = random.Random(ambient)
+        masks = [rng.getrandbits(ambient) for _ in range(3000)]
+    for mask in masks:
+        assert pauli_monomial(mask, ambient // 2) == loop_monomial(BasisLabel(mask, ambient))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_matches_the_loop_on_arrays(n):
+    masks = np.arange(4**n, dtype=np.int64)
+    got = np.stack(pauli_monomial(masks, n), axis=1)
+    assert got.dtype == np.int64
+    want = [loop_monomial(BasisLabel(mask, 2 * n)) for mask in range(4**n)]
+    assert got.tolist() == [list(form) for form in want]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_closed_form_of_no_masks_is_empty(n):
+    for part in pauli_monomial(np.zeros(0, dtype=np.int64), n):
+        assert part.shape == (0,) and part.dtype == np.int64
+
+
 def monomial(el):
     """(xmask, zmask, phase, pow2) of a nonzero scaled element, None for zero."""
     if el.is_zero:
         return None
-    x, z, phase = pauli_monomial(el.label)
+    x, z, phase = pauli_monomial(el.label.mask, el.ambient // 2)
     return x, z, (phase + el.phase) % 4, el.pow2
 
 

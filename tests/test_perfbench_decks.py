@@ -8,13 +8,13 @@ in process, the cli jobs as seven fresh ``python -m cliffgate.cli``
 processes (exit codes, record fields, byte-identical output).  That
 catches an API or CLI change that would break the benchmark in a few
 seconds, without running the full ``perfbench/test_smoke.py``.  The
-synth and verify jobs of the full ``dense`` deck and the audited jobs of
-the full ``closure`` deck (seed 7) run twice too, and the full ``dense``
-and ``cli`` decks of the benchmark's seeds are built, so
-that every power input their checkers compare with the scan oracle is
-checked here in process.  The malformed and known-defect argv the ``cli``
-workload pins run here too, in process, each against its documented exit
-code.
+synth, commutator_gate, replay and verify jobs of the full ``dense`` deck
+and the audited jobs of the full ``closure`` deck (seed 7) run twice too,
+and the full ``dense`` and ``cli`` decks of the benchmark's seeds are
+built, so that every power input their checkers compare with the scan
+oracle is checked here in process.  The malformed and known-defect argv
+the ``cli`` workload pins run here too, in process, each against its
+documented exit code.
 """
 
 import importlib
@@ -66,6 +66,16 @@ def test_synth_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_path
     deck = perfbench["wl_dense"].build(7, False, tmp_path)
     jobs = [job for job in deck if job.kind.startswith("synth-")]
     assert [job.n for job in jobs] == [3, 3, 3, 4, 4, 5, 4, 4, 5, 6, 6, 6]
+    run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
+
+
+def test_commutator_gate_and_replay_jobs_of_the_full_dense_deck_pass_their_checks(perfbench, tmp_path):
+    # commutator_gate at n = 3 and 5 forms one element's signed permutation
+    # at a time, and replay runs two certificates of m = 8 on integer monomials
+    deck = perfbench["wl_dense"].build(7, False, tmp_path)
+    jobs = [job for job in deck if job.kind in ("commutator_gate", "replay")]
+    assert [job.kind for job in jobs] == ["commutator_gate"] * 2 + ["replay"] * 2
+    assert [job.a.ambient for job in jobs[:2]] == [6, 10]
     run_twice(jobs, perfbench["spans"].NullTracer(), "dense")
 
 
