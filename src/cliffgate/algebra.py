@@ -315,7 +315,7 @@ def all_labels(ambient: int) -> Iterator[BasisLabel]:
 
     Intended for oracle-scale ambients; the count grows as 2^ambient.
     """
-    masks = sorted(range(1 << ambient), key=lambda m: (m.bit_count(), m))
+    masks = sorted(range(1 << ambient), key=int.bit_count)  # stable: ascending masks per order
     for mask in masks:
         yield BasisLabel(mask, ambient)
 

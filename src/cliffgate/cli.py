@@ -41,12 +41,12 @@ or blank (an Arabic-Indic digit, a form feed) is a parse or usage error
 
 Exit codes: 0 success, 2 parse/usage error (a matrix file that is not
 UTF-8 included), 3 precondition failure, 4 verification failure, 5 cap
-exceeded (including a ``synth`` matrix file past its byte budget, a
-product formula above the gate budget of 2^20 gate lines and an
-allocation the machine refuses, such as ``verify-rep -n 20 --cap 20``,
-each with nothing on stdout).  A reader that closes stdout early
-(``| head``) is no failure: the run stops at exit 0 with nothing on
-stderr.
+exceeded (a ``synth`` matrix file past its byte budget, a product
+formula above the gate budget of 2^20 gate lines, a ``verify-rep``
+planned past its fixed memory budget, such as ``-n 12 --cap 12``, and
+an allocation the machine refuses, each with nothing on stdout).  A
+reader that closes stdout early (``| head``) is no failure: the run
+stops at exit 0 with nothing on stderr.
 """
 
 from __future__ import annotations

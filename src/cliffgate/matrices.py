@@ -11,16 +11,15 @@ generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
 a basis element's Pauli monomial i^phase X^x Z^z, one call of
-:func:`cliffgate.pauli.pauli_monomial` per array of masks; the Kronecker
-chains of :func:`gamma` serve only as the checks' oracle.
+:func:`cliffgate.pauli.pauli_monomial` per array of masks, its signed
+permutations PAIR_CHUNK at a time; :func:`gamma`'s factors are the oracle.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,13 +65,19 @@ PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 
 # verify_representation: tolerances of the generator checks, the label
 # checks and the decomposition round trip of an exactly Hermitian matrix,
-# the label or pair count above which labels or pairs are sampled, and the
-# labels or pairs checked at a time (their arrays and elements stay small)
+# the label or pair count above which labels or pairs are sampled, the
+# items any call here takes at a time, and the bytes a sweep may plan (n <= 9)
 TOL_STRICT = 1e-14
 TOL_EXACT = 1e-12
 TOL_ROUNDTRIP = 1e-10
 SAMPLE_CAP = 4096
 PAIR_CHUNK = 128
+MEMORY_BUDGET = 1 << 29
+
+
+def _chunks(items: Sequence) -> Iterator[Sequence]:
+    # the one chunk rule: a call's labels, pairs, terms or gates, PAIR_CHUNK at a time
+    return (items[i : i + PAIR_CHUNK] for i in range(0, len(items), PAIR_CHUNK))
 
 
 def _kron_chain(factors) -> np.ndarray:
@@ -84,12 +89,27 @@ def _kron_chain(factors) -> np.ndarray:
     return out
 
 
+def _factors(k: int, n: int) -> list[np.ndarray]:
+    # the 2x2 Kronecker factors of generator k, highest qubit first
+    q = k // 2
+    return [_I2] * (n - q - 1) + [_SY if k % 2 else _SX] + [_SZ] * q
+
+
 def gamma(k: int, n: int) -> np.ndarray:
     """Matrix of the k-th generator on n qubits, 0 <= k < 2n (the oracle)."""
     if not 0 <= k < 2 * n:
         raise ValueError(f"generator index {k} out of range for {n} qubits")
-    q = k // 2
-    return _kron_chain([_I2] * (n - q - 1) + [_SY if k % 2 else _SX] + [_SZ] * q)
+    return _kron_chain(_factors(k, n))
+
+
+def _label_factors(masks: Sequence[int], n: int) -> np.ndarray:
+    # (len(masks), n, 2, 2): per qubit, the product of each label's generator factors
+    # in ascending order; row i's Kronecker chain is label i's generator product
+    bits = np.array(masks, dtype=np.int64)[:, None, None, None]
+    out = np.broadcast_to(_I2, (len(masks), n, 2, 2))
+    for k in range(2 * n):
+        out = np.where(bits >> k & 1, out @ np.array(_factors(k, n)), out)
+    return out
 
 
 def _signs(a, b) -> np.ndarray:
@@ -140,7 +160,7 @@ def recursive_construct(n: int) -> list[np.ndarray]:
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     gens = [_SX.copy(), _SY.copy()]
-    h = hermitized_matrix(BasisLabel(0b11, 2), 1)
+    h = 1j * (_SX @ _SY)  # -sz, from the Pauli matrices rather than the checked path
     for m in range(1, n):
         eye = np.eye(2**m, dtype=complex)
         gens = [_kron_chain([eye, f]) for f in (_SX, _SY)] + [_kron_chain([g, h]) for g in gens]
@@ -206,13 +226,15 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:
     """sum_I alpha_I M(I) over the hermitized basis, the inverse of
-    :func:`decompose`.  One unbuffered scatter adds the nonzero terms'
-    signed permutations, so each entry sums its terms in coefficient order."""
-    terms = {label: alpha for label, alpha in coeffs.items() if alpha}
-    perms, values = signed_permutations([hermitize(label) for label in terms], n)
-    values *= np.array(list(terms.values()), dtype=float).reshape(-1, 1)
+    :func:`decompose`.  Unbuffered scatters add the nonzero terms' signed
+    permutations PAIR_CHUNK at a time, so each entry sums its terms in
+    coefficient order."""
+    terms = [(label, alpha) for label, alpha in coeffs.items() if alpha]
     out = np.zeros((2**n, 2**n), dtype=complex)
-    np.add.at(out, (perms, np.arange(2**n)), values)
+    for part in _chunks(terms):
+        labels, alphas = zip(*part)
+        perms, values = signed_permutations(list(map(hermitize, labels)), n)
+        np.add.at(out, (perms, np.arange(2**n)), values * np.array(alphas, dtype=float)[:, None])
     return out
 
 
@@ -318,13 +340,20 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     sum, the dense one bit for bit.  A pair chunk holds a, b, the symbolic
     ab and the symbolic [a, b]; the trace orthogonality of the hermitized
     pair is read off ab, since hermitizing only rescales by a power of i.
-    Only the oracle is dense: per label, the Kronecker-chain product of its
-    generators and the Kronecker product of its Pauli letters.
-    Generator checks use TOL_STRICT, label checks TOL_EXACT and the
-    decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
+    Only the oracle is dense: per label, the Kronecker chain of the per-qubit
+    products of its generators' :func:`gamma` factors, and the Kronecker
+    product of its Pauli letters; only the generator checks hold all 2n
+    generators.  Generator checks use TOL_STRICT, label checks TOL_EXACT and
+    the decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
+    A planned peak past MEMORY_BUDGET raises MemoryError before any allocation.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
+    # the peak, bounded above: recursive_construct's last two levels with the generator checks'
+    # temporaries (5n/2 + 4 matrices of 16 * 4^n bytes), decompose's labels (20 more), the draws
+    if (need := 16 * 4**n * (5 * n // 2 + 24) + 2048 * SAMPLE_CAP) > MEMORY_BUDGET:
+        raise MemoryError(f"{n} qubits plan {need >> 20} MiB, past the budget of "
+                          f"{MEMORY_BUDGET >> 20} MiB")
     rng = np.random.default_rng(seed)
     idx = np.arange(2**n)
     eye = np.eye(2**n)
@@ -338,21 +367,21 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     gammas = [gamma(k, n) for k in range(2 * n)]
     add("clifford-relations", _generator_defects(gammas, eye)[0], TOL_STRICT)
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
+    del gammas
 
     ambient, count = 2 * n, 4**n
     drawn = range(count) if count <= SAMPLE_CAP else rng.integers(0, count, SAMPLE_CAP).tolist()
     herm_dev = square_dev = fact_dev = 0.0
     minus_eye = idx, -np.ones(2**n)
-    for start in range(0, len(drawn), PAIR_CHUNK):
-        masks = drawn[start : start + PAIR_CHUNK]
+    for masks in _chunks(drawn):
         part = [hermitize(BasisLabel(mask, ambient)) for mask in masks]
         m = perms, values = signed_permutations(part, n)
         # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
         adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
         herm_dev = max(herm_dev, _peaks(m, adjoint).max())
         square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
-        for el, perm, vals in zip(part, perms, values):
-            oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in el.label.indices], eye)
+        for el, perm, vals, factors in zip(part, perms, values, _label_factors(masks, n)):
+            oracle = el.coefficient * _kron_chain(factors)
             deviation = -oracle  # the label's matrix minus the oracle
             deviation[perm, idx] += vals
             f = pauli_factorization(el, n)
@@ -369,8 +398,7 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     pairs = [(labels[a], labels[b]) for a, b in draws]
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        part = pairs[start : start + PAIR_CHUNK]
+    for part in _chunks(pairs):
         ea = [ScaledElement(a) for a, _ in part]
         eb = [ScaledElement(b) for _, b in part]
         symbolic = ea + eb + list(map(product, ea, eb)) + list(map(commutator, ea, eb))

@@ -31,6 +31,7 @@ from .algebra import (
     qubit_count,
 )
 from .matrices import (
+    _chunks,
     decompose,
     expm_hermitian,
     hermitized_matrix,
@@ -113,10 +114,11 @@ class GateSequence:
         """
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
         # O(4^n) per gate.
-        perms, values = signed_permutations([hermitize(g.label) for g in self.block], self.qubits)
         out = np.eye(2**self.qubits, dtype=complex)
-        for gate, perm, vals in zip(self.block, perms, 1j * values):
-            out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perm] * vals
+        for part in _chunks(self.block):
+            perms, values = signed_permutations([hermitize(g.label) for g in part], self.qubits)
+            for gate, perm, vals in zip(part, perms, 1j * values):
+                out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perm] * vals
         return np.linalg.matrix_power(out, self.repeats)
 
     def to_text(self) -> str:

@@ -1,4 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -72,6 +77,22 @@ def oracle_commutator(a, b):
 def gamma_product(lab, n):
     """The oracle: ordered product of the Kronecker-chain generators."""
     return reduce(np.matmul, [gamma(k, n) for k in lab.indices], np.eye(2**n, dtype=complex))
+
+
+def run_limited(*argv, limit=3 << 30, timeout=120):
+    """``python -m cliffgate.cli *argv`` in a child process whose address
+    space is capped at ``limit`` bytes, so a run that tries to allocate too
+    much fails fast in the child instead of exhausting the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "cliffgate.cli", *argv],
+        capture_output=True, text=True, preexec_fn=cap, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+    )
 
 
 def maxabs(m):

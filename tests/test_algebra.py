@@ -12,6 +12,7 @@ from cliffgate import (
     ParseError,
     ScaledElement,
     all_labels,
+    canonical_key,
     certificate,
     close,
     commutator,
@@ -111,6 +112,14 @@ def wide_pairs(draw):
         )
 
     return one(), one()
+
+
+class TestAllLabels:
+    @pytest.mark.parametrize("ambient", range(1, 13))
+    def test_canonical_order(self, ambient):
+        masks = [lab.mask for lab in all_labels(ambient)]
+        want = sorted((BasisLabel(m, ambient) for m in range(1 << ambient)), key=canonical_key)
+        assert masks == [lab.mask for lab in want]
 
 
 class TestFastPathOracle:

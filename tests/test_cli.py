@@ -2,7 +2,6 @@ import argparse
 import math
 import os
 import re
-import resource
 import subprocess
 import sys
 import warnings
@@ -24,7 +23,7 @@ from cliffgate.cli import (
 from cliffgate.matrices import expm_hermitian, random_hermitian
 from cliffgate.pauli import ReplayReport
 from cliffgate.synthesis import Gate, GateSequence, operator_distance
-from conftest import label
+from conftest import label, run_limited
 
 
 def run(capsys, *argv):
@@ -544,20 +543,29 @@ class TestOutOfMemory:
         )
 
     def test_verify_rep_past_the_address_space_exits_5(self):
-        # 2^20 x 2^20 matrices: the first allocation asks for 8 TiB, past a
-        # 3 GB address-space limit on this child alone
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "cliffgate.cli", "verify-rep", "-n", "20", "--cap", "20"],
-            capture_output=True, text=True, preexec_fn=limit, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-        )
+        # 2^20 x 2^20 matrices, 8 TiB each: the sweep is refused before its
+        # first allocation, and the 3 GB address-space limit on the child
+        # makes a run that allocates anyway fail fast
+        done = run_limited("verify-rep", "-n", "20", "--cap", "20")
         assert (done.returncode, done.stdout) == (EXIT_CAP, ""), done.stderr
         assert done.stderr.startswith("cap exceeded: out of memory: ")
         assert "Traceback" not in done.stderr
+
+    def test_verify_rep_past_the_memory_budget_exits_5(self):
+        # --cap admits 12 qubits; the planned peak, about 13.5 GiB, is refused
+        # by the budget, not by a failed allocation under the 3 GB limit
+        done = run_limited("verify-rep", "-n", "12", "--cap", "12")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            EXIT_CAP, "", "cap exceeded: out of memory: 12 qubits plan 13832 MiB, past the "
+            "budget of 512 MiB\n"
+        )
+
+    def test_verify_rep_past_a_small_budget_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr("cliffgate.matrices.MEMORY_BUDGET", 1 << 20)
+        assert run(capsys, "verify-rep", "-n", "3") == (
+            EXIT_CAP, "", "cap exceeded: out of memory: 3 qubits plan 8 MiB, past the budget "
+            "of 1 MiB\n"
+        )
 
 
 class TestClosedStdout:

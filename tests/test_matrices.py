@@ -27,7 +27,14 @@ from cliffgate import (
 from cliffgate import algebra, matrices
 from cliffgate.algebra import AmbientMismatchError, ParseError, hermitization_phase, qubit_count
 from cliffgate.cli import EXIT_VERIFY, main
-from cliffgate.matrices import PAULI, hermiticity_defect, random_hermitian, signed_permutations
+from cliffgate.matrices import (
+    PAULI,
+    _kron_chain,
+    _label_factors,
+    hermiticity_defect,
+    random_hermitian,
+    signed_permutations,
+)
 from cliffgate.pauli import pauli_monomial
 from conftest import (
     dense_verify,
@@ -135,6 +142,17 @@ class TestMonomialOracle:
                 el = ScaledElement(lab, phase=phase)
                 assert maxabs(represent(el, n) - el.coefficient * oracle) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_label_factors_chain_to_gamma_product(self, n):
+        # the verify oracle's per-qubit products, Kronecker-chained: every
+        # label up to n = 4, and 200 seeded ones at n = 5 and 6
+        if n <= 4:
+            masks = list(range(4**n))
+        else:
+            masks = np.random.default_rng(n).integers(0, 4**n, 200).tolist()
+        for mask, factors in zip(masks, _label_factors(masks, n)):
+            assert np.array_equal(_kron_chain(factors), gamma_product(BasisLabel(mask, 2 * n), n))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decompose_equals_trace_oracle(self, n):
         # Gaussian-integer entries make every sum exact, so the transform and
@@ -232,9 +250,12 @@ class TestDecompose:
         assert all(type(alpha) is float for alpha in got.values())
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
+    @pytest.mark.parametrize("chunk", [matrices.PAIR_CHUNK, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_reconstruct_equals_the_term_loop_bit_for_bit(self, n):
-        # the scatter adds each entry's terms in the loop's order
+    def test_reconstruct_equals_the_term_loop_bit_for_bit(self, monkeypatch, n, chunk):
+        # the scatters add each entry's terms in the loop's order, also when
+        # the last chunk is a partial one
+        monkeypatch.setattr(matrices, "PAIR_CHUNK", chunk)
         coeffs = decompose(random_hermitian(n, np.random.default_rng(n)), n)
         assert reconstruct(coeffs, n).tobytes() == loop_reconstruct(coeffs, n).tobytes()
 
@@ -418,6 +439,60 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert all(c.passed for c in results), [c for c in results if not c.passed]
         assert peak < 20 * 2**20
+
+    def test_memory_stays_flat_at_seven_qubits(self, monkeypatch):
+        # 16384 labels of 128x128 matrices, 64 of them and 64 pairs drawn:
+        # reconstruct forming all its terms' signed permutations at once
+        # would take about 67 MiB
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 64)
+        tracemalloc.start()
+        try:
+            results = verify_representation(7, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in results), [c for c in results if not c.passed]
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_planned_peak_bounds_the_traced_peak(self, monkeypatch, n):
+        # a budget one byte below the traced peak must refuse the sweep, so
+        # the planned peak is at least the traced one
+        tracemalloc.start()
+        try:
+            verify_representation(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(matrices, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(MemoryError):
+            verify_representation(n)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_refuses_past_the_budget_before_allocating(self, monkeypatch, n):
+        monkeypatch.setattr(matrices, "MEMORY_BUDGET", 1 << 20)
+        tracemalloc.start()
+        try:
+            want = rf"^{n} qubits plan \d+ MiB, past the budget of 1 MiB$"
+            with pytest.raises(MemoryError, match=want):
+                verify_representation(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_budget_admits_nine_qubits(self, monkeypatch):
+        # the budget is checked first: an admitted sweep gets past it to its
+        # seeded generator, patched here to stop it before any allocation
+        def stop(seed):
+            raise LookupError(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", stop)
+        for n in (8, 9):
+            with pytest.raises(LookupError):
+                verify_representation(n)
+        with pytest.raises(MemoryError):
+            verify_representation(10)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_fewer_than_one_qubit(self, n):

@@ -33,6 +33,7 @@ from cliffgate import (
     synthesize,
     trotter,
 )
+from cliffgate import matrices
 from cliffgate.matrices import random_hermitian
 from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
 from cliffgate.synthesis import MAX_GATES
@@ -424,6 +425,14 @@ class TestGateSequenceText:
             gates = tuple(Gate(labs[i], float(rng.uniform(-np.pi, np.pi))) for i in picks)
             want = reduce(np.matmul, [g.matrix() for g in gates], np.eye(2**n, dtype=complex))
             assert maxabs(GateSequence(gates, n).matrix() - want) < 1e-14
+
+    def test_matrix_is_the_same_a_partial_chunk_at_a_time(self, monkeypatch):
+        # 16 gates taken 7, 7 and 2 at a time give the same bytes as one chunk
+        coeffs = CoefficientVector(2, decompose(random_hermitian(2, np.random.default_rng(9)), 2))
+        seq = trotter(coeffs, 3)
+        want = seq.matrix().tobytes()
+        monkeypatch.setattr(matrices, "PAIR_CHUNK", 7)
+        assert len(seq.block) == 16 and seq.matrix().tobytes() == want
 
     def test_sequence_product_is_unitary(self):
         seq = commutator_gate(label([0], 4), label([3], 4), 1.2)
