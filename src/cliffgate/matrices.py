@@ -11,8 +11,11 @@ generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
 a basis element's Pauli monomial i^phase X^x Z^z, one call of
-:func:`cliffgate.pauli.pauli_monomial` per array of masks, its signed
-permutations PAIR_CHUNK at a time; :func:`gamma`'s factors are the oracle.
+:func:`cliffgate.pauli.pauli_monomial` per array of masks, and its
+coefficient read from arrays of phases and powers of two.  A call holds the
+signed permutations, or dense oracles, of as many labels, pairs, terms or
+gates as fit in CHUNK_BYTES (:func:`_chunks`); :func:`gamma`'s factors are
+the oracle.
 """
 
 from __future__ import annotations
@@ -66,26 +69,30 @@ PAULI = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
 # verify_representation: tolerances of the generator checks, the label
 # checks and the decomposition round trip of an exactly Hermitian matrix,
 # the label or pair count above which labels or pairs are sampled, the
-# items any call here takes at a time, and the bytes a sweep may plan (n <= 9)
+# bytes a chunk of items may take, and the bytes a sweep may plan (n <= 9)
 TOL_STRICT = 1e-14
 TOL_EXACT = 1e-12
 TOL_ROUNDTRIP = 1e-10
 SAMPLE_CAP = 4096
-PAIR_CHUNK = 128
+CHUNK_BYTES = 1 << 20
 MEMORY_BUDGET = 1 << 29
 
 
-def _chunks(items: Sequence) -> Iterator[Sequence]:
-    # the one chunk rule: a call's labels, pairs, terms or gates, PAIR_CHUNK at a time
-    return (items[i : i + PAIR_CHUNK] for i in range(0, len(items), PAIR_CHUNK))
+def _chunks(items: Sequence, item_bytes: int) -> Iterator[Sequence]:
+    # the one chunk rule: a call's labels, pairs, terms or gates, in order, as many at
+    # a time as fit in CHUNK_BYTES at item_bytes each (at least one)
+    step = max(1, CHUNK_BYTES // item_bytes)
+    return (items[i : i + step] for i in range(0, len(items), step))
 
 
 def _kron_chain(factors) -> np.ndarray:
-    # the Kronecker product of the factors, one broadcast multiply and reshape each
+    # the Kronecker product of the factors, one broadcast multiply and reshape each;
+    # leading axes are batch axes, so (n, k, 2, 2) factors chain to (k, 2^n, 2^n)
     out = np.array([[1.0 + 0j]])
     for f in factors:
-        (r, c), (fr, fc) = out.shape, f.shape
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * fr, c * fc)
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        *lead, r, fr, c, fc = out.shape
+        out = out.reshape(*lead, r * fr, c * fc)
     return out
 
 
@@ -107,9 +114,24 @@ def _label_factors(masks: Sequence[int], n: int) -> np.ndarray:
     # in ascending order; row i's Kronecker chain is label i's generator product
     bits = np.array(masks, dtype=np.int64)[:, None, None, None]
     out = np.broadcast_to(_I2, (len(masks), n, 2, 2))
+    stack = np.array([_factors(k, n) for k in range(2 * n)])
     for k in range(2 * n):
-        out = np.where(bits >> k & 1, out @ np.array(_factors(k, n)), out)
+        out = np.where(bits >> k & 1, out @ stack[k], out)
     return out
+
+
+_UNITS = np.array([1j**phase for phase in range(4)])  # i^phase, as _scalar_value forms it
+
+
+def _coefficients(elems: Sequence[ScaledElement]) -> np.ndarray:
+    # every el.coefficient, bit for bit, as one array: i^phase * 2^pow2, or 0j for the zero
+    pow2 = [el.pow2 for el in elems]
+    if pow2 and not -1074 <= min(pow2) <= max(pow2) <= 1023:
+        bad = next(el for el in elems if not -1074 <= el.pow2 <= 1023)
+        _scalar_value(bad.phase, bad.pow2)  # raises its error
+    phase = np.array([el.phase for el in elems], dtype=np.int64)
+    units = _UNITS[phase] * np.ldexp(1.0, np.array(pow2, dtype=np.int64))
+    return np.where(np.array([el.is_zero for el in elems], dtype=bool), 0j, units)
 
 
 def _signs(a, b) -> np.ndarray:
@@ -124,13 +146,14 @@ def signed_permutations(
 
     So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
     c ^ xmask, and the zero element has all-zero values.  Every element's
-    ambient is checked, and one call of :func:`pauli_monomial` on the array
-    of their masks gives every monomial.
+    ambient is checked, one call of :func:`pauli_monomial` on the array of
+    their masks gives every monomial, and their coefficients are read as
+    arrays of phases and powers of two, each ``el.coefficient`` bit for bit.
     """
     for el in {el.label.ambient: el for el in elems}.values():
         _require_qubits(el, n)  # one element of each ambient
     x, z, phase = pauli_monomial(np.array([el.label.mask for el in elems], dtype=np.int64), n)
-    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** phase
+    coeffs = _coefficients(elems) * 1j ** phase
     idx = np.arange(2**n)
     return idx ^ x[:, None], coeffs[:, None] * _signs(idx, z[:, None])
 
@@ -227,11 +250,12 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:
     """sum_I alpha_I M(I) over the hermitized basis, the inverse of
     :func:`decompose`.  Unbuffered scatters add the nonzero terms' signed
-    permutations PAIR_CHUNK at a time, so each entry sums its terms in
-    coefficient order."""
+    permutations a chunk at a time (:func:`_chunks`), so each entry sums its
+    terms in coefficient order."""
     terms = [(label, alpha) for label, alpha in coeffs.items() if alpha]
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for part in _chunks(terms):
+    # a term holds its signed permutation (24 bytes a column) and its scaled values (16)
+    for part in _chunks(terms, 40 * 2**n):
         labels, alphas = zip(*part)
         perms, values = signed_permutations(list(map(hermitize, labels)), n)
         np.add.at(out, (perms, np.arange(2**n)), values * np.array(alphas, dtype=float)[:, None])
@@ -328,34 +352,117 @@ def _generator_defects(gens: list[np.ndarray], eye: np.ndarray) -> tuple[float, 
     return anti, trace
 
 
+def _oracle_deviation(factors, coeffs, letters, scalars, perms, values) -> float:
+    # worst |entry| of each label's matrix minus its oracle (the Kronecker chain of
+    # its per-qubit gamma factors), and of the chain of its Pauli letters minus it
+    oracle = _kron_chain(factors.swapaxes(0, 1))
+    oracle *= coeffs[:, None, None]
+    chains = _kron_chain(letters.swapaxes(0, 1))
+    chains *= scalars[:, None, None]
+    chains -= oracle
+    worst = _maxabs(chains)
+    del chains
+    np.negative(oracle, out=oracle)  # the matrices minus the oracle, in one scatter
+    oracle[np.arange(len(perms))[:, None], perms, np.arange(perms.shape[1])] += values
+    return max(worst, _maxabs(oracle))
+
+
+def _label_sweep(masks, n: int) -> tuple[float, float, float]:
+    # worst hermiticity, square and factorization deviations of the hermitized labels.
+    # A label holds about seven signed permutations (24 bytes a column): its own, its
+    # adjoint, its square and their sums; its dense oracle, about three matrices (16
+    # bytes an entry: two Kronecker chains and their temporaries), is a chunk of its own
+    idx = np.arange(2**n)
+    minus_eye = idx, -np.ones(2**n)
+    herm_dev = square_dev = fact_dev = 0.0
+    for part in _chunks(masks, 7 * 24 * 2**n):
+        part = np.asarray(part)
+        elems = [hermitize(BasisLabel(mask, 2 * n)) for mask in part.tolist()]
+        m = perms, values = signed_permutations(elems, n)
+        # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
+        adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
+        herm_dev = max(herm_dev, _peaks(m, adjoint).max())
+        square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
+        facts = [pauli_factorization(el, n) for el in elems]
+        inputs = (
+            _label_factors(part, n),
+            _coefficients(elems),
+            np.array([[PAULI[letter] for letter in f.factors] for f in facts]),
+            np.array([_scalar_value(f.phase, f.pow2) for f in facts]),
+            perms,
+            values,
+        )
+        for rows in _chunks(np.arange(len(elems)), 3 * 16 * 4**n):
+            fact_dev = max(fact_dev, _oracle_deviation(*(a[rows] for a in inputs)))
+    return herm_dev, square_dev, fact_dev
+
+
+def _pair_sweep(draws: np.ndarray, n: int) -> tuple[float, float, float, bool, float]:
+    # worst product, commutator, dichotomy and trace deviations of the (a, b) mask pairs,
+    # and whether the dichotomy agrees with commutes; one element per distinct label.
+    # A pair holds about eight signed permutations (24 bytes a column): its two labels'
+    # rows, a and b gathered from them, ab, ba, the symbolic ab and [a, b]
+    elems = {mask: ScaledElement(BasisLabel(mask, 2 * n)) for mask in np.unique(draws).tolist()}
+    idx = np.arange(2**n)
+    prod_dev = comm_dev = dich_dev = trace_dev = 0.0
+    dich_ok = True
+    for part in _chunks(draws, 8 * 24 * 2**n):
+        masks, rows = np.unique(part, return_inverse=True)
+        perms, values = signed_permutations([elems[mask] for mask in masks.tolist()], n)
+        ma, mb = ((perms[col], values[col]) for col in rows.reshape(part.shape).T)
+        ea, eb = ([elems[mask] for mask in col] for col in part.T.tolist())
+        symbolic = list(map(product, ea, eb)) + list(map(commutator, ea, eb))
+        perms, values = signed_permutations(symbolic, n)
+        m_prod, m_comm = zip(np.split(perms, 2), np.split(values, 2))
+        ab, ba = _composed(ma, mb), _composed(mb, ma)
+        minus_ba = ba[0], -ba[1]
+        prod_dev = max(prod_dev, _peaks(ab, (m_prod[0], -m_prod[1])).max())
+        comm_dev = max(comm_dev, _peaks(ab, minus_ba, (m_comm[0], -m_comm[1])).max())
+        c_norm, a_norm = _peaks(ab, minus_ba), _peaks(ab, ba)
+        dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
+        commuting = [commutes(a.label, b.label) for a, b in zip(ea, eb)]
+        dich_ok &= np.array_equal(c_norm <= TOL_EXACT, commuting)
+        # hermitizing rescales by i^hermitization_phase, so tr(h(a) h(b)) = i^(p_a + p_b) tr(ab)
+        phases = hermitization_phase(np.bitwise_count(part).astype(np.int64)).sum(axis=1)
+        traces = 1j ** phases * np.sum(np.where(ab[0] == idx, ab[1], 0), axis=-1)
+        expect = np.where(part[:, 0] == part[:, 1], 2.0**n, 0.0)
+        trace_dev = max(trace_dev, _maxabs(traces - expect))
+    return prod_dev, comm_dev, dich_dev, dich_ok, trace_dev
+
+
 def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     """Run the full symbolic-vs-dense property sweep at a given size.
 
     Each check runs over all labels, or all label pairs, while they number
     at most SAMPLE_CAP, and over SAMPLE_CAP seeded draws beyond that;
     deterministic for a fixed seed.  A label is drawn as its bitmask in
-    0..4^n - 1, so no list of all labels is formed.  Label and pair checks
-    compose signed permutations (:func:`signed_permutations`), PAIR_CHUNK
-    at a time, and read each deviation as the exact max |entry| of their
-    sum, the dense one bit for bit.  A pair chunk holds a, b, the symbolic
-    ab and the symbolic [a, b]; the trace orthogonality of the hermitized
-    pair is read off ab, since hermitizing only rescales by a power of i.
-    Only the oracle is dense: per label, the Kronecker chain of the per-qubit
-    products of its generators' :func:`gamma` factors, and the Kronecker
-    product of its Pauli letters; only the generator checks hold all 2n
-    generators.  Generator checks use TOL_STRICT, label checks TOL_EXACT and
-    the decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
+    0..4^n - 1, so no list of all labels is formed, and a pair sweep builds
+    one element per distinct label and makes one :func:`product`,
+    :func:`commutator` and :func:`commutes` call per pair.  Label and pair
+    checks compose signed permutations (:func:`signed_permutations`) a chunk
+    at a time (:func:`_chunks`), and read each deviation as the exact max
+    |entry| of their sum, the dense one bit for bit.  A pair chunk gathers
+    a and b from the signed permutations of its distinct labels; the trace
+    orthogonality of the hermitized pair is read off ab, since hermitizing
+    only rescales by a power of i.  Only the oracle is dense: for a whole
+    chunk of labels, the Kronecker chains of the per-qubit products of their
+    generators' :func:`gamma` factors, and of their Pauli letters; only the
+    generator checks hold all 2n generators, and the draws, elements and
+    chunks of the label and pair checks are dropped before the recursive
+    build.  Generator checks use TOL_STRICT, label checks TOL_EXACT and the
+    decomposition round trip of a random Hermitian matrix TOL_ROUNDTRIP.
     A planned peak past MEMORY_BUDGET raises MemoryError before any allocation.
     """
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     # the peak, bounded above: recursive_construct's last two levels with the generator checks'
-    # temporaries (5n/2 + 4 matrices of 16 * 4^n bytes), decompose's labels (20 more), the draws
-    if (need := 16 * 4**n * (5 * n // 2 + 24) + 2048 * SAMPLE_CAP) > MEMORY_BUDGET:
+    # temporaries (5n/2 + 4 matrices of 16 * 4^n bytes), decompose's labels (20 more), and the
+    # pair checks' elements (at most two labels a pair, under 512 bytes each) and two chunks
+    need = 16 * 4**n * (5 * n // 2 + 24) + 1024 * SAMPLE_CAP + 2 * CHUNK_BYTES
+    if need > MEMORY_BUDGET:
         raise MemoryError(f"{n} qubits plan {need >> 20} MiB, past the budget of "
                           f"{MEMORY_BUDGET >> 20} MiB")
     rng = np.random.default_rng(seed)
-    idx = np.arange(2**n)
     eye = np.eye(2**n)
     results: list[CheckResult] = []
 
@@ -369,53 +476,18 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     add("generator-hermiticity", max(hermiticity_defect(g) for g in gammas), TOL_STRICT)
     del gammas
 
-    ambient, count = 2 * n, 4**n
-    drawn = range(count) if count <= SAMPLE_CAP else rng.integers(0, count, SAMPLE_CAP).tolist()
-    herm_dev = square_dev = fact_dev = 0.0
-    minus_eye = idx, -np.ones(2**n)
-    for masks in _chunks(drawn):
-        part = [hermitize(BasisLabel(mask, ambient)) for mask in masks]
-        m = perms, values = signed_permutations(part, n)
-        # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
-        adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
-        herm_dev = max(herm_dev, _peaks(m, adjoint).max())
-        square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
-        for el, perm, vals, factors in zip(part, perms, values, _label_factors(masks, n)):
-            oracle = el.coefficient * _kron_chain(factors)
-            deviation = -oracle  # the label's matrix minus the oracle
-            deviation[perm, idx] += vals
-            f = pauli_factorization(el, n)
-            letters = _scalar_value(f.phase, f.pow2) * _kron_chain([PAULI[c] for c in f.factors])
-            fact_dev = max(fact_dev, _maxabs(deviation), _maxabs(letters - oracle))
+    count = 4**n
+    herm_dev, square_dev, fact_dev = _label_sweep(
+        range(count) if count <= SAMPLE_CAP else rng.integers(0, count, SAMPLE_CAP), n
+    )
     add("hermitized-hermiticity", herm_dev, TOL_EXACT)
     add("hermitized-squares", square_dev, TOL_EXACT)
 
     if count**2 <= SAMPLE_CAP:
-        draws = [(a, b) for a in range(count) for b in range(count)]
+        draws = np.stack(np.divmod(np.arange(count**2), count), axis=-1)  # (a, b), b fastest
     else:
-        draws = rng.integers(0, count, size=(SAMPLE_CAP, 2)).tolist()
-    labels = {mask: BasisLabel(mask, ambient) for mask in {m for pair in draws for m in pair}}
-    pairs = [(labels[a], labels[b]) for a, b in draws]
-    prod_dev = comm_dev = dich_dev = trace_dev = 0.0
-    dich_ok = True
-    for part in _chunks(pairs):
-        ea = [ScaledElement(a) for a, _ in part]
-        eb = [ScaledElement(b) for _, b in part]
-        symbolic = ea + eb + list(map(product, ea, eb)) + list(map(commutator, ea, eb))
-        perms, values = signed_permutations(symbolic, n)
-        ma, mb, m_prod, m_comm = zip(np.split(perms, 4), np.split(values, 4))
-        ab, ba = _composed(ma, mb), _composed(mb, ma)
-        minus_ba = ba[0], -ba[1]
-        prod_dev = max(prod_dev, _peaks(ab, (m_prod[0], -m_prod[1])).max())
-        comm_dev = max(comm_dev, _peaks(ab, minus_ba, (m_comm[0], -m_comm[1])).max())
-        c_norm, a_norm = _peaks(ab, minus_ba), _peaks(ab, ba)
-        dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
-        dich_ok &= all((c <= TOL_EXACT) == commutes(a, b) for c, (a, b) in zip(c_norm, part))
-        # hermitizing rescales by i^hermitization_phase, so tr(h(a) h(b)) = i^(p_a + p_b) tr(ab)
-        phases = [hermitization_phase(a.order) + hermitization_phase(b.order) for a, b in part]
-        traces = 1j ** np.array(phases) * np.sum(np.where(ab[0] == idx, ab[1], 0), axis=-1)
-        expect = np.array([2.0**n if a == b else 0.0 for a, b in part])
-        trace_dev = max(trace_dev, _maxabs(traces - expect))
+        draws = rng.integers(0, count, size=(SAMPLE_CAP, 2))
+    prod_dev, comm_dev, dich_dev, dich_ok, trace_dev = _pair_sweep(draws, n)
     add("product-homomorphism", prod_dev, TOL_EXACT)
     add("commutator-homomorphism", comm_dev, TOL_EXACT)
     add("commutation-dichotomy", dich_dev, TOL_EXACT, extra_ok=dich_ok)

@@ -115,7 +115,8 @@ class GateSequence:
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
         # O(4^n) per gate.
         out = np.eye(2**self.qubits, dtype=complex)
-        for part in _chunks(self.block):
+        # a gate holds its signed permutation (24 bytes a column) and its scaled values (16)
+        for part in _chunks(self.block, 40 * 2**self.qubits):
             perms, values = signed_permutations([hermitize(g.label) for g in part], self.qubits)
             for gate, perm, vals in zip(part, perms, 1j * values):
                 out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perm] * vals

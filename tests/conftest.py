@@ -25,7 +25,7 @@ from cliffgate.matrices import (
     represent,
     signed_permutations,
 )
-from cliffgate.pauli import pauli_factorization
+from cliffgate.pauli import pauli_factorization, pauli_monomial
 
 
 def label(indices, ambient):
@@ -77,6 +77,30 @@ def oracle_commutator(a, b):
 def gamma_product(lab, n):
     """The oracle: ordered product of the Kronecker-chain generators."""
     return reduce(np.matmul, [gamma(k, n) for k in lab.indices], np.eye(2**n, dtype=complex))
+
+
+def chunk_sizes(monkeypatch, module):
+    """Spy on ``module._chunks``: every call appends the sizes of the chunks
+    it yields, one list per call, to the returned list."""
+    calls = []
+    chunks = matrices._chunks
+
+    def spy(items, item_bytes):
+        parts = list(chunks(items, item_bytes))
+        calls.append([len(part) for part in parts])
+        return iter(parts)
+
+    monkeypatch.setattr(module, "_chunks", spy)
+    return calls
+
+
+def coefficient_permutations(elems, n):
+    """``signed_permutations`` with every coefficient read one element at a
+    time as ``el.coefficient``."""
+    x, z, phase = pauli_monomial(np.array([el.label.mask for el in elems], dtype=np.int64), n)
+    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j**phase
+    idx = np.arange(2**n)
+    return idx ^ x[:, None], coeffs[:, None] * _signs(idx, z[:, None])
 
 
 def run_limited(*argv, limit=3 << 30, timeout=120):

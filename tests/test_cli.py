@@ -556,14 +556,14 @@ class TestOutOfMemory:
         # by the budget, not by a failed allocation under the 3 GB limit
         done = run_limited("verify-rep", "-n", "12", "--cap", "12")
         assert (done.returncode, done.stdout, done.stderr) == (
-            EXIT_CAP, "", "cap exceeded: out of memory: 12 qubits plan 13832 MiB, past the "
+            EXIT_CAP, "", "cap exceeded: out of memory: 12 qubits plan 13830 MiB, past the "
             "budget of 512 MiB\n"
         )
 
     def test_verify_rep_past_a_small_budget_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr("cliffgate.matrices.MEMORY_BUDGET", 1 << 20)
         assert run(capsys, "verify-rep", "-n", "3") == (
-            EXIT_CAP, "", "cap exceeded: out of memory: 3 qubits plan 8 MiB, past the budget "
+            EXIT_CAP, "", "cap exceeded: out of memory: 3 qubits plan 6 MiB, past the budget "
             "of 1 MiB\n"
         )
 

@@ -37,6 +37,8 @@ from cliffgate.matrices import (
 )
 from cliffgate.pauli import pauli_monomial
 from conftest import (
+    chunk_sizes,
+    coefficient_permutations,
     dense_verify,
     elem,
     gamma_product,
@@ -133,6 +135,47 @@ class TestRepresent:
                 assert abs(t - (2.0**n if a == b else 0.0)) == 0.0
 
 
+class TestCoefficients:
+    """signed_permutations reads every coefficient from arrays of phases and
+    powers of two; reading each el.coefficient is the oracle, compared in
+    bytes so that signed zeros count."""
+
+    @staticmethod
+    def assert_same(elems, n):
+        got, want = signed_permutations(elems, n), coefficient_permutations(elems, n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        coeffs = np.array([el.coefficient for el in elems], dtype=complex)
+        assert matrices._coefficients(elems).tobytes() == coeffs.tobytes()
+
+    @pytest.mark.parametrize("pow2", [-1074, 0, 1023])
+    @pytest.mark.parametrize("phase", [0, 1, 2, 3])
+    def test_each_phase_and_power(self, phase, pow2):
+        self.assert_same([elem([0, 3], 4, phase=phase, pow2=pow2)], 2)
+
+    def test_zero_element(self):
+        self.assert_same([ScaledElement.zero(4)], 2)
+
+    def test_mixed_phases_in_one_call(self):
+        elems = [
+            elem(indices, 6, phase=phase, pow2=pow2)
+            for indices in ([], [1], [0, 5], [2, 3, 4])
+            for phase in range(4)
+            for pow2 in (-1074, -3, 0, 1023)
+        ]
+        self.assert_same(elems[:20] + [ScaledElement.zero(6)] + elems[20:], 3)
+
+    @pytest.mark.parametrize("pow2", [1024, -1075, 10**400])
+    def test_power_outside_the_float_range_raises_as_the_coefficient(self, pow2):
+        bad = elem([1], 4, phase=3, pow2=pow2)
+        with pytest.raises(ValueError) as want:
+            bad.coefficient
+        good = [elem([0], 4, pow2=1023), elem([0], 4, pow2=-1074)]
+        for elems in ([bad], good + [bad] + good, [bad, elem([1], 4, pow2=-2000)]):
+            with pytest.raises(ValueError) as got:
+                signed_permutations(elems, 2)
+            assert str(got.value) == str(want.value)
+
+
 class TestMonomialOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_represent_equals_gamma_product(self, n):
@@ -145,13 +188,17 @@ class TestMonomialOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_label_factors_chain_to_gamma_product(self, n):
         # the verify oracle's per-qubit products, Kronecker-chained: every
-        # label up to n = 4, and 200 seeded ones at n = 5 and 6
+        # label up to n = 4, and 200 seeded ones at n = 5 and 6; chained for
+        # all labels at once, the bytes of each label's own chain
         if n <= 4:
             masks = list(range(4**n))
         else:
             masks = np.random.default_rng(n).integers(0, 4**n, 200).tolist()
-        for mask, factors in zip(masks, _label_factors(masks, n)):
-            assert np.array_equal(_kron_chain(factors), gamma_product(BasisLabel(mask, 2 * n), n))
+        factors = _label_factors(masks, n)
+        chains = _kron_chain(factors.swapaxes(0, 1))
+        for mask, own, chain in zip(masks, factors, chains):
+            assert np.array_equal(_kron_chain(own), gamma_product(BasisLabel(mask, 2 * n), n))
+            assert chain.tobytes() == _kron_chain(own).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decompose_equals_trace_oracle(self, n):
@@ -250,14 +297,21 @@ class TestDecompose:
         assert all(type(alpha) is float for alpha in got.values())
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
-    @pytest.mark.parametrize("chunk", [matrices.PAIR_CHUNK, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_reconstruct_equals_the_term_loop_bit_for_bit(self, monkeypatch, n, chunk):
-        # the scatters add each entry's terms in the loop's order, also when
-        # the last chunk is a partial one
-        monkeypatch.setattr(matrices, "PAIR_CHUNK", chunk)
+    def test_reconstruct_equals_the_term_loop_bit_for_bit(self, n):
+        # the scatters add each entry's terms in the loop's order
         coeffs = decompose(random_hermitian(n, np.random.default_rng(n)), n)
         assert reconstruct(coeffs, n).tobytes() == loop_reconstruct(coeffs, n).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reconstruct_is_the_same_seven_terms_at_a_time(self, monkeypatch, n):
+        # a term takes 40 bytes a column, so 7 terms fill the patched chunk and
+        # the 4^n terms end in a partial one
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 7 * 40 * 2**n)
+        calls = chunk_sizes(monkeypatch, matrices)
+        coeffs = decompose(random_hermitian(n, np.random.default_rng(n)), n)
+        assert reconstruct(coeffs, n).tobytes() == loop_reconstruct(coeffs, n).tobytes()
+        assert calls == [[7] * (4**n // 7) + [4**n % 7]]
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -381,17 +435,34 @@ class TestVerifySuite:
         assert results == dense_verify(2, 4)
 
     def test_matches_the_dense_sweep_sampled_and_in_part_chunks(self, monkeypatch):
-        # 12 of the 16 labels and 12 of their pairs drawn, 7 and then 5 at a time
-        monkeypatch.setattr(matrices, "SAMPLE_CAP", 12)
-        monkeypatch.setattr(matrices, "PAIR_CHUNK", 7)
-        assert verify_representation(2, seed=1) == dense_verify(2, 1)
+        # 13 of the 64 labels and 13 of their pairs drawn.  At 8 columns a label
+        # takes 7 * 24 * 8 bytes and its oracle 3 * 16 * 64, a pair 8 * 24 * 8
+        # and a round-trip term 40 * 8, so the labels go 5 at a time and their
+        # oracles 2 at a time, the pairs 4 and the 64 terms 21 at a time
+        monkeypatch.setattr(matrices, "SAMPLE_CAP", 13)
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 7000)
+        want = dense_verify(3, 1)
+        calls = chunk_sizes(monkeypatch, matrices)
+        assert verify_representation(3, seed=1) == want
+        assert calls == [[5, 5, 3], [2, 2, 1], [2, 2, 1], [2, 1], [4, 4, 4, 1], [21, 21, 21, 1]]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_dense_sweep_one_item_at_a_time(self, monkeypatch, n):
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 1)
+        want = dense_verify(n, n)
+        calls = chunk_sizes(monkeypatch, matrices)
+        assert verify_representation(n, seed=n) == want
+        # every label, each label's oracle, every pair (16^n of them, up to
+        # SAMPLE_CAP) and every round-trip term
+        assert calls == [[1] * 4**n] + [[1]] * 4**n + [[1] * 16**n, [1] * 4**n]
 
     @pytest.mark.parametrize("check, name, corrupt", PAIR_CORRUPTIONS)
     def test_failing_deviations_match_the_dense_sweep(self, monkeypatch, check, name, corrupt):
         monkeypatch.setattr(matrices, name, corrupt)
         if name == "hermitization_phase":
             monkeypatch.setattr(algebra, name, corrupt)
-        for n in (2, 3):
+        # at n = 4 the sampled pairs span several chunks of gathered labels
+        for n in (2, 3, 4):
             results = verify_representation(n, seed=5)
             assert not {c.name: c for c in results}[check].passed
             assert results == dense_verify(n, 5)
@@ -426,6 +497,19 @@ class TestVerifySuite:
         assert main(["verify-rep", "-n", "2"]) == EXIT_VERIFY
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if f"name={check} " in ln]
         assert line.endswith("status=fail")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_wrong_label_is_caught(self, monkeypatch, n):
+        # only the last label's monomial made wrong: the label checks must
+        # reach every label of a chunk, not only its first
+        def corrupt(masks, n):
+            x, z, phase = pauli_monomial(masks, n)
+            return x, z, np.where(masks == 4**n - 1, phase + 2 & 3, phase)
+
+        monkeypatch.setattr(matrices, "pauli_monomial", corrupt)
+        results = verify_representation(n)
+        assert not {c.name: c for c in results}["factorization-consistency"].passed
+        assert results == dense_verify(n, 0)
 
     def test_memory_stays_flat_at_six_qubits(self, monkeypatch):
         # 4096 labels of 64x64 matrices, 64 of them and 64 pairs drawn; forming

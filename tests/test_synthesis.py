@@ -33,11 +33,11 @@ from cliffgate import (
     synthesize,
     trotter,
 )
-from cliffgate import matrices
+from cliffgate import matrices, synthesis
 from cliffgate.matrices import random_hermitian
 from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
 from cliffgate.synthesis import MAX_GATES
-from conftest import label, labels_upto, maxabs, unitarity_defect
+from conftest import chunk_sizes, label, labels_upto, maxabs, unitarity_defect
 
 
 class TestBasisGate:
@@ -427,12 +427,15 @@ class TestGateSequenceText:
             assert maxabs(GateSequence(gates, n).matrix() - want) < 1e-14
 
     def test_matrix_is_the_same_a_partial_chunk_at_a_time(self, monkeypatch):
-        # 16 gates taken 7, 7 and 2 at a time give the same bytes as one chunk
+        # 16 gates taken 7, 7 and 2 at a time (a gate takes 40 bytes a column)
+        # give the same bytes as one chunk
         coeffs = CoefficientVector(2, decompose(random_hermitian(2, np.random.default_rng(9)), 2))
         seq = trotter(coeffs, 3)
         want = seq.matrix().tobytes()
-        monkeypatch.setattr(matrices, "PAIR_CHUNK", 7)
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 7 * 40 * 4)
+        calls = chunk_sizes(monkeypatch, synthesis)
         assert len(seq.block) == 16 and seq.matrix().tobytes() == want
+        assert calls == [[7, 7, 2]]
 
     def test_sequence_product_is_unitary(self):
         seq = commutator_gate(label([0], 4), label([3], 4), 1.2)
