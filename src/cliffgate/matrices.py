@@ -12,7 +12,10 @@ so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
 a basis element's Pauli monomial i^phase X^x Z^z, one call of
 :func:`cliffgate.pauli.pauli_monomial` per array of masks, and its
-coefficient read from arrays of phases and powers of two.  A call holds the
+coefficient read from arrays of phases and powers of two.  The monomial
+sends column c to row c ^ x and products XOR the x masks, so two monomials
+share every row or none, and ab and ba share theirs: the matrix face of
+the commute-or-anticommute law.  A call holds the
 signed permutations, or dense oracles, of as many labels, pairs, terms or
 gates as fit in CHUNK_BYTES (:func:`_chunks`); :func:`gamma`'s factors are
 the oracle.
@@ -225,8 +228,9 @@ def expm_hermitian(h: np.ndarray, tau: float, *, tol: float = 1e-10) -> np.ndarr
 def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, float]:
     """Coefficients of a Hermitian matrix over the hermitized basis.
 
-    alpha_I = trace(h @ M(I)) / 2^n for every label I; the coefficients are
-    real and reconstruct h exactly up to floating error.  All the traces
+    alpha_I = trace(h @ M(I)) / 2^n for every label I, keyed in canonical
+    (order, mask) order; the coefficients are real and reconstruct h
+    exactly up to floating error.  All the traces
     trace(h X^x Z^z) = sum_c h[c, c ^ x] (-1)^|z & c| are one gather and one
     Sylvester-Hadamard product (Hantzko, Binkowski & Gupta 2023), read at
     every label's monomial, from one :func:`pauli_monomial` call on all masks.
@@ -319,16 +323,12 @@ def _maxabs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _peaks(*terms) -> np.ndarray:
-    # Max |entry| of each matrix k of the sum of signed permutations
-    # M[k][perm[k, c], c] = values[k, c], given as (perm, values) terms: the
-    # entries that share a row in a column add up in term order, as in the
-    # dense sum, so the result is the dense one bit for bit.
-    peak = 0.0
-    for perm, _ in terms:
-        entry = sum(np.where(other == perm, values, 0) for other, values in terms)
-        peak = np.maximum(peak, np.max(np.abs(entry), axis=-1))
-    return peak
+def _deviation(a, b) -> np.ndarray:
+    # max |entry| of each M_a - M_b: rows are c ^ xmask, so the two share every row
+    # (equal masks, read off column 0) or none, and then no entries meet
+    (pa, va), (pb, vb) = a, b
+    apart = np.maximum(np.max(np.abs(va), axis=-1), np.max(np.abs(vb), axis=-1))
+    return np.where(pa[:, 0] == pb[:, 0], np.max(np.abs(va - vb), axis=-1), apart)
 
 
 def _composed(a, b):
@@ -369,20 +369,19 @@ def _oracle_deviation(factors, coeffs, letters, scalars, perms, values) -> float
 
 def _label_sweep(masks, n: int) -> tuple[float, float, float]:
     # worst hermiticity, square and factorization deviations of the hermitized labels.
-    # A label holds about seven signed permutations (24 bytes a column): its own, its
-    # adjoint, its square and their sums; its dense oracle, about three matrices (16
-    # bytes an entry: two Kronecker chains and their temporaries), is a chunk of its own
-    idx = np.arange(2**n)
-    minus_eye = idx, -np.ones(2**n)
+    # A label takes five signed permutations (24 bytes a column, traced at n = 5): its
+    # own, its partners and their differences; its oracle, three matrices (16 bytes an
+    # entry: two Kronecker chains and their temporaries), takes a chunk of its own
     herm_dev = square_dev = fact_dev = 0.0
-    for part in _chunks(masks, 7 * 24 * 2**n):
+    for part in _chunks(masks, 5 * 24 * 2**n):
         part = np.asarray(part)
         elems = [hermitize(BasisLabel(mask, 2 * n)) for mask in part.tolist()]
-        m = perms, values = signed_permutations(elems, n)
-        # M^H holds conj(v[c]) at (c, p[c]), and p = c ^ xmask is its own inverse
-        adjoint = perms, -np.take_along_axis(values.conj(), perms, -1)
-        herm_dev = max(herm_dev, _peaks(m, adjoint).max())
-        square_dev = max(square_dev, _peaks(_composed(m, m), minus_eye).max())
+        perms, values = signed_permutations(elems, n)
+        # p = c ^ xmask is its own inverse, so M holds partner[c] = v[p[c]] at (c, p[c]),
+        # M^H holds conj(partner) where M holds v, and M^2 holds partner * v on the diagonal
+        partner = np.take_along_axis(values, perms, -1)
+        herm_dev = max(herm_dev, _maxabs(values - partner.conj()))
+        square_dev = max(square_dev, _maxabs(partner * values - 1))
         facts = [pauli_factorization(el, n) for el in elems]
         inputs = (
             _label_factors(part, n),
@@ -400,13 +399,12 @@ def _label_sweep(masks, n: int) -> tuple[float, float, float]:
 def _pair_sweep(draws: np.ndarray, n: int) -> tuple[float, float, float, bool, float]:
     # worst product, commutator, dichotomy and trace deviations of the (a, b) mask pairs,
     # and whether the dichotomy agrees with commutes; one element per distinct label.
-    # A pair holds about eight signed permutations (24 bytes a column): its two labels'
-    # rows, a and b gathered from them, ab, ba, the symbolic ab and [a, b]
+    # A pair takes ten signed permutations (24 bytes a column, traced at n = 3..9): its
+    # labels' rows, a, b, ab, ba, ab - ba, the symbolic ab and [a, b], and temporaries
     elems = {mask: ScaledElement(BasisLabel(mask, 2 * n)) for mask in np.unique(draws).tolist()}
-    idx = np.arange(2**n)
     prod_dev = comm_dev = dich_dev = trace_dev = 0.0
     dich_ok = True
-    for part in _chunks(draws, 8 * 24 * 2**n):
+    for part in _chunks(draws, 10 * 24 * 2**n):
         masks, rows = np.unique(part, return_inverse=True)
         perms, values = signed_permutations([elems[mask] for mask in masks.tolist()], n)
         ma, mb = ((perms[col], values[col]) for col in rows.reshape(part.shape).T)
@@ -414,17 +412,18 @@ def _pair_sweep(draws: np.ndarray, n: int) -> tuple[float, float, float, bool, f
         symbolic = list(map(product, ea, eb)) + list(map(commutator, ea, eb))
         perms, values = signed_permutations(symbolic, n)
         m_prod, m_comm = zip(np.split(perms, 2), np.split(values, 2))
+        # ab and ba share their rows (both masks are xa ^ xb) and differ by a sign at most
         ab, ba = _composed(ma, mb), _composed(mb, ma)
-        minus_ba = ba[0], -ba[1]
-        prod_dev = max(prod_dev, _peaks(ab, (m_prod[0], -m_prod[1])).max())
-        comm_dev = max(comm_dev, _peaks(ab, minus_ba, (m_comm[0], -m_comm[1])).max())
-        c_norm, a_norm = _peaks(ab, minus_ba), _peaks(ab, ba)
+        comm = ab[0], ab[1] - ba[1]
+        prod_dev = max(prod_dev, _deviation(ab, m_prod).max())
+        comm_dev = max(comm_dev, _deviation(comm, m_comm).max())
+        c_norm, a_norm = np.max(np.abs(comm[1]), axis=-1), np.max(np.abs(ab[1] + ba[1]), axis=-1)
         dich_dev = max(dich_dev, float(np.max(np.minimum(c_norm, a_norm))))
         commuting = [commutes(a.label, b.label) for a, b in zip(ea, eb)]
         dich_ok &= np.array_equal(c_norm <= TOL_EXACT, commuting)
-        # hermitizing rescales by i^hermitization_phase, so tr(h(a) h(b)) = i^(p_a + p_b) tr(ab)
+        # tr(h(a) h(b)) = i^(p_a + p_b) tr(ab), and ab is all on its diagonal (mask 0) or all off
         phases = hermitization_phase(np.bitwise_count(part).astype(np.int64)).sum(axis=1)
-        traces = 1j ** phases * np.sum(np.where(ab[0] == idx, ab[1], 0), axis=-1)
+        traces = 1j ** phases * np.where(ab[0][:, 0] == 0, ab[1].sum(-1), 0)
         expect = np.where(part[:, 0] == part[:, 1], 2.0**n, 0.0)
         trace_dev = max(trace_dev, _maxabs(traces - expect))
     return prod_dev, comm_dev, dich_dev, dich_ok, trace_dev
@@ -439,12 +438,14 @@ def verify_representation(n: int, *, seed: int = 0) -> list[CheckResult]:
     0..4^n - 1, so no list of all labels is formed, and a pair sweep builds
     one element per distinct label and makes one :func:`product`,
     :func:`commutator` and :func:`commutes` call per pair.  Label and pair
-    checks compose signed permutations (:func:`signed_permutations`) a chunk
-    at a time (:func:`_chunks`), and read each deviation as the exact max
-    |entry| of their sum, the dense one bit for bit.  A pair chunk gathers
-    a and b from the signed permutations of its distinct labels; the trace
-    orthogonality of the hermitized pair is read off ab, since hermitizing
-    only rescales by a power of i.  Only the oracle is dense: for a whole
+    checks hold signed permutations (:func:`signed_permutations`) a chunk at
+    a time (:func:`_chunks`) and read every check off their rows: M^H and
+    M^2 off M's, ab +- ba and the trace off ab's and ba's shared rows (the
+    hermitized pair's trace is tr(ab) times a power of i), and each deviation
+    from the symbolic side as the exact max |entry| of a difference of two
+    signed permutations, which share every row or none; each is the dense
+    one bit for bit.  A pair chunk gathers a and b from the signed
+    permutations of its distinct labels.  Only the oracle is dense: for a whole
     chunk of labels, the Kronecker chains of the per-qubit products of their
     generators' :func:`gamma` factors, and of their Pauli letters; only the
     generator checks hold all 2n generators, and the draws, elements and

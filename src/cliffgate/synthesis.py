@@ -180,17 +180,16 @@ class CoefficientVector:
         ]
 
 
-def _product_formula(coeffs: CoefficientVector, steps: int) -> GateSequence:
-    # the block and step count of trotter and synthesize, before the error is measured
+def _product_formula(terms: list, qubits: int, steps: int) -> GateSequence:
+    # the block and step count of trotter and synthesize, from nonzero terms in canonical order
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
-    terms = coeffs.terms()
     if steps * len(terms) > MAX_GATES:
         raise CapExceededError(
             f"a product formula of {steps * len(terms)} gates exceeds the gate budget {MAX_GATES}"
         )
     block = tuple(Gate(label, alpha / steps) for label, alpha in terms)
-    return GateSequence(block, coeffs.qubits, steps)
+    return GateSequence(block, qubits, steps)
 
 
 def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
@@ -202,8 +201,9 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
     and shrinks like (sum alpha^2)/steps.  Raises
     :class:`CapExceededError` when steps x terms exceeds ``MAX_GATES``.
     """
-    seq = _product_formula(coeffs, steps)
-    target = expm_hermitian(reconstruct(dict(coeffs.terms()), coeffs.qubits), 1.0)
+    terms = coeffs.terms()
+    seq = _product_formula(terms, coeffs.qubits, steps)
+    target = expm_hermitian(reconstruct(dict(terms), coeffs.qubits), 1.0)
     seq.error = operator_distance(seq.matrix(), target)
     return seq
 
@@ -211,15 +211,13 @@ def trotter(coeffs: CoefficientVector, steps: int) -> GateSequence:
 def synthesize(h: np.ndarray, steps: int, qubits: int) -> GateSequence:
     """Decompose a Hermitian target and build the trotter sequence.
 
-    Coefficients with |alpha| <= ATOL are dropped.  The reported error is
-    measured against exp(i*h).  :func:`decompose` rejects a matrix of the
-    wrong shape or with a Hermiticity defect above its default 1e-10, and
-    the gate budget applies as in :func:`trotter`.
+    Coefficients with |alpha| <= ATOL are dropped; the rest are already in
+    canonical label order.  The reported error is measured against
+    exp(i*h).  :func:`decompose` rejects a matrix of the wrong shape or
+    with a Hermiticity defect above its default 1e-10, and the gate budget
+    applies as in :func:`trotter`.
     """
-    coeffs = CoefficientVector(
-        qubits,
-        {label: a for label, a in decompose(h, qubits).items() if abs(a) > ATOL},
-    )
-    seq = _product_formula(coeffs, steps)
+    terms = [(label, a) for label, a in decompose(h, qubits).items() if abs(a) > ATOL]
+    seq = _product_formula(terms, qubits, steps)
     seq.error = operator_distance(seq.matrix(), expm_hermitian(h, 1.0))
     return seq

@@ -176,6 +176,43 @@ class TestCoefficients:
             assert str(got.value) == str(want.value)
 
 
+class TestXorRows:
+    """A monomial sends column c to row c ^ xmask and products XOR the masks,
+    so two signed permutations share every row or none, and ab and ba share
+    theirs: the verify sweep reads each deviation off that."""
+
+    @staticmethod
+    def seeded(n):
+        # 40 seeded elements and the zero element, and every ordered pair of them
+        rng = np.random.default_rng(n)
+        masks, phases = rng.integers(0, 4**n, 40).tolist(), rng.integers(0, 4, 40).tolist()
+        elems = [ScaledElement(BasisLabel(m, 2 * n), phase=p) for m, p in zip(masks, phases)]
+        perms, values = signed_permutations(elems + [ScaledElement.zero(2 * n)], n)
+        ma = np.repeat(perms, len(perms), 0), np.repeat(values, len(perms), 0)
+        mb = np.tile(perms, (len(perms), 1)), np.tile(values, (len(perms), 1))
+        return perms, ma, mb
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_are_columns_xor_one_mask(self, n):
+        perms, ma, mb = self.seeded(n)
+        idx = np.arange(2**n)
+        assert np.array_equal(perms, idx ^ perms[:, :1])
+        (ab, _), (ba, _) = matrices._composed(ma, mb), matrices._composed(mb, ma)
+        assert np.array_equal(ab, idx ^ (ma[0][:, :1] ^ mb[0][:, :1]))
+        assert np.array_equal(ba, ab)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_deviation_is_the_dense_one(self, n):
+        # rows shared or apart, the largest entry of the dense difference
+        _, ma, mb = self.seeded(n)
+        dense = np.zeros((2, len(ma[0]), 2**n, 2**n), dtype=complex)
+        for out, (p, v) in zip(dense, (ma, mb)):
+            out[np.arange(len(p))[:, None], p, np.arange(2**n)] = v
+        want = np.max(np.abs(dense[0] - dense[1]), axis=(1, 2))
+        assert matrices._deviation(ma, mb).tobytes() == want.tobytes()
+        assert 0 < np.sum(ma[0][:, 0] == mb[0][:, 0]) < len(want)
+
+
 class TestMonomialOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_represent_equals_gamma_product(self, n):
@@ -371,6 +408,11 @@ class TestMatrixText:
             parse_matrix("\n")
 
 
+def off_by_one_label(el):
+    # el's coefficient on the label with generator 0 toggled (the zero stays zero)
+    return dataclasses.replace(el, label=BasisLabel(el.label.mask ^ 1, el.ambient))
+
+
 # the symbolic side of the pair checks made wrong in one way each
 PAIR_CORRUPTIONS = [
     pytest.param("product-homomorphism", "product",
@@ -378,6 +420,11 @@ PAIR_CORRUPTIONS = [
                  id="product"),
     pytest.param("commutator-homomorphism", "commutator",
                  lambda a, b: ScaledElement.zero(a.ambient), id="commutator"),
+    # the right coefficient on the wrong label: both sides nonzero, rows apart
+    pytest.param("product-homomorphism", "product",
+                 lambda a, b: off_by_one_label(product(a, b)), id="product-label"),
+    pytest.param("commutator-homomorphism", "commutator",
+                 lambda a, b: off_by_one_label(commutator(a, b)), id="commutator-label"),
     pytest.param("commutation-dichotomy", "commutes", lambda a, b: True, id="commutes"),
     pytest.param("trace-orthogonality", "hermitization_phase",
                  lambda order: 1 - hermitization_phase(order), id="hermitization_phase"),
@@ -436,15 +483,15 @@ class TestVerifySuite:
 
     def test_matches_the_dense_sweep_sampled_and_in_part_chunks(self, monkeypatch):
         # 13 of the 64 labels and 13 of their pairs drawn.  At 8 columns a label
-        # takes 7 * 24 * 8 bytes and its oracle 3 * 16 * 64, a pair 8 * 24 * 8
-        # and a round-trip term 40 * 8, so the labels go 5 at a time and their
-        # oracles 2 at a time, the pairs 4 and the 64 terms 21 at a time
+        # takes 5 * 24 * 8 bytes and its oracle 3 * 16 * 64, a pair 10 * 24 * 8
+        # and a round-trip term 40 * 8, so the labels go 7 at a time and their
+        # oracles 2 at a time, the pairs 3 and the 64 terms 21 at a time
         monkeypatch.setattr(matrices, "SAMPLE_CAP", 13)
         monkeypatch.setattr(matrices, "CHUNK_BYTES", 7000)
         want = dense_verify(3, 1)
         calls = chunk_sizes(monkeypatch, matrices)
         assert verify_representation(3, seed=1) == want
-        assert calls == [[5, 5, 3], [2, 2, 1], [2, 2, 1], [2, 1], [4, 4, 4, 1], [21, 21, 21, 1]]
+        assert calls == [[7, 6], [2, 2, 2, 1], [2, 2, 2], [3, 3, 3, 3, 1], [21, 21, 21, 1]]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_the_dense_sweep_one_item_at_a_time(self, monkeypatch, n):

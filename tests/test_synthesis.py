@@ -230,6 +230,20 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(np.zeros((4, 4)), 4, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_is_trotter_of_the_filtered_decomposition(self, n):
+        # decompose keys its coefficients in canonical order on n qubits, so its
+        # filtered items are the terms trotter reads off a CoefficientVector
+        coeffs = decompose(random_hermitian(n, np.random.default_rng(70 + n)), n)
+        for lab in list(coeffs)[::2]:
+            coeffs[lab] = 0.0  # decomposed again at rounding level, under ATOL
+        h = matrices.reconstruct(coeffs, n)
+        kept = {lab: a for lab, a in decompose(h, n).items() if abs(a) > synthesis.ATOL}
+        assert len(kept) == 4**n // 2
+        for steps in (1, 4, 16):
+            want = trotter(CoefficientVector(n, kept), steps)
+            assert synthesize(h, steps, n).block == want.block
+
 
 # pi to 60 digits: the exact reference measures turns against it rather
 # than against the float 2*pi of the search
