@@ -11,14 +11,14 @@ generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
 complex matrices by an exact homomorphism.  Every matrix here is built from
 a basis element's Pauli monomial i^phase X^x Z^z, one call of
-:func:`cliffgate.pauli.pauli_monomial` per array of masks, and its
-coefficient read from arrays of phases and powers of two.  The monomial
-sends column c to row c ^ x and products XOR the x masks, so two monomials
-share every row or none, and ab and ba share theirs: the matrix face of
-the commute-or-anticommute law.  A call holds the
-signed permutations, or dense oracles, of as many labels, pairs, terms or
-gates as fit in CHUNK_BYTES (:func:`_chunks`); :func:`gamma`'s factors are
-the oracle.
+:func:`cliffgate.pauli.pauli_monomial` per array of masks, times its
+``coefficient``.  The monomial sends column c to row c ^ x and products XOR
+the x masks, so two monomials share every row or none, and ab and ba share
+theirs: the matrix face of the commute-or-anticommute law.  A call holds
+the signed permutations, or dense oracles, of as many labels, pairs, terms
+or gates as fit in CHUNK_BYTES (:func:`_chunks`); the terms of a sum and the
+gates of a sequence come from one stream of hermitized labels
+(:func:`_hermitized`), and :func:`gamma`'s factors are the oracle.
 """
 
 from __future__ import annotations
@@ -123,20 +123,6 @@ def _label_factors(masks: Sequence[int], n: int) -> np.ndarray:
     return out
 
 
-_UNITS = np.array([1j**phase for phase in range(4)])  # i^phase, as _scalar_value forms it
-
-
-def _coefficients(elems: Sequence[ScaledElement]) -> np.ndarray:
-    # every el.coefficient, bit for bit, as one array: i^phase * 2^pow2, or 0j for the zero
-    pow2 = [el.pow2 for el in elems]
-    if pow2 and not -1074 <= min(pow2) <= max(pow2) <= 1023:
-        bad = next(el for el in elems if not -1074 <= el.pow2 <= 1023)
-        _scalar_value(bad.phase, bad.pow2)  # raises its error
-    phase = np.array([el.phase for el in elems], dtype=np.int64)
-    units = _UNITS[phase] * np.ldexp(1.0, np.array(pow2, dtype=np.int64))
-    return np.where(np.array([el.is_zero for el in elems], dtype=bool), 0j, units)
-
-
 def _signs(a, b) -> np.ndarray:
     # (-1)^|a & b| elementwise: entries of the Sylvester-Hadamard matrix.
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & 1)
@@ -150,13 +136,12 @@ def signed_permutations(
     So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
     c ^ xmask, and the zero element has all-zero values.  Every element's
     ambient is checked, one call of :func:`pauli_monomial` on the array of
-    their masks gives every monomial, and their coefficients are read as
-    arrays of phases and powers of two, each ``el.coefficient`` bit for bit.
+    their masks gives every monomial, and each is scaled by ``el.coefficient``.
     """
     for el in {el.label.ambient: el for el in elems}.values():
         _require_qubits(el, n)  # one element of each ambient
     x, z, phase = pauli_monomial(np.array([el.label.mask for el in elems], dtype=np.int64), n)
-    coeffs = _coefficients(elems) * 1j ** phase
+    coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** phase
     idx = np.arange(2**n)
     return idx ^ x[:, None], coeffs[:, None] * _signs(idx, z[:, None])
 
@@ -225,6 +210,26 @@ def expm_hermitian(h: np.ndarray, tau: float, *, tol: float = 1e-10) -> np.ndarr
     return (v * np.exp(1j * tau * w)) @ v.conj().T
 
 
+def _hermitized_monomials(masks: np.ndarray, n: int):
+    # (x, z, phase mod 4) of each label mask's hermitized monomial: its Pauli monomial
+    # times the i that makes its square +1
+    x, z, phase = pauli_monomial(masks, n)
+    return x, z, (phase + hermitization_phase(np.bitwise_count(masks).astype(np.int64))) % 4
+
+
+def _hermitized(labels: Sequence[BasisLabel], n: int) -> Iterator[tuple]:
+    # the signed permutations of the hermitized labels a chunk at a time, each chunk's
+    # positions (a slice), perms and values; bit for bit those of signed_permutations on
+    # their hermitize elements.  A term holds its perms (24 bytes a column) and values (16)
+    for label in {label.ambient: label for label in labels}.values():
+        _require_qubits(label, n)  # one label of each ambient
+    masks, idx = np.array([label.mask for label in labels], dtype=np.int64), np.arange(2**n)
+    for part in _chunks(range(len(labels)), 40 * 2**n):
+        part = slice(part.start, part.stop)
+        x, z, phase = _hermitized_monomials(masks[part], n)
+        yield part, idx ^ x[:, None], (1j ** phase)[:, None] * _signs(idx, z[:, None])
+
+
 def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, float]:
     """Coefficients of a Hermitian matrix over the hermitized basis.
 
@@ -245,24 +250,21 @@ def decompose(h: np.ndarray, n: int, *, tol: float = 1e-10) -> dict[BasisLabel, 
     traces = h[idx, idx ^ idx[:, None]] @ _signs(idx[:, None], idx)
     labels = list(all_labels(2 * n))
     masks = np.array([label.mask for label in labels], dtype=np.int64)
-    x, z, phase = pauli_monomial(masks, n)
-    phase += hermitization_phase(np.bitwise_count(masks).astype(np.int64))
-    alphas = (1j ** (phase % 4) * traces[x, z]).real / dim
+    x, z, phase = _hermitized_monomials(masks, n)
+    alphas = (1j ** phase * traces[x, z]).real / dim
     return dict(zip(labels, alphas.tolist()))
 
 
 def reconstruct(coeffs: Mapping[BasisLabel, float], n: int) -> np.ndarray:
     """sum_I alpha_I M(I) over the hermitized basis, the inverse of
     :func:`decompose`.  Unbuffered scatters add the nonzero terms' signed
-    permutations a chunk at a time (:func:`_chunks`), so each entry sums its
-    terms in coefficient order."""
-    terms = [(label, alpha) for label, alpha in coeffs.items() if alpha]
+    permutations a chunk at a time (:func:`_hermitized`), so each entry sums
+    its terms in coefficient order."""
+    terms = {label: alpha for label, alpha in coeffs.items() if alpha}
+    alphas = np.array(list(terms.values()), dtype=float)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    # a term holds its signed permutation (24 bytes a column) and its scaled values (16)
-    for part in _chunks(terms, 40 * 2**n):
-        labels, alphas = zip(*part)
-        perms, values = signed_permutations(list(map(hermitize, labels)), n)
-        np.add.at(out, (perms, np.arange(2**n)), values * np.array(alphas, dtype=float)[:, None])
+    for part, perms, values in _hermitized(list(terms), n):
+        np.add.at(out, (perms, np.arange(2**n)), values * alphas[part, None])
     return out
 
 
@@ -385,7 +387,7 @@ def _label_sweep(masks, n: int) -> tuple[float, float, float]:
         facts = [pauli_factorization(el, n) for el in elems]
         inputs = (
             _label_factors(part, n),
-            _coefficients(elems),
+            np.array([el.coefficient for el in elems], dtype=complex),
             np.array([[PAULI[letter] for letter in f.factors] for f in facts]),
             np.array([_scalar_value(f.phase, f.pow2) for f in facts]),
             perms,

@@ -27,17 +27,9 @@ from .algebra import (
     _require_qubits,
     canonical_key,
     commutes,
-    hermitize,
     qubit_count,
 )
-from .matrices import (
-    _chunks,
-    decompose,
-    expm_hermitian,
-    hermitized_matrix,
-    reconstruct,
-    signed_permutations,
-)
+from .matrices import _hermitized, decompose, expm_hermitian, hermitized_matrix, reconstruct
 
 __all__ = [
     "CoefficientVector",
@@ -85,8 +77,8 @@ class Gate:
 
 @dataclass
 class GateSequence:
-    """``repeats`` copies of one block of gates; the realized matrix
-    multiplies left to right.
+    """``repeats`` copies of one block of gates, ``repeats`` >= 0 (0 is the
+    empty sequence); the realized matrix multiplies left to right.
 
     ``block[0]`` is the leftmost factor of the block.  A product formula is
     its per-term block and its step count; every other sequence is one
@@ -100,6 +92,10 @@ class GateSequence:
     repeats: int = 1
     error: float | None = None
 
+    def __post_init__(self):
+        if self.repeats < 0:
+            raise ValueError(f"repeat count must be >= 0, got {self.repeats}")
+
     @property
     def gates(self) -> tuple[Gate, ...]:
         """Every gate in order: the block ``repeats`` times."""
@@ -108,17 +104,16 @@ class GateSequence:
     def matrix(self) -> np.ndarray:
         """The product of the gates, ``gates[0]`` leftmost.
 
-        The block is evaluated once and raised to ``repeats`` by squaring:
-        O(L*4^n + log(N)*8^n) for N blocks of L gates instead of
-        O(N*L*4^n).
+        The block is evaluated once, its gates' signed permutations a chunk
+        at a time (:func:`cliffgate.matrices._hermitized`), and raised to
+        ``repeats`` by squaring: O(L*4^n + log(N)*8^n) for N blocks of L
+        gates instead of O(N*L*4^n).
         """
         # Right-multiplying by cos(t) + i*sin(t)*M permutes and scales columns,
         # O(4^n) per gate.
         out = np.eye(2**self.qubits, dtype=complex)
-        # a gate holds its signed permutation (24 bytes a column) and its scaled values (16)
-        for part in _chunks(self.block, 40 * 2**self.qubits):
-            perms, values = signed_permutations([hermitize(g.label) for g in part], self.qubits)
-            for gate, perm, vals in zip(part, perms, 1j * values):
+        for part, perms, values in _hermitized([g.label for g in self.block], self.qubits):
+            for gate, perm, vals in zip(self.block[part], perms, 1j * values):
                 out = math.cos(gate.angle) * out + math.sin(gate.angle) * out[:, perm] * vals
         return np.linalg.matrix_power(out, self.repeats)
 

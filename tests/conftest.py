@@ -6,9 +6,10 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cliffgate import BasisLabel, ScaledElement, all_labels, commutator, hermitize, matrices
-from cliffgate.algebra import _scalar_value, hermitization_phase, qubit_count
+from cliffgate.algebra import AmbientMismatchError, _scalar_value, hermitization_phase, qubit_count
 from cliffgate.matrices import (
     PAULI,
     CheckResult,
@@ -38,6 +39,13 @@ def elem(indices, ambient, phase=0, pow2=0):
 
 def labels_upto(ambient):
     return list(all_labels(ambient))
+
+
+# a label that no 2-qubit term or gate may hold, the error it raises and its text
+STRAYS = [
+    pytest.param(label([0], 6), AmbientMismatchError, "does not fit 2 qubits", id="even"),
+    pytest.param(label([0], 5), ValueError, "ambient 5 is odd", id="odd"),
+]
 
 
 def inversions(a_mask, b_mask):

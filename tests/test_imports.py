@@ -154,3 +154,26 @@ FORBIDDEN = {
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_layers_import_only_downward(module):
     assert reachable(module) & FORBIDDEN[module] == set()
+
+
+def names_in(tree) -> set[str]:
+    # every name a module reads, binds, imports or takes as an attribute
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set((SRC / "cliffgate").glob("*.py")) - {SRC / "cliffgate" / "matrices.py"}),
+    ids=lambda p: p.name,
+)
+def test_only_matrices_names_the_chunk_rule(path):
+    # the one chunk rule and its byte budget live in matrices; every other layer
+    # takes its chunks from a matrices stream
+    assert names_in(ast.parse(path.read_text())) & {"_chunks", "CHUNK_BYTES"} == set()

@@ -37,6 +37,7 @@ from cliffgate.matrices import (
 )
 from cliffgate.pauli import pauli_monomial
 from conftest import (
+    STRAYS,
     chunk_sizes,
     coefficient_permutations,
     dense_verify,
@@ -136,16 +137,14 @@ class TestRepresent:
 
 
 class TestCoefficients:
-    """signed_permutations reads every coefficient from arrays of phases and
-    powers of two; reading each el.coefficient is the oracle, compared in
-    bytes so that signed zeros count."""
+    """signed_permutations scales every monomial by its el.coefficient, the
+    one scalar rule; the oracle reads each el.coefficient on its own and is
+    compared in bytes so that signed zeros count."""
 
     @staticmethod
     def assert_same(elems, n):
         got, want = signed_permutations(elems, n), coefficient_permutations(elems, n)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        coeffs = np.array([el.coefficient for el in elems], dtype=complex)
-        assert matrices._coefficients(elems).tobytes() == coeffs.tobytes()
 
     @pytest.mark.parametrize("pow2", [-1074, 0, 1023])
     @pytest.mark.parametrize("phase", [0, 1, 2, 3])
@@ -358,6 +357,45 @@ class TestDecompose:
     def test_reconstruct_of_few_terms(self, coeffs):
         out = reconstruct(coeffs, 2)
         assert out.shape == (4, 4) and out.tobytes() == loop_reconstruct(coeffs, 2).tobytes()
+
+
+class TestHermitizedStream:
+    """matrices._hermitized, the one stream of hermitized terms behind
+    reconstruct and GateSequence.matrix: each chunk is bit for bit the
+    signed permutations of its labels' hermitize elements."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_chunks_are_signed_permutations_of_hermitize(self, monkeypatch, n):
+        if n <= 4:
+            labels = list(all_labels(2 * n))
+        else:
+            masks = np.random.default_rng(n).integers(0, 4**n, 500).tolist()
+            labels = [BasisLabel(mask, 2 * n) for mask in masks]
+        # three labels a chunk: 4^n and 500 labels both end in a partial chunk
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 3 * 40 * 2**n)
+        parts, perms, values = zip(*matrices._hermitized(labels, n))
+        starts = range(0, len(labels), 3)
+        assert list(parts) == [slice(i, min(i + 3, len(labels))) for i in starts]
+        assert len(labels) % 3 and len(parts) > 1
+        want = signed_permutations([hermitize(lab) for lab in labels], n)
+        assert np.concatenate(perms).tobytes() == want[0].tobytes()
+        assert np.concatenate(values).tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_labels_yield_nothing(self, n):
+        # so reconstruct({}) is zero and an empty GateSequence the identity (tested above
+        # and in test_synthesis)
+        assert list(matrices._hermitized([], n)) == []
+
+    @pytest.mark.parametrize("at", [0, 7, 15], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("stray, error, match", STRAYS)
+    def test_reconstruct_checks_every_ambient(self, monkeypatch, stray, error, match, at):
+        # the stray label in the first, a middle or the last chunk of three terms
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 3 * 40 * 4)
+        labels = list(all_labels(4))
+        labels[at] = stray
+        with pytest.raises(error, match=match):
+            reconstruct(dict.fromkeys(labels, 0.5), 2)
 
 
 class TestExpm:

@@ -37,7 +37,7 @@ from cliffgate import matrices, synthesis
 from cliffgate.matrices import random_hermitian
 from cliffgate.power import DEFAULT_POWER_CAP, TWO_PI
 from cliffgate.synthesis import MAX_GATES
-from conftest import chunk_sizes, label, labels_upto, maxabs, unitarity_defect
+from conftest import STRAYS, chunk_sizes, label, labels_upto, maxabs, unitarity_defect
 
 
 class TestBasisGate:
@@ -447,7 +447,7 @@ class TestGateSequenceText:
         seq = trotter(coeffs, 3)
         want = seq.matrix().tobytes()
         monkeypatch.setattr(matrices, "CHUNK_BYTES", 7 * 40 * 4)
-        calls = chunk_sizes(monkeypatch, synthesis)
+        calls = chunk_sizes(monkeypatch, matrices)
         assert len(seq.block) == 16 and seq.matrix().tobytes() == want
         assert calls == [[7, 7, 2]]
 
@@ -513,6 +513,27 @@ class TestBlockPower:
 
     def test_empty_block_repeated_is_the_identity(self):
         assert maxabs(GateSequence((), 2, 10**12).matrix() - np.eye(4)) == 0.0
+
+    def test_zero_repeats_is_the_empty_sequence(self):
+        seq = GateSequence(self.random_gates(2, 3, 83), 2, 0)
+        assert seq.gates == () and seq.to_text() == ""
+        assert seq.matrix().tobytes() == np.eye(4, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("repeats", [-1, -2, -(10**12)])
+    def test_negative_repeats_are_refused(self, repeats):
+        # matrix_power would read -1 as the inverse of the block
+        with pytest.raises(ValueError, match="repeat count must be >= 0"):
+            GateSequence(self.random_gates(2, 3, 83), 2, repeats)
+
+    @pytest.mark.parametrize("at", [0, 7, 15], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("stray, error, match", STRAYS)
+    def test_matrix_checks_every_ambient(self, monkeypatch, stray, error, match, at):
+        # the stray gate in the first, a middle or the last chunk of three gates
+        monkeypatch.setattr(matrices, "CHUNK_BYTES", 3 * 40 * 4)
+        gates = list(self.random_gates(2, 16, 84))
+        gates[at] = Gate(stray, 0.3)
+        with pytest.raises(error, match=match):
+            GateSequence(tuple(gates), 2).matrix()
 
 
 class TestDistances:
