@@ -41,9 +41,8 @@ _LAZY = {
     ),
     **dict.fromkeys(("PowerResult", "irrational_power", "minimal_power_scan"), "power"),
     **dict.fromkeys(
-        ("decompose", "expm_hermitian", "format_matrix", "gamma", "hermitized_matrix",
-         "parse_matrix", "reconstruct", "recursive_construct", "represent",
-         "verify_representation"),
+        ("decompose", "expm_hermitian", "format_matrix", "gamma", "parse_matrix",
+         "reconstruct", "recursive_construct", "represent", "verify_representation"),
         "matrices",
     ),
     **dict.fromkeys(

@@ -217,7 +217,7 @@ def cmd_gateset(args, emit) -> int:
     _check_ambient(2 * args.qubits)
     gens = chain_generators(2 * args.qubits)
     result = close(gens, cap=args.cap)  # before any output: a capped run prints nothing
-    facts = [pauli_factorization(el, args.qubits) for el in gens.elements]
+    facts = [pauli_factorization(el) for el in gens.elements]
     for el, fact in zip(gens.elements, facts):
         support = ",".join(map(str, fact.support())) or "-"
         emit(

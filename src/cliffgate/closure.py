@@ -282,15 +282,19 @@ class Certificate:
     Replaying the steps from the generator elements reproduces the target's
     representative exactly; the recorded scalar relates that representative
     to the hermitized target.  An empty step list certifies either a
-    generator itself or the unit label (the empty derivation).
+    generator itself or the unit label (the empty derivation).  ``ambient``
+    is the target's, for the text's ``ambient`` line and a replay's qubits.
     """
 
-    ambient: int
     target: BasisLabel
     generators: tuple[ScaledElement, ...]
     steps: tuple[CertificateStep, ...]
     scalar_phase: int
     scalar_pow2: int
+
+    @property
+    def ambient(self) -> int:
+        return self.target.ambient
 
     def validate(self) -> None:
         """Symbolic replay; raises ValueError on any inconsistency."""
@@ -370,7 +374,6 @@ class Certificate:
         if ambient is None or target is None or scalar is None or not gens:
             raise ParseError("certificate text is missing ambient/target/generators/scalar")
         cert = cls(
-            ambient=ambient,
             target=target,
             generators=GeneratorSet(ambient, tuple(gens)).elements,
             steps=tuple(steps),
@@ -403,7 +406,6 @@ def certificate(result: ClosureResult, target: BasisLabel) -> Certificate:
         label = steps[-1].parent_a
     rep = result.representatives[target]
     return Certificate(
-        ambient=result.ambient,
         target=target,
         generators=tuple(result.representatives[label] for label in result.initial),
         steps=tuple(reversed(steps)),

@@ -9,7 +9,9 @@ read left to right with the leftmost factor acting on the highest-index
 qubit (qubit 0 is the rightmost factor and bit 0 of a row index).  All 2n
 generators are Hermitian, square to the identity and pairwise anticommute,
 so symbolic values from :mod:`cliffgate.algebra` map onto 2^n x 2^n
-complex matrices by an exact homomorphism.  Every matrix here is built from
+complex matrices by an exact homomorphism.  :func:`represent` reads n off
+its element's ambient (:func:`cliffgate.algebra.qubit_count`); a function
+of labels or terms, which may be none, is given n.  Every matrix is built from
 a basis element's Pauli monomial i^phase X^x Z^z, one call of
 :func:`cliffgate.pauli.pauli_monomial` per array of masks, times its
 ``coefficient``.  The monomial sends column c to row c ^ x and products XOR
@@ -43,6 +45,7 @@ from .algebra import (
     hermitization_phase,
     hermitize,
     product,
+    qubit_count,
 )
 from .pauli import pauli_factorization, pauli_monomial
 
@@ -53,7 +56,6 @@ __all__ = [
     "format_matrix",
     "gamma",
     "hermiticity_defect",
-    "hermitized_matrix",
     "parse_matrix",
     "random_hermitian",
     "recursive_construct",
@@ -146,16 +148,13 @@ def signed_permutations(
     return idx ^ x[:, None], coeffs[:, None] * _signs(idx, z[:, None])
 
 
-def represent(elem: ScaledElement, n: int) -> np.ndarray:
-    """Dense matrix of a scaled basis element on n qubits (a fresh array)."""
+def represent(elem: ScaledElement) -> np.ndarray:
+    """Dense matrix of a scaled basis element on its ambient's qubits (a fresh array)."""
+    n = qubit_count(elem.ambient)
     (perm,), (values,) = signed_permutations([elem], n)
     out = np.zeros((2**n, 2**n), dtype=complex)
     out[perm, np.arange(2**n)] = values
     return out
-
-
-def hermitized_matrix(label: BasisLabel, n: int) -> np.ndarray:
-    return represent(hermitize(label), n)
 
 
 def recursive_construct(n: int) -> list[np.ndarray]:
@@ -384,7 +383,7 @@ def _label_sweep(masks, n: int) -> tuple[float, float, float]:
         partner = np.take_along_axis(values, perms, -1)
         herm_dev = max(herm_dev, _maxabs(values - partner.conj()))
         square_dev = max(square_dev, _maxabs(partner * values - 1))
-        facts = [pauli_factorization(el, n) for el in elems]
+        facts = [pauli_factorization(el) for el in elems]
         inputs = (
             _label_factors(part, n),
             np.array([el.coefficient for el in elems], dtype=complex),

@@ -10,9 +10,10 @@ elementwise on an int or an integer array of masks).  Monomials multiply by
 
 which this module uses to factor elements into per-qubit Pauli letters
 (and so tell whether an element acts on at most two adjacent qubits) and
-to replay certificates through an independent homomorphism.  It builds no
-matrix and imports only :mod:`cliffgate.algebra`, for the qubit count of
-an ambient and the text of a coefficient i^phase * 2^pow2.
+to replay certificates through an independent homomorphism.  A
+factorization or replay reads its qubit count off the element's or the
+certificate's ambient.  It builds no matrix and imports only
+:mod:`cliffgate.algebra`, for that count and a coefficient's text.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import (
-    ScaledElement,
-    _require_qubits,
-    format_scalar,
-    hermitize,
-    qubit_count,
-)
+from .algebra import ScaledElement, format_scalar, hermitize, qubit_count
 
 __all__ = [
     "PauliFactorization",
@@ -82,9 +77,9 @@ class PauliFactorization:
         return format_scalar(self.phase, self.pow2, self.factors)
 
 
-def pauli_factorization(elem: ScaledElement, n: int) -> PauliFactorization:
-    """Factor a scaled basis element into per-qubit Paulis symbolically."""
-    _require_qubits(elem, n)
+def pauli_factorization(elem: ScaledElement) -> PauliFactorization:
+    """Factor a scaled basis element into one Pauli letter per qubit of its ambient."""
+    n = qubit_count(elem.ambient)
     if elem.is_zero:
         raise ValueError("the zero element has no Pauli factorization")
     x, z, phase = pauli_monomial(elem.label.mask, n)

@@ -41,6 +41,14 @@ def _no_power(angle: float, tolerance: float, cap: int) -> CapExceededError:
     )
 
 
+def _require_search(angle: float, tolerance: float) -> None:
+    # the one input check of both searches
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+
+
 def irrational_power(
     angle: float, tolerance: float, *, cap: int = DEFAULT_POWER_CAP
 ) -> PowerResult:
@@ -56,10 +64,7 @@ def irrational_power(
     the signed residual angle, so one irrational gate yields rotations
     finer than any requested tolerance.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle}")
+    _require_search(angle, tolerance)
     a, b = angle.as_integer_ratio()
     c, d = TWO_PI.as_integer_ratio()
     t1, t2 = tolerance.as_integer_ratio()
@@ -79,11 +84,11 @@ def irrational_power(
 
 
 def minimal_power_scan(angle: float, tolerance: float, *, cap: int = 10**7) -> PowerResult:
-    """Brute-force minimal power search; the oracle for :func:`irrational_power`."""
+    """Brute-force minimal power search; the oracle for :func:`irrational_power`,
+    which refuses the same inputs with the same messages."""
     import numpy as np
 
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _require_search(angle, tolerance)
     chunk = 1 << 16
     n0 = 1
     while n0 <= cap:

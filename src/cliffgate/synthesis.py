@@ -27,9 +27,10 @@ from .algebra import (
     _require_qubits,
     canonical_key,
     commutes,
+    hermitize,
     qubit_count,
 )
-from .matrices import _hermitized, decompose, expm_hermitian, hermitized_matrix, reconstruct
+from .matrices import _hermitized, decompose, expm_hermitian, reconstruct, represent
 
 __all__ = [
     "CoefficientVector",
@@ -66,10 +67,7 @@ class Gate:
         return qubit_count(self.label.ambient)
 
     def matrix(self) -> np.ndarray:
-        n = self.qubits
-        return math.cos(self.angle) * np.eye(2**n, dtype=complex) + (
-            1j * math.sin(self.angle)
-        ) * hermitized_matrix(self.label, n)
+        return GateSequence((self,), self.qubits).matrix()
 
     def __str__(self) -> str:
         return f"gate {self.label} {self.angle:.17g}"
@@ -149,7 +147,7 @@ def commutator_gate(label_i: BasisLabel, label_j: BasisLabel, angle: float) -> G
         (Gate(label_i, math.pi / 4), Gate(label_j, float(angle)), Gate(label_i, -math.pi / 4)), n
     )
     target = math.cos(angle) * np.eye(2**n, dtype=complex) - math.sin(angle) * (
-        hermitized_matrix(label_i, n) @ hermitized_matrix(label_j, n)
+        represent(hermitize(label_i)) @ represent(hermitize(label_j))
     )
     seq.error = operator_distance(seq.matrix(), target)
     return seq

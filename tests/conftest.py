@@ -1,5 +1,6 @@
 import os
 import resource
+import signal
 import subprocess
 import sys
 from functools import reduce
@@ -19,7 +20,6 @@ from cliffgate.matrices import (
     decompose,
     gamma,
     hermiticity_defect,
-    hermitized_matrix,
     random_hermitian,
     reconstruct,
     recursive_construct,
@@ -27,6 +27,26 @@ from cliffgate.matrices import (
     signed_permutations,
 )
 from cliffgate.pauli import pauli_factorization, pauli_monomial
+
+
+TEST_SECONDS = 120  # a test's time limit; the slowest takes about 5 s
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_SECONDS (a SIGALRM timer), so one
+    that hangs ends as a failure instead of holding up the whole run."""
+
+    def expire(signum, frame):
+        pytest.fail(f"the test ran past its limit of {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def label(indices, ambient):
@@ -161,14 +181,14 @@ def oracle_replay(cert):
     elements and from the scalar times the hermitized target, and the step
     count."""
     n = qubit_count(cert.ambient)
-    mats = {g.label: represent(g, n) for g in cert.generators}
+    mats = {g.label: represent(g) for g in cert.generators}
     worst = 0.0
     for step in cert.steps:
         for parent in (step.parent_a, step.parent_b):
             if parent not in mats:
                 raise ValueError(f"step parent {parent} appears before its derivation")
         m = mats[step.parent_a] @ mats[step.parent_b] - mats[step.parent_b] @ mats[step.parent_a]
-        worst = max(worst, maxabs(m - represent(step.element, n)))
+        worst = max(worst, maxabs(m - represent(step.element)))
         mats[step.element.label] = m
     final = mats.get(cert.target)
     if final is None:
@@ -176,7 +196,7 @@ def oracle_replay(cert):
             raise ValueError("certificate never derives its target")
         final = np.eye(2**n, dtype=complex)  # the unit is the empty derivation
     scalar = _scalar_value(cert.scalar_phase, cert.scalar_pow2)
-    worst = max(worst, maxabs(final - scalar * hermitized_matrix(cert.target, n)))
+    worst = max(worst, maxabs(final - scalar * represent(hermitize(cert.target))))
     return worst, len(cert.steps)
 
 
@@ -256,11 +276,11 @@ def dense_verify(n, seed=0):
     for mask in drawn:
         lab = BasisLabel(mask, ambient)
         el = M.hermitize(lab)
-        m = represent(el, n)
+        m = represent(el)
         oracle = el.coefficient * reduce(np.matmul, [gammas[k] for k in lab.indices], eye)
         herm_dev = max(herm_dev, hermiticity_defect(m))
         square_dev = max(square_dev, maxabs(m @ m - eye))
-        letters = pauli_matrix(pauli_factorization(el, n))
+        letters = pauli_matrix(pauli_factorization(el))
         fact_dev = max(fact_dev, maxabs(m - oracle), maxabs(letters - oracle))
     add("hermitized-hermiticity", herm_dev, M.TOL_EXACT)
     add("hermitized-squares", square_dev, M.TOL_EXACT)

@@ -24,7 +24,6 @@ from cliffgate import (
     gamma,
     generator,
     hermitize,
-    hermitized_matrix,
     irrational_power,
     minimal_power_scan,
     operator_distance,
@@ -100,14 +99,14 @@ def test_criterion_04_oracle_equivalence():
     worst = 0.0
     for n in (1, 2, 3):
         labs = labels_upto(2 * n)
-        mats = {lab: represent(ScaledElement(lab), n) for lab in labs}
+        mats = {lab: represent(ScaledElement(lab)) for lab in labs}
         for a in labs:
             for b in labs:
                 ea, eb = ScaledElement(a), ScaledElement(b)
                 ab = mats[a] @ mats[b]
                 ba = mats[b] @ mats[a]
-                worst = max(worst, maxabs(ab - represent(product(ea, eb), n)))
-                worst = max(worst, maxabs(ab - ba - represent(commutator(ea, eb), n)))
+                worst = max(worst, maxabs(ab - represent(product(ea, eb))))
+                worst = max(worst, maxabs(ab - ba - represent(commutator(ea, eb))))
                 ok &= (maxabs(ab - ba) <= 1e-12) == commutes(a, b)
     ok &= worst <= 1e-12
     relation_worst = 0.0
@@ -148,7 +147,7 @@ def test_criterion_06_exact_commutator_gate():
     angles = (0.1, 0.7, math.pi / 3)
     for n in (1, 2, 3):
         labs = labels_upto(2 * n)
-        herm = {lab: hermitized_matrix(lab, n) for lab in labs}
+        herm = {lab: represent(hermitize(lab)) for lab in labs}
         eye = np.eye(2**n)
         for a in labs:
             for b in labs:
@@ -170,7 +169,7 @@ def test_criterion_06_exact_commutator_gate():
             continue
         tau = float(rng.uniform(0.05, 1.5))
         seq = commutator_gate(a, b, tau)
-        target = scipy.linalg.expm(-tau * hermitized_matrix(a, 3) @ hermitized_matrix(b, 3))
+        target = scipy.linalg.expm(-tau * represent(hermitize(a)) @ represent(hermitize(b)))
         worst = max(worst, operator_distance(seq.matrix(), target))
         sampled += 1
     ok &= worst <= 1e-12
@@ -219,7 +218,7 @@ def test_criterion_09_local_gate_set():
         gens = chain_generators(2 * n)
         ok &= len(gens.elements) == 2 * n + 1
         for el in gens.elements:
-            fact = pauli_factorization(el, n)
+            fact = pauli_factorization(el)
             support = fact.support()
             ok &= fact.local and len(support) <= 2
             if len(support) == 2:

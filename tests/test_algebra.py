@@ -23,6 +23,7 @@ from cliffgate import (
     hermitize,
     parse_element,
     parse_label,
+    pauli_factorization,
     product,
     replay_certificate,
     represent,
@@ -70,8 +71,8 @@ class TestCommutes:
     def test_disjoint_pairs_commute_and_oracle_agrees(self):
         a, b = label([0, 1], 4), label([2, 3], 4)
         assert commutes(a, b)
-        ma = represent(ScaledElement(a), 2)
-        mb = represent(ScaledElement(b), 2)
+        ma = represent(ScaledElement(a))
+        mb = represent(ScaledElement(b))
         assert maxabs(ma @ mb - mb @ ma) == 0.0
 
 
@@ -87,9 +88,9 @@ class TestCommutator:
         assert c.label == label([0, 1, 2, 3], 4)
         assert abs(c.coefficient) == 2.0
         # exact phase against the dense oracle
-        lhs = represent(c, 2)
-        ma = represent(hermitize(label([0, 1, 2], 4)), 2)
-        mb = represent(generator(3, 4), 2)
+        lhs = represent(c)
+        ma = represent(hermitize(label([0, 1, 2], 4)))
+        mb = represent(generator(3, 4))
         assert maxabs(lhs - (ma @ mb - mb @ ma)) == 0.0
 
     def test_zero_operand(self):
@@ -194,7 +195,7 @@ class TestHermitize:
     def test_order4_is_plain_and_oracle_confirms(self):
         h = hermitize(label([0, 1, 2, 3], 4))
         assert h == elem([0, 1, 2, 3], 4)
-        m = represent(h, 2)
+        m = represent(h)
         assert maxabs(m - m.conj().T) == 0.0
         assert maxabs(m @ m - np.eye(4)) == 0.0
 
@@ -300,7 +301,7 @@ class TestTextForm:
             element.coefficient
         assert str(err.value) == message
         with pytest.raises(ValueError) as err:
-            represent(element, 2)
+            represent(element)
         assert str(err.value) == message
 
 
@@ -370,8 +371,8 @@ class TestProperties:
         n = 2
         for a in labels_upto(2 * n):
             for b in labels_upto(2 * n):
-                ma = represent(ScaledElement(a), n)
-                mb = represent(ScaledElement(b), n)
+                ma = represent(ScaledElement(a))
+                mb = represent(ScaledElement(b))
                 comm = maxabs(ma @ mb - mb @ ma)
                 anti = maxabs(ma @ mb + mb @ ma)
                 assert (comm == 0.0) != (anti == 0.0)
@@ -382,6 +383,8 @@ ODD_AMBIENT = "ambient 5 is odd; a matrix form needs two generators per qubit"
 
 # every entry point that needs a matrix form, each on an ambient of 5
 ODD_AMBIENT_CALLS = {
+    "represent": lambda: represent(elem([0], 5)),
+    "pauli_factorization": lambda: pauli_factorization(elem([0], 5)),
     "commutator_gate": lambda: commutator_gate(label([0], 5), label([1], 5), 0.3),
     "Gate.matrix": lambda: Gate(label([0], 5), 0.3).matrix(),
     "CoefficientVector": lambda: CoefficientVector(2, {label([0], 5): 1.0}),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgate import BasisLabel, cli, format_matrix, hermitize, hermitized_matrix, parse_label
+from cliffgate import BasisLabel, cli, format_matrix, hermitize, parse_label, represent
 from cliffgate.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -269,7 +269,7 @@ class TestGatesetCommand:
 
 class TestSynthCommand:
     def test_single_basis_target(self, capsys, tmp_path):
-        h = hermitized_matrix(label([0, 1, 2], 4), 2)
+        h = represent(hermitize(label([0, 1, 2], 4)))
         infile = tmp_path / "h.mat"
         outfile = tmp_path / "seq.txt"
         infile.write_text(format_matrix(h))
@@ -364,7 +364,7 @@ class TestSynthCommand:
     def test_gate_budget_refuses_before_building(self, capsys, tmp_path):
         # 10^9 gates would take 8 GB for the gate tuple alone
         infile = tmp_path / "z.mat"
-        infile.write_text(format_matrix(hermitized_matrix(label([0, 1], 2), 1)))
+        infile.write_text(format_matrix(represent(hermitize(label([0, 1], 2)))))
         outfile = tmp_path / "seq.txt"
         code, out, err = run(
             capsys, "synth", "-n", "1", "-N", "1000000000", "-i", str(infile), "-o", str(outfile)
@@ -378,7 +378,7 @@ class TestSynthCommand:
     # the input budget is 64 bytes per matrix entry: 256 bytes at one qubit
     @pytest.mark.parametrize("size, code", [(256, EXIT_OK), (257, EXIT_CAP)])
     def test_input_byte_budget(self, capsys, tmp_path, size, code):
-        text = format_matrix(hermitized_matrix(label([0], 2), 1))
+        text = format_matrix(represent(hermitize(label([0], 2))))
         infile = tmp_path / "h.mat"
         infile.write_text(text + " " * (size - len(text)))
         run_code, out, err = run(capsys, "synth", "-n", "1", "-N", "1", "-i", str(infile))

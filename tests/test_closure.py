@@ -447,6 +447,14 @@ class TestCertificates:
         assert back == cert
         assert back.to_text() == text
 
+    def test_ambient_is_the_targets(self):
+        # no second ambient to set: the text's first line is read off the target
+        cert = certificate(close(universal_generators(6)), label([0, 1, 2, 3], 6))
+        assert cert.ambient == cert.target.ambient == 6
+        assert cert.to_text().startswith("ambient 6\ntarget e[0,1,2,3]\n")
+        with pytest.raises(TypeError):
+            replace(cert, ambient=4)
+
     def test_from_text_rejects_tampering(self):
         cert = certificate(close(universal_generators(4)), label([0, 1], 4))
         bad = cert.to_text().replace("* 2^1", "* -2^1")

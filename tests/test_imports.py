@@ -24,7 +24,7 @@ PUBLIC = (
     "commutator commutes format_element generator hermitize parse_element parse_label product "
     "CapExceededError Certificate ClosureResult GeneratorSet UnreachableTargetError "
     "certificate chain_generators close universal_generators "
-    "PauliFactorization decompose expm_hermitian format_matrix gamma hermitized_matrix "
+    "PauliFactorization decompose expm_hermitian format_matrix gamma "
     "parse_matrix pauli_factorization reconstruct recursive_construct "
     "replay_certificate represent verify_representation "
     "CoefficientVector Gate GateSequence PowerResult commutator_gate "

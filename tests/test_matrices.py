@@ -15,7 +15,6 @@ from cliffgate import (
     format_matrix,
     gamma,
     hermitize,
-    hermitized_matrix,
     parse_matrix,
     pauli_factorization,
     product,
@@ -88,16 +87,16 @@ class TestGamma:
 
 class TestRepresent:
     def test_unit_label(self):
-        assert np.array_equal(represent(ScaledElement.unit(4), 2), np.eye(4))
+        assert np.array_equal(represent(ScaledElement.unit(4)), np.eye(4))
 
     def test_hermitized_pair_is_minus_z(self):
         # library convention: h(e01) lands on -sz (the sign is fixed by the
         # hermitization phase, not free)
-        m = represent(hermitize(label([0, 1], 2)), 1)
+        m = represent(hermitize(label([0, 1], 2)))
         assert np.array_equal(m, -PAULI["Z"])
 
     def test_zero_element(self):
-        assert maxabs(represent(ScaledElement.zero(4), 2)) == 0.0
+        assert maxabs(represent(ScaledElement.zero(4))) == 0.0
 
     def test_every_ambient_of_a_stack_is_checked(self):
         # the monomials come from one array of masks, the ambients per element
@@ -107,24 +106,20 @@ class TestRepresent:
         with pytest.raises(ValueError, match="odd"):
             signed_permutations([good, elem([0], 5), good], 2)
 
-    def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatchError):
-            represent(ScaledElement.unit(4), 3)
-
     def test_homomorphism_exhaustive_two_qubits(self):
         labs = labels_upto(4)
         for a in labs:
             for b in labs:
                 ea, eb = ScaledElement(a), ScaledElement(b)
-                ma, mb = represent(ea, 2), represent(eb, 2)
-                assert maxabs(ma @ mb - represent(product(ea, eb), 2)) == 0.0
-                assert maxabs(ma @ mb - mb @ ma - represent(commutator(ea, eb), 2)) == 0.0
+                ma, mb = represent(ea), represent(eb)
+                assert maxabs(ma @ mb - represent(product(ea, eb))) == 0.0
+                assert maxabs(ma @ mb - mb @ ma - represent(commutator(ea, eb))) == 0.0
 
     def test_hermitized_matrices_are_hermitian_involutions(self):
         n = 3
         eye = np.eye(2**n)
         for lab in labels_upto(2 * n):
-            m = hermitized_matrix(lab, n)
+            m = represent(hermitize(lab))
             assert hermiticity_defect(m) == 0.0
             assert maxabs(m @ m - eye) == 0.0
 
@@ -132,7 +127,7 @@ class TestRepresent:
         n = 2
         for a in labels_upto(2 * n):
             for b in labels_upto(2 * n):
-                t = np.trace(hermitized_matrix(a, n) @ hermitized_matrix(b, n))
+                t = np.trace(represent(hermitize(a)) @ represent(hermitize(b)))
                 assert abs(t - (2.0**n if a == b else 0.0)) == 0.0
 
 
@@ -219,7 +214,7 @@ class TestMonomialOracle:
             oracle = gamma_product(lab, n)
             for phase in range(4):
                 el = ScaledElement(lab, phase=phase)
-                assert maxabs(represent(el, n) - el.coefficient * oracle) == 0.0
+                assert maxabs(represent(el) - el.coefficient * oracle) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_label_factors_chain_to_gamma_product(self, n):
@@ -273,39 +268,39 @@ class TestPauliFactorization:
         n = 3
         for k in range(n):
             el = hermitize(label([2 * k, 2 * k + 1], 2 * n))
-            assert pauli_factorization(el, n).support() == (k,)
+            assert pauli_factorization(el).support() == (k,)
 
     def test_xx_type_pair_has_adjacent_support(self):
         n = 3
         for k in range(n - 1):
             el = hermitize(label([2 * k + 1, 2 * k + 2], 2 * n))
-            assert pauli_factorization(el, n).support() == (k, k + 1)
+            assert pauli_factorization(el).support() == (k, k + 1)
 
     def test_order3_element_is_single_qubit(self):
         n = 3
         el = hermitize(label([0, 1, 2], 2 * n))
-        assert pauli_factorization(el, n).support() == (1,)
+        assert pauli_factorization(el).support() == (1,)
 
     def test_factorization_matches_represent_exhaustively(self):
         n = 2
         for lab in labels_upto(2 * n):
             el = hermitize(lab)
-            f = pauli_factorization(el, n)
-            assert maxabs(pauli_matrix(f) - represent(el, n)) == 0.0
+            f = pauli_factorization(el)
+            assert maxabs(pauli_matrix(f) - represent(el)) == 0.0
 
     def test_unit_has_empty_support(self):
-        assert pauli_factorization(ScaledElement.unit(4), 2).support() == ()
+        assert pauli_factorization(ScaledElement.unit(4)).support() == ()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            pauli_factorization(ScaledElement.zero(4), 2)
+            pauli_factorization(ScaledElement.zero(4))
 
 
 class TestDecompose:
     def test_indicator(self):
         n = 2
         target = label([0, 1, 2], 2 * n)
-        coeffs = decompose(hermitized_matrix(target, n), n)
+        coeffs = decompose(represent(hermitize(target)), n)
         for lab, alpha in coeffs.items():
             assert alpha == pytest.approx(1.0 if lab == target else 0.0, abs=1e-14)
 
@@ -408,7 +403,7 @@ class TestExpm:
         for _ in range(25):
             lab = labs[rng.integers(0, len(labs))]
             tau = rng.normal()
-            m = hermitized_matrix(lab, 3)
+            m = represent(hermitize(lab))
             closed = np.cos(tau) * np.eye(8) + 1j * np.sin(tau) * m
             assert maxabs(expm_hermitian(m, tau) - closed) < 1e-12
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from cliffgate import (
     BasisLabel,
+    Certificate,
     GeneratorSet,
     ScaledElement,
     certificate,
@@ -39,6 +40,7 @@ from cliffgate import (
     replay_certificate,
     universal_generators,
 )
+from cliffgate.closure import CertificateStep
 from cliffgate.pauli import pauli_monomial
 from conftest import loop_monomial, oracle_replay
 
@@ -147,6 +149,22 @@ def test_disagreement_outside_the_float_range_saturates(pow2):
     assert replay_certificate(cert).deviation == 0.0
     flipped = replace(cert, scalar_phase=(cert.scalar_phase + 2) % 4)
     assert replay_certificate(flipped).deviation == math.inf
+
+
+def test_a_commuting_step_deviates():
+    # [e01, e23] = 0, yet the step records 2 e01 e23 = 2 e0123, and the target and scalar
+    # match it; Certificate.from_text refuses this, so the certificate is built directly
+    a, b = BasisLabel.from_indices([0, 1], 4), BasisLabel.from_indices([2, 3], 4)
+    top = BasisLabel.from_indices([0, 1, 2, 3], 4)
+    step = CertificateStep(a, b, ScaledElement(top, pow2=1))
+    assert product(ScaledElement(a), ScaledElement(b)) == ScaledElement(top) == hermitize(top)
+    assert commutator(ScaledElement(a), ScaledElement(b)).is_zero
+    cert = Certificate(top, (ScaledElement(a), ScaledElement(b)), (step,), 0, 1)
+    assert replay_certificate(cert).deviation == math.inf
+    dense, steps = oracle_replay(cert)
+    assert dense > 0 and steps == 1
+    with pytest.raises(ValueError, match="does not replay"):
+        cert.validate()
 
 
 def malformed():

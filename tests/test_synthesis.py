@@ -25,11 +25,11 @@ from cliffgate import (
     decompose,
     expm_hermitian,
     hermitize,
-    hermitized_matrix,
     irrational_power,
     minimal_power_scan,
     operator_distance,
     pauli_factorization,
+    represent,
     synthesize,
     trotter,
 )
@@ -48,12 +48,12 @@ class TestBasisGate:
     def test_quarter_turn_is_i_times_element(self):
         lab = label([0, 1, 2], 6)
         g = Gate(lab, math.pi / 2)
-        assert maxabs(g.matrix() - 1j * hermitized_matrix(lab, 3)) < 1e-15
+        assert maxabs(g.matrix() - 1j * represent(hermitize(lab))) < 1e-15
 
     def test_three_four_five_angle(self):
         lab = label([1, 2], 4)
         g = Gate(lab, math.atan2(0.6, 0.8))
-        want = 0.8 * np.eye(4) + 0.6j * hermitized_matrix(lab, 2)
+        want = 0.8 * np.eye(4) + 0.6j * represent(hermitize(lab))
         assert maxabs(g.matrix() - want) < 1e-15
 
     def test_matches_eigendecomposition_exponential(self):
@@ -63,7 +63,7 @@ class TestBasisGate:
             lab = labs[rng.integers(0, len(labs))]
             tau = 4.0 * rng.normal()
             gate = Gate(lab, tau)
-            target = expm_hermitian(hermitized_matrix(lab, 3), tau)
+            target = expm_hermitian(represent(hermitize(lab)), tau)
             assert operator_distance(gate.matrix(), target) < 1e-12
 
     def test_unitary(self):
@@ -77,8 +77,8 @@ class TestBasisGate:
 class TestCommutatorGate:
     def test_generator_pair(self):
         seq = commutator_gate(label([0], 2), label([1], 2), 0.3)
-        h0 = hermitized_matrix(label([0], 2), 1)
-        h1 = hermitized_matrix(label([1], 2), 1)
+        h0 = represent(hermitize(label([0], 2)))
+        h1 = represent(hermitize(label([1], 2)))
         target = scipy.linalg.expm(-0.3 * h0 @ h1)
         assert operator_distance(seq.matrix(), target) < 1e-12
         assert seq.error < 1e-12
@@ -99,7 +99,7 @@ class TestCommutatorGate:
                 if commutes(a, b):
                     continue
                 seq = commutator_gate(a, b, 0.7)
-                ha, hb = hermitized_matrix(a, n), hermitized_matrix(b, n)
+                ha, hb = represent(hermitize(a)), represent(hermitize(b))
                 target = math.cos(0.7) * np.eye(2**n) - math.sin(0.7) * (ha @ hb)
                 assert operator_distance(seq.matrix(), target) < 1e-12
 
@@ -204,7 +204,7 @@ class TestBlockText:
 class TestSynthesize:
     def test_basis_element_is_exact_at_one_step(self):
         n = 2
-        h = hermitized_matrix(label([0, 1, 2], 4), n)
+        h = represent(hermitize(label([0, 1, 2], 4)))
         seq = synthesize(h, 1, n)
         assert len(seq.gates) == 1
         assert seq.error < 1e-12
@@ -279,12 +279,46 @@ class TestIrrationalPower:
     def test_huge_tolerance_needs_one_application(self):
         assert irrational_power(0.37, 2 * math.pi).applications == 1
 
-    def test_rejects_nonpositive_tolerance(self):
-        for tolerance in (0.0, math.inf, math.nan):  # the exact test needs a finite ratio
-            with pytest.raises(ValueError):
-                irrational_power(0.3, tolerance)
-        with pytest.raises(ValueError):
-            minimal_power_scan(0.3, -1.0)
+    @pytest.mark.parametrize("search", [irrational_power, minimal_power_scan])
+    @pytest.mark.parametrize(
+        "angle, tolerance, message",
+        [
+            (0.3, 0.0, "tolerance must be positive and finite, got 0.0"),
+            (0.3, -1.0, "tolerance must be positive and finite, got -1.0"),
+            (1.0, math.inf, "tolerance must be positive and finite, got inf"),
+            (0.3, math.nan, "tolerance must be positive and finite, got nan"),
+            (math.inf, 0.1, "angle must be finite, got inf"),
+            (-math.inf, 0.1, "angle must be finite, got -inf"),
+            (math.nan, 0.1, "angle must be finite, got nan"),
+        ],
+    )
+    def test_both_searches_refuse_the_same_inputs(self, search, angle, tolerance, message):
+        # the exact test needs finite ratios; the scan, its oracle, refuses the same inputs
+        with pytest.raises(ValueError) as err:
+            search(angle, tolerance)
+        assert str(err.value) == message
+
+    def test_a_residual_equal_to_the_tolerance_is_no_hit(self):
+        # N = 1 leaves a residual of exactly 2^-20, a hit only below a larger tolerance
+        tiny = 2.0**-20
+        for search in (irrational_power, minimal_power_scan):
+            assert search(tiny, tiny).applications == 6588397
+            assert search(tiny, math.nextafter(tiny, 1)).applications == 1
+
+    def test_a_residual_of_half_a_turn_is_positive(self):
+        # the exact residual of pi is s = turn / 2, which the library keeps at +pi; the
+        # scan's float formula (pi + pi) mod 2*pi - pi reads the tie as -pi.  The scan is
+        # the oracle of N only, so this sign is not to be made to agree with it
+        assert irrational_power(math.pi, 4.0).signed_angle == math.pi
+        assert minimal_power_scan(math.pi, 4.0).signed_angle == -math.pi
+        assert minimal_power_scan(math.pi, 4.0).applications == 1
+
+    def test_the_scan_searches_up_to_its_cap(self):
+        angle, eps = math.atan2(3.0, 4.0), 1e-3
+        found = irrational_power(angle, eps).applications
+        assert minimal_power_scan(angle, eps, cap=found).applications == found
+        with pytest.raises(CapExceededError):
+            minimal_power_scan(angle, eps, cap=found - 1)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_matches_brute_force_scan(self, eps):
@@ -384,7 +418,7 @@ class TestLocalGateSet:
 
     @staticmethod
     def factorizations(n):
-        return [pauli_factorization(el, n) for el in chain_generators(2 * n).elements]
+        return [pauli_factorization(el) for el in chain_generators(2 * n).elements]
 
     def test_two_qubits(self):
         facts = self.factorizations(2)
@@ -408,7 +442,7 @@ class TestLocalGateSet:
     def test_order3_member_is_single_qubit(self):
         gens = chain_generators(6)
         (top,) = [el for el in gens.elements if el.label == label([0, 1, 2], 6)]
-        assert len(pauli_factorization(top, 3).support()) == 1
+        assert len(pauli_factorization(top).support()) == 1
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
@@ -417,7 +451,7 @@ class TestLocalGateSet:
     def test_local_is_at_most_two_adjacent_qubits(self):
         # against the support: every label of 3 qubits
         for lab in all_labels(6):
-            f = pauli_factorization(hermitize(lab), 3)
+            f = pauli_factorization(hermitize(lab))
             support = f.support()
             adjacent = len(support) <= 2 and (not support or support[-1] - support[0] <= 1)
             assert f.local == adjacent, (lab, f)
