@@ -11,10 +11,11 @@ of any single-term product stays inside {1, i, -1, -i} times a power of
 two.  Everything here is integer arithmetic on immutable values; sums of
 basis terms are out of scope (the dense-matrix layer handles those).
 
-The other layers take two rules from here: an even ambient 2n is n qubits
-and an odd one has no matrix form (:func:`qubit_count`), and i^phase *
-2^pow2 has one text form and one complex value.  The error types that
-every layer raises live here too.
+The other layers take three rules from here: an even ambient 2n is n
+qubits and an odd one has no matrix form (:func:`qubit_count`), values of
+two algebras never mix (:func:`_require_same_ambient`, :func:`_require_qubits`),
+and i^phase * 2^pow2 has one text form and one complex value.  The error
+types that every layer raises live here too.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ def qubit_count(ambient: int) -> int:
     return ambient // 2
 
 
-def _require_qubits(value, n: int) -> None:
-    # a label or element over ``value.ambient`` generators acts on n qubits
-    if qubit_count(value.ambient) != n:
-        raise AmbientMismatchError(f"{value} over ambient {value.ambient} does not fit {n} qubits")
+def _require_qubits(values, n: int) -> None:
+    """Raise unless every value in ``values`` acts on n qubits; one of each ambient is checked."""
+    for ambient, value in {value.ambient: value for value in values}.items():
+        if qubit_count(ambient) != n:
+            raise AmbientMismatchError(f"{value} over ambient {ambient} does not fit {n} qubits")
 
 
 def _scalar_value(phase: int, pow2: int) -> complex:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    AmbientMismatchError,
     BasisLabel,
     CapExceededError,
     ParseError,
@@ -41,6 +40,7 @@ from .algebra import (
     _BLANKS,
     _lines,
     _parse_number,
+    _require_same_ambient,
     canonical_key,
     commutator,
     format_element,
@@ -88,12 +88,10 @@ class GeneratorSet:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("generator set must not be empty")
+        for el in {el.label.ambient: el for el in self.elements}.values():
+            _require_same_ambient(self, el)  # one element of each ambient
         seen = set()
         for el in self.elements:
-            if el.ambient != self.ambient:
-                raise AmbientMismatchError(
-                    f"generator {el} lives over ambient {el.ambient}, expected {self.ambient}"
-                )
             if el.is_zero:
                 raise ValueError("zero elements are not allowed as generators")
             if el.label in seen:
@@ -297,7 +295,9 @@ class Certificate:
         return self.target.ambient
 
     def validate(self) -> None:
-        """Symbolic replay; raises ValueError on any inconsistency."""
+        """Symbolic replay of generators that form a :class:`GeneratorSet`
+        over the target's ambient; raises ValueError on any inconsistency."""
+        GeneratorSet(self.ambient, self.generators)
         avail = {g.label: g for g in self.generators}
         for step in self.steps:
             for parent in (step.parent_a, step.parent_b):
@@ -341,14 +341,14 @@ class Certificate:
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
-            if kind == "ambient":
+            if kind == "ambient" and ambient is None:
                 try:
                     ambient = _parse_number(rest, int, "ambient")
                 except ValueError:
                     raise ParseError(f"line {ln}: bad ambient {rest!r}") from None
             elif ambient is None:
                 raise ParseError(f"line {ln}: ambient must come first")
-            elif kind == "target":
+            elif kind == "target" and target is None:
                 target = parse_label(rest, ambient)
             elif kind == "generator":
                 gens.append(parse_element(rest, ambient))
@@ -367,15 +367,17 @@ class Certificate:
                         element=ScaledElement(result, phase=phase, pow2=pow2),
                     )
                 )
-            elif kind == "scalar":
+            elif kind == "scalar" and scalar is None:
                 scalar = parse_scalar(rest)
+            elif kind in ("ambient", "target", "scalar"):
+                raise ParseError(f"line {ln}: repeated {kind} record")
             else:
                 raise ParseError(f"line {ln}: unknown record {kind!r}")
         if ambient is None or target is None or scalar is None or not gens:
             raise ParseError("certificate text is missing ambient/target/generators/scalar")
         cert = cls(
             target=target,
-            generators=GeneratorSet(ambient, tuple(gens)).elements,
+            generators=tuple(gens),
             steps=tuple(steps),
             scalar_phase=scalar[0],
             scalar_pow2=scalar[1],
@@ -393,10 +395,7 @@ def certificate(result: ClosureResult, target: BasisLabel) -> Certificate:
     target to a generator; it has ``depth[target]`` steps, the minimal
     number of generator brackets that produce the target.
     """
-    if target.ambient != result.ambient:
-        raise AmbientMismatchError(
-            f"target over ambient {target.ambient}, closure over {result.ambient}"
-        )
+    _require_same_ambient(result, target)
     if target not in result.representatives:
         raise UnreachableTargetError(target, result.dimension)
     steps = []

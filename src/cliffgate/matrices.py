@@ -136,12 +136,11 @@ def signed_permutations(
     """Matrices of scaled elements: M_k[perms[k, c], c] = values[k, c], else 0.
 
     So ``(a @ M_k)[:, c] == a[:, perms[k, c]] * values[k, c]``; perms[k] is
-    c ^ xmask, and the zero element has all-zero values.  Every element's
-    ambient is checked, one call of :func:`pauli_monomial` on the array of
+    c ^ xmask, and the zero element has all-zero values.  The elements must act
+    on n qubits (:func:`_require_qubits`), one call of :func:`pauli_monomial` on
     their masks gives every monomial, and each is scaled by ``el.coefficient``.
     """
-    for el in {el.label.ambient: el for el in elems}.values():
-        _require_qubits(el, n)  # one element of each ambient
+    _require_qubits(elems, n)
     x, z, phase = pauli_monomial(np.array([el.label.mask for el in elems], dtype=np.int64), n)
     coeffs = np.array([el.coefficient for el in elems], dtype=complex) * 1j ** phase
     idx = np.arange(2**n)
@@ -220,8 +219,7 @@ def _hermitized(labels: Sequence[BasisLabel], n: int) -> Iterator[tuple]:
     # the signed permutations of the hermitized labels a chunk at a time, each chunk's
     # positions (a slice), perms and values; bit for bit those of signed_permutations on
     # their hermitize elements.  A term holds its perms (24 bytes a column) and values (16)
-    for label in {label.ambient: label for label in labels}.values():
-        _require_qubits(label, n)  # one label of each ambient
+    _require_qubits(labels, n)
     masks, idx = np.array([label.mask for label in labels], dtype=np.int64), np.arange(2**n)
     for part in _chunks(range(len(labels)), 40 * 2**n):
         part = slice(part.start, part.stop)

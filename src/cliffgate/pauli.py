@@ -13,7 +13,7 @@ which this module uses to factor elements into per-qubit Pauli letters
 to replay certificates through an independent homomorphism.  A
 factorization or replay reads its qubit count off the element's or the
 certificate's ambient.  It builds no matrix and imports only
-:mod:`cliffgate.algebra`, for that count and a coefficient's text.
+:mod:`cliffgate.algebra`, for the qubit rules and a coefficient's text.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import ScaledElement, format_scalar, hermitize, qubit_count
+from .algebra import ScaledElement, _require_qubits, format_scalar, hermitize, qubit_count
 
 __all__ = [
     "PauliFactorization",
@@ -131,11 +131,12 @@ def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
     (xmask, zmask, phase mod 4, pow2), or None for zero, determines its
     matrix and back, so the comparisons are plain tuple equality and the
     deviation is 0.0 when all of them hold and ``math.inf`` otherwise.
-    Raises on odd ambient (no matrix form), on a parent used before its
-    derivation and on a target never derived.  ``tol`` is accepted and
-    unused: the comparison is exact.
+    Raises on odd ambient (no matrix form), on a generator or step from
+    another algebra than the target's, on a parent used before its
+    derivation and on a target never derived.  ``tol`` is unused.
     """
     n = qubit_count(cert.ambient)
+    _require_qubits([*cert.generators, *(step.element for step in cert.steps)], n)
     forms = {g.label: _monomial(g, n) for g in cert.generators}
     agree = True
     for step in cert.steps:

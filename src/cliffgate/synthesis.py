@@ -161,8 +161,7 @@ class CoefficientVector:
     coeffs: dict[BasisLabel, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for label in self.coeffs:
-            _require_qubits(label, self.qubits)
+        _require_qubits(self.coeffs, self.qubits)
 
     def terms(self) -> list[tuple[BasisLabel, float]]:
         """Nonzero entries in canonical label order."""

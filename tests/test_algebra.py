@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cliffgate import (
     AmbientMismatchError,
     BasisLabel,
+    Certificate,
     CoefficientVector,
     Gate,
     GeneratorSet,
@@ -30,6 +31,8 @@ from cliffgate import (
     universal_generators,
 )
 from cliffgate.algebra import format_scalar, parse_scalar
+from cliffgate.closure import CertificateStep
+from cliffgate.matrices import signed_permutations
 from conftest import elem, inversions, label, labels_upto, maxabs, oracle_product
 
 
@@ -113,6 +116,22 @@ def wide_pairs(draw):
         )
 
     return one(), one()
+
+
+class TestBasisLabel:
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([4], "generator index 4 out of range for ambient 4"),
+            ([-1], "generator index -1 out of range for ambient 4"),
+            ([2, 0, 2], "duplicate generator index 2"),
+        ],
+        ids=["past-the-end", "negative", "duplicate"],
+    )
+    def test_from_indices_rejects(self, indices, message):
+        with pytest.raises(ValueError) as err:
+            BasisLabel.from_indices(indices, 4)
+        assert str(err.value) == message
 
 
 class TestAllLabels:
@@ -395,7 +414,56 @@ ODD_AMBIENT_CALLS = {
 }
 
 
+def stray_certificates():
+    # built directly, each with a generator from another algebra than its target's: e[1]
+    # over 6 in a derivation of e[0,1] over 4, and e[0] over 4 certifying the unit over 6
+    a, b6 = elem([0], 4), elem([1], 6)
+    step = CertificateStep(a.label, b6.label, elem([0, 1], 4, pow2=1))
+    return (
+        Certificate(label([0, 1], 4), (a, b6), (step,), 3, 1),
+        Certificate(label([], 6), (a,), (), 0, 0),
+    )
+
+
+C1, C2 = stray_certificates()
+DIFFER_4_6 = "ambient generator counts differ: 4 vs 6"
+
+# every entry point that reads labels of one algebra, each given a label from another, and
+# the message that it raises; reconstruct and GateSequence.matrix take conftest.STRAYS
+MIXED_AMBIENT_CALLS = {
+    "product": (lambda: product(generator(0, 4), generator(0, 6)), DIFFER_4_6),
+    "commutator": (lambda: commutator(generator(0, 4), generator(1, 6)), DIFFER_4_6),
+    "commutes": (lambda: commutes(label([0], 4), label([1], 6)), DIFFER_4_6),
+    "commutator_gate": (lambda: commutator_gate(label([0], 4), label([1], 6), 0.3), DIFFER_4_6),
+    "GeneratorSet": (lambda: GeneratorSet(4, (generator(0, 4), generator(1, 6))), DIFFER_4_6),
+    "certificate": (lambda: certificate(close(universal_generators(4)), label([0], 6)), DIFFER_4_6),
+    "validate-c1": (C1.validate, DIFFER_4_6),
+    "validate-c2": (C2.validate, "ambient generator counts differ: 6 vs 4"),
+    "replay_certificate-c1": (
+        lambda: replay_certificate(C1), "e[1] over ambient 6 does not fit 2 qubits"
+    ),
+    "replay_certificate-c2": (
+        lambda: replay_certificate(C2), "e[0] over ambient 4 does not fit 3 qubits"
+    ),
+    "signed_permutations": (
+        lambda: signed_permutations([elem([0], 4), elem([1], 6)], 2),
+        "e[1] over ambient 6 does not fit 2 qubits",
+    ),
+    "CoefficientVector": (
+        lambda: CoefficientVector(3, {label([0], 4): 1.0}),
+        "e[0] over ambient 4 does not fit 3 qubits",
+    ),
+}
+
+
 class TestQubitRule:
+    @pytest.mark.parametrize("entry", list(MIXED_AMBIENT_CALLS))
+    def test_a_label_from_another_algebra_is_refused(self, entry):
+        call, message = MIXED_AMBIENT_CALLS[entry]
+        with pytest.raises(AmbientMismatchError) as err:
+            call()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("entry", list(ODD_AMBIENT_CALLS))
     def test_odd_ambient_has_no_matrix_form(self, entry):
         with pytest.raises(ValueError) as err:
@@ -410,7 +478,3 @@ class TestQubitRule:
         assert result.dimension == 8
         with pytest.raises(ValueError, match="ambient 3 is odd"):
             result.universal
-
-    def test_mismatched_qubit_count_rejected(self):
-        with pytest.raises(AmbientMismatchError, match="does not fit 3 qubits"):
-            CoefficientVector(3, {label([0], 4): 1.0})

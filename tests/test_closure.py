@@ -348,6 +348,10 @@ class TestStockSets:
         with pytest.raises(ValueError):
             GeneratorSet(4, (generator(0, 4), ScaledElement.zero(4)))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="generator set must not be empty"):
+            GeneratorSet(4, ())
+
 
 @st.composite
 def small_generator_sets(draw):
@@ -497,8 +501,14 @@ class TestCertificates:
              "line 10: malformed step"),
             (lambda t: t + "note replayed\n", "line 21: unknown record 'note'"),
             (lambda t: t.replace("scalar -2^10\n", ""), "certificate text is missing"),
+            (lambda t: t + "ambient 6\n", "line 21: repeated ambient record"),
+            (lambda t: t.replace("generator e[0]\n", "target e[0]\ngenerator e[0]\n"),
+             "line 3: repeated target record"),
+            (lambda t: t.replace("scalar -2^10\n", "scalar 2^5\nscalar -2^10\n"),
+             "line 21: repeated scalar record"),
         ],
-        ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar"],
+        ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar",
+             "repeated-ambient", "repeated-target", "repeated-scalar"],
     )
     def test_from_text_parse_errors(self, tamper, message):
         with pytest.raises(ParseError, match=re.escape(message)):
@@ -517,6 +527,21 @@ class TestCertificates:
         text = certificate(close(universal_generators(4)), label([0, 1], 4)).to_text()
         with pytest.raises(ValueError, match=re.escape(message)):
             Certificate.from_text(tamper(text))
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ((), "generator set must not be empty"),
+            ((ScaledElement.zero(4),), "zero elements are not allowed as generators"),
+            ((generator(0, 4), elem([0], 4, phase=2)), "duplicate generator label e[0]"),
+        ],
+        ids=["empty", "zero", "duplicate"],
+    )
+    def test_validate_needs_a_generator_set(self, generators, message):
+        # built directly: the unit's empty derivation, which replays from any generators
+        cert = Certificate(label([], 4), generators, (), 0, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cert.validate()
 
     def test_validate_rejects_a_vanishing_step(self):
         # [g, g] is zero, so a step may not record the zero element for it

@@ -177,3 +177,17 @@ def test_only_matrices_names_the_chunk_rule(path):
     # the one chunk rule and its byte budget live in matrices; every other layer
     # takes its chunks from a matrices stream
     assert names_in(ast.parse(path.read_text())) & {"_chunks", "CHUNK_BYTES"} == set()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set((SRC / "cliffgate").glob("*.py")) - {SRC / "cliffgate" / "algebra.py"}),
+    ids=lambda p: p.name,
+)
+def test_only_algebra_raises_an_ambient_mismatch(path):
+    # the ambient rule lives in algebra's _require_qubits and _require_same_ambient;
+    # every other layer calls one of them rather than building the error itself
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    built = [node.func for node in nodes if isinstance(node, ast.Call)]
+    built += [node.exc for node in nodes if isinstance(node, ast.Raise)
+              and isinstance(node.exc, (ast.Name, ast.Attribute))]  # a bare `raise Error`
+    assert not any("AmbientMismatchError" in names_in(node) for node in built)

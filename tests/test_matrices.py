@@ -250,6 +250,11 @@ class TestRecursive:
         assert np.array_equal(g[0], PAULI["X"])
         assert np.array_equal(g[1], PAULI["Y"])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_qubit(self, n):
+        with pytest.raises(ValueError, match="qubit count must be >= 1"):
+            recursive_construct(n)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_relations_and_traces(self, n):
         gens = recursive_construct(n)

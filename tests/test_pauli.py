@@ -167,6 +167,20 @@ def test_a_commuting_step_deviates():
         cert.validate()
 
 
+def test_a_recorded_zero_is_the_zero_matrix():
+    # [e0, e0] vanishes, so a step that records the zero for it replays, matrices and all,
+    # and one that records it for [e0, e1] = 2 e01 does not; Certificate.validate refuses
+    # any zero step, so the certificates are built directly
+    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
+    e0, e1 = (g.label for g in cert.generators[:2])
+    zero = ScaledElement.zero(4)
+    vanishing = replace(cert, steps=(CertificateStep(e0, e0, zero), *cert.steps))
+    assert replay_certificate(vanishing).deviation == 0.0 == oracle_replay(vanishing)[0]
+    wrong = replace(cert, steps=(CertificateStep(e0, e1, zero), *cert.steps))
+    assert replay_certificate(wrong).deviation == math.inf
+    assert oracle_replay(wrong)[0] > 0
+
+
 def malformed():
     result = close(universal_generators(4))
     top = certificate(result, BasisLabel(0b1111, 4))
