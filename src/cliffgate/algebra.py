@@ -79,7 +79,7 @@ class BasisLabel:
     def __post_init__(self):
         if self.ambient < 1:
             raise ValueError(f"ambient generator count must be >= 1, got {self.ambient}")
-        if not 0 <= self.mask < (1 << self.ambient):
+        if self.mask < 0 or self.mask.bit_length() > self.ambient:
             raise ValueError(
                 f"label mask {self.mask:#x} out of range for ambient {self.ambient}"
             )

@@ -282,6 +282,8 @@ class Certificate:
     to the hermitized target.  An empty step list certifies either a
     generator itself or the unit label (the empty derivation).  ``ambient``
     is the target's, for the text's ``ambient`` line and a replay's qubits.
+    Its rules live in one walk, :meth:`replay`, run by :meth:`validate` and
+    ``pauli.replay_certificate`` alike.
     """
 
     target: BasisLabel
@@ -294,31 +296,42 @@ class Certificate:
     def ambient(self) -> int:
         return self.target.ambient
 
-    def validate(self) -> None:
-        """Symbolic replay of generators that form a :class:`GeneratorSet`
-        over the target's ambient; raises ValueError on any inconsistency."""
+    def replay(self, form, bracket):
+        """The one walk of the derivation: ``form`` maps a nonzero element to
+        a value and ``bracket`` two values to their commutator, whose zero
+        equals no value.  Yields a message for each step, and for a target,
+        that differs from what it records (a recorded zero always does); the
+        walk goes on, each step deriving what it records.  Raises ValueError
+        on generators that are no :class:`GeneratorSet` over the target's
+        ambient, a step element over another, a parent used before its
+        derivation and a target of order >= 1 never derived."""
         GeneratorSet(self.ambient, self.generators)
-        avail = {g.label: g for g in self.generators}
+        values = {g.label: form(g) for g in self.generators}
         for step in self.steps:
+            el = step.element
+            _require_same_ambient(self, el)
             for parent in (step.parent_a, step.parent_b):
-                if parent not in avail:
+                if parent not in values:
                     raise ValueError(f"step parent {parent} has no prior derivation")
-            c = commutator(avail[step.parent_a], avail[step.parent_b])
-            if c.is_zero or c != step.element:
-                raise ValueError(f"step for {step.element.label} does not replay: got {c}")
-            avail[c.label] = c
-        if self.target.order and self.target not in avail:
-            raise ValueError(f"target {self.target} never derived")
-        actual = avail.get(self.target, ScaledElement.unit(self.ambient))
-        expected = ScaledElement(
-            self.target,
-            phase=hermitization_phase(self.target.order) + self.scalar_phase,
-            pow2=self.scalar_pow2,
-        )
-        if actual != expected:
-            raise ValueError(
-                f"terminal scalar mismatch: derived {actual}, recorded {expected}"
-            )
+            got = bracket(values[step.parent_a], values[step.parent_b])
+            if not el.is_zero:  # a recorded zero derives nothing
+                values[el.label] = form(el)
+            if el.is_zero or got != values[el.label]:
+                yield f"step for {el.label} does not replay: got {got}"
+        if self.target not in values:
+            if self.target.order:
+                raise ValueError(f"target {self.target} never derived")
+            values[self.target] = form(ScaledElement.unit(self.ambient))
+        phase = hermitization_phase(self.target.order) + self.scalar_phase
+        recorded = form(ScaledElement(self.target, phase, self.scalar_pow2))
+        if values[self.target] != recorded:
+            yield f"terminal scalar mismatch: derived {values[self.target]}, recorded {recorded}"
+
+    def validate(self) -> None:
+        """Raise ValueError on the first failure of :meth:`replay` in exact
+        element arithmetic."""
+        for failure in self.replay(lambda el: el, commutator):
+            raise ValueError(failure)
 
     def to_text(self) -> str:
         lines = [f"ambient {self.ambient}", f"target {self.target}"]
@@ -345,7 +358,9 @@ class Certificate:
                 try:
                     ambient = _parse_number(rest, int, "ambient")
                 except ValueError:
-                    raise ParseError(f"line {ln}: bad ambient {rest!r}") from None
+                    ambient = 0
+                if ambient < 1:
+                    raise ParseError(f"line {ln}: bad ambient {rest!r}")
             elif ambient is None:
                 raise ParseError(f"line {ln}: ambient must come first")
             elif kind == "target" and target is None:

@@ -10,10 +10,11 @@ elementwise on an int or an integer array of masks).  Monomials multiply by
 
 which this module uses to factor elements into per-qubit Pauli letters
 (and so tell whether an element acts on at most two adjacent qubits) and
-to replay certificates through an independent homomorphism.  A
+to replay certificates through an independent homomorphism: only the
+arithmetic, since ``Certificate.replay`` holds the derivation rules.  A
 factorization or replay reads its qubit count off the element's or the
 certificate's ambient.  It builds no matrix and imports only
-:mod:`cliffgate.algebra`, for the qubit rules and a coefficient's text.
+:mod:`cliffgate.algebra`, for the qubit rule and a coefficient's text.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import ScaledElement, _require_qubits, format_scalar, hermitize, qubit_count
+from .algebra import ScaledElement, format_scalar, qubit_count
 
 __all__ = [
     "PauliFactorization",
@@ -89,13 +90,11 @@ def pauli_factorization(elem: ScaledElement) -> PauliFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Certificate replay.  A scaled element's matrix is the monomial
-# (xmask, zmask, phase, pow2) = i^phase 2^pow2 X^xmask Z^zmask; None is the
-# zero matrix.
+# Certificate replay.  A nonzero scaled element's matrix is the monomial
+# (xmask, zmask, phase, pow2) = i^phase 2^pow2 X^xmask Z^zmask, and a
+# vanishing bracket is None.
 
 def _monomial(elem: ScaledElement, n: int):
-    if elem.is_zero:
-        return None
     x, z, phase = pauli_monomial(elem.label.mask, n)
     return x, z, (phase + elem.phase) & 3, elem.pow2
 
@@ -103,8 +102,6 @@ def _monomial(elem: ScaledElement, n: int):
 def _bracket(a, b):
     # AB and BA differ by (-1)^(|za & xb| + |xa & zb|): the commutator is
     # zero when that is +1 and 2AB otherwise
-    if a is None or b is None:
-        return None
     xa, za, pa, ea = a
     xb, zb, pb, eb = b
     swap = (za & xb).bit_count()
@@ -125,33 +122,13 @@ class ReplayReport:
 def replay_certificate(cert, *, tol: float = 1e-10) -> ReplayReport:
     """Re-run a derivation on Pauli monomials and compare against its target.
 
-    Each step recomputes the commutator of its parents' monomials and
-    compares it with the recorded exact coefficient; the final monomial
-    must equal the recorded scalar times the hermitized target.  A monomial
-    (xmask, zmask, phase mod 4, pow2), or None for zero, determines its
-    matrix and back, so the comparisons are plain tuple equality and the
-    deviation is 0.0 when all of them hold and ``math.inf`` otherwise.
-    Raises on odd ambient (no matrix form), on a generator or step from
-    another algebra than the target's, on a parent used before its
-    derivation and on a target never derived.  ``tol`` is unused.
+    ``Certificate.replay`` walks the steps with ``_monomial`` as the form
+    and ``_bracket`` as the commutator.  A monomial (xmask, zmask, phase
+    mod 4, pow2) determines its matrix and back, so the comparisons are
+    plain tuple equality and the deviation is 0.0 when all of them hold
+    and ``math.inf`` otherwise.  Raises on odd ambient (no matrix form)
+    and wherever the walk raises.  ``tol`` is unused.
     """
     n = qubit_count(cert.ambient)
-    _require_qubits([*cert.generators, *(step.element for step in cert.steps)], n)
-    forms = {g.label: _monomial(g, n) for g in cert.generators}
-    agree = True
-    for step in cert.steps:
-        for parent in (step.parent_a, step.parent_b):
-            if parent not in forms:
-                raise ValueError(f"step parent {parent} appears before its derivation")
-        form = _bracket(forms[step.parent_a], forms[step.parent_b])
-        agree &= form == _monomial(step.element, n)
-        forms[step.element.label] = form
-    if cert.target in forms:
-        final = forms[cert.target]
-    elif cert.target.order:
-        raise ValueError("certificate never derives its target")
-    else:
-        final = (0, 0, 0, 0)  # the unit is the empty derivation
-    x, z, phase, _ = _monomial(hermitize(cert.target), n)
-    agree &= final == (x, z, (phase + cert.scalar_phase) & 3, cert.scalar_pow2)
-    return ReplayReport(deviation=0.0 if agree else math.inf, steps=len(cert.steps))
+    failures = list(cert.replay(lambda el: _monomial(el, n), _bracket))
+    return ReplayReport(deviation=math.inf if failures else 0.0, steps=len(cert.steps))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,22 @@ class TestBasisLabel:
         with pytest.raises(ValueError) as err:
             BasisLabel.from_indices(indices, 4)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("mask, text", [(1 << 4, "0x10"), (-1, "-0x1")])
+    def test_mask_out_of_range_rejected(self, mask, text):
+        with pytest.raises(ValueError) as err:
+            BasisLabel(mask, 4)
+        assert str(err.value) == f"label mask {text} out of range for ambient 4"
+
+    def test_range_check_builds_no_power_of_two(self):
+        # 1 << 2**24 alone would be a 2 MiB integer; the check reads the mask's bit length
+        tracemalloc.start()
+        try:
+            BasisLabel(0b101, 1 << 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 class TestAllLabels:
@@ -415,17 +433,20 @@ ODD_AMBIENT_CALLS = {
 
 
 def stray_certificates():
-    # built directly, each with a generator from another algebra than its target's: e[1]
-    # over 6 in a derivation of e[0,1] over 4, and e[0] over 4 certifying the unit over 6
-    a, b6 = elem([0], 4), elem([1], 6)
+    # built directly, each with a label from another algebra than its target's: the
+    # generator e[1] over 6 in a derivation of e[0,1] over 4, e[0] over 4 certifying the
+    # unit over 6, and a step that records 2 e[0,1] over 6 for [e[0], e[1]] over 4
+    a, b, b6 = elem([0], 4), elem([1], 4), elem([1], 6)
     step = CertificateStep(a.label, b6.label, elem([0, 1], 4, pow2=1))
+    stray_step = CertificateStep(a.label, b.label, elem([0, 1], 6, pow2=1))
     return (
         Certificate(label([0, 1], 4), (a, b6), (step,), 3, 1),
         Certificate(label([], 6), (a,), (), 0, 0),
+        Certificate(label([0, 1], 4), (a, b), (stray_step,), 3, 1),
     )
 
 
-C1, C2 = stray_certificates()
+C1, C2, C3 = stray_certificates()
 DIFFER_4_6 = "ambient generator counts differ: 4 vs 6"
 
 # every entry point that reads labels of one algebra, each given a label from another, and
@@ -439,12 +460,12 @@ MIXED_AMBIENT_CALLS = {
     "certificate": (lambda: certificate(close(universal_generators(4)), label([0], 6)), DIFFER_4_6),
     "validate-c1": (C1.validate, DIFFER_4_6),
     "validate-c2": (C2.validate, "ambient generator counts differ: 6 vs 4"),
-    "replay_certificate-c1": (
-        lambda: replay_certificate(C1), "e[1] over ambient 6 does not fit 2 qubits"
-    ),
+    "validate-c3": (C3.validate, DIFFER_4_6),
+    "replay_certificate-c1": (lambda: replay_certificate(C1), DIFFER_4_6),
     "replay_certificate-c2": (
-        lambda: replay_certificate(C2), "e[0] over ambient 4 does not fit 3 qubits"
+        lambda: replay_certificate(C2), "ambient generator counts differ: 6 vs 4"
     ),
+    "replay_certificate-c3": (lambda: replay_certificate(C3), DIFFER_4_6),
     "signed_permutations": (
         lambda: signed_permutations([elem([0], 4), elem([1], 6)], 2),
         "e[1] over ambient 6 does not fit 2 qubits",

@@ -506,9 +506,12 @@ class TestCertificates:
              "line 3: repeated target record"),
             (lambda t: t.replace("scalar -2^10\n", "scalar 2^5\nscalar -2^10\n"),
              "line 21: repeated scalar record"),
+            (lambda t: t.replace("ambient 6\n", "ambient 0\n"), "line 1: bad ambient '0'"),
+            (lambda t: t.replace("ambient 6\n", "ambient -6\n"), "line 1: bad ambient '-6'"),
         ],
         ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar",
-             "repeated-ambient", "repeated-target", "repeated-scalar"],
+             "repeated-ambient", "repeated-target", "repeated-scalar", "ambient-zero",
+             "ambient-negative"],
     )
     def test_from_text_parse_errors(self, tamper, message):
         with pytest.raises(ParseError, match=re.escape(message)):

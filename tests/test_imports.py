@@ -191,3 +191,15 @@ def test_only_algebra_raises_an_ambient_mismatch(path):
     built += [node.exc for node in nodes if isinstance(node, ast.Raise)
               and isinstance(node.exc, (ast.Name, ast.Attribute))]  # a bare `raise Error`
     assert not any("AmbientMismatchError" in names_in(node) for node in built)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set((SRC / "cliffgate").glob("*.py")) - {SRC / "cliffgate" / "closure.py"}),
+    ids=lambda p: p.name,
+)
+def test_only_closure_walks_a_certificates_steps(path):
+    # a certificate's derivation rules live in closure's Certificate.replay; every other
+    # layer hands it an arithmetic rather than looping over the steps itself
+    loops = [node.iter for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))]
+    assert not any(isinstance(it, ast.Attribute) and it.attr == "steps" for it in loops)

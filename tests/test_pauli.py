@@ -6,7 +6,9 @@ matrices and measures the largest entry difference.  Both must report 0.0
 and the same step count on sound certificates, the replay must report inf
 exactly where the oracle reports a positive deviation, and both must raise
 on the same malformed certificates, a step that records an element of
-another label among them.
+another label among them.  The replay and ``Certificate.validate`` run the
+one walk ``Certificate.replay`` in two arithmetics, so they must refuse
+the same certificates, a step that records the zero among them.
 
 The model under both, and under ``verify_representation``'s pair sweep,
 is checked in integers alone at every even ambient up to 64: the monomial
@@ -19,6 +21,7 @@ and on int64 arrays of every mask up to six qubits.
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -130,7 +133,7 @@ def test_relabeled_steps_raise_like_the_oracle(family, ambient):
     assert derived
     for cert in derived:
         for bad in relabelings(cert):
-            with pytest.raises(ValueError, match="before its derivation|never derives"):
+            with pytest.raises(ValueError, match="has no prior derivation|never derived"):
                 replay_certificate(bad)
             with pytest.raises(ValueError, match="before its derivation|never derives"):
                 oracle_replay(bad)
@@ -167,18 +170,36 @@ def test_a_commuting_step_deviates():
         cert.validate()
 
 
-def test_a_recorded_zero_is_the_zero_matrix():
-    # [e0, e0] vanishes, so a step that records the zero for it replays, matrices and all,
-    # and one that records it for [e0, e1] = 2 e01 does not; Certificate.validate refuses
-    # any zero step, so the certificates are built directly
+def test_both_replays_refuse_a_recorded_zero():
+    # a step records a nonzero element, so a recorded zero fails both replays, whether
+    # its bracket vanishes ([e0, e0]) or not ([e0, e1] = 2 e01); the certificates are
+    # built directly, since Certificate.from_text validates
     cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
     e0, e1 = (g.label for g in cert.generators[:2])
     zero = ScaledElement.zero(4)
     vanishing = replace(cert, steps=(CertificateStep(e0, e0, zero), *cert.steps))
-    assert replay_certificate(vanishing).deviation == 0.0 == oracle_replay(vanishing)[0]
     wrong = replace(cert, steps=(CertificateStep(e0, e1, zero), *cert.steps))
-    assert replay_certificate(wrong).deviation == math.inf
+    for bad, got in ((vanishing, "0"), (wrong, "2^1*e[0,1]")):
+        assert replay_certificate(bad).deviation == math.inf
+        with pytest.raises(ValueError, match=re.escape(f"step for e[] does not replay: got {got}")):
+            bad.validate()
+    # the dense oracle reads the zero as the zero matrix, which [e0, e0] reproduces
+    assert oracle_replay(vanishing)[0] == 0.0
     assert oracle_replay(wrong)[0] > 0
+
+
+def test_a_recorded_zero_derives_nothing():
+    # not even the unit, whose label the zero carries: a later step on e[] has no parent
+    cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
+    e0, e1 = (g.label for g in cert.generators[:2])
+    unit = BasisLabel.unit(4)
+    steps = (CertificateStep(e0, e0, ScaledElement.zero(4)),
+             CertificateStep(unit, e1, ScaledElement(e1, pow2=1)))
+    bad = replace(cert, steps=(*steps, *cert.steps))
+    with pytest.raises(ValueError, match=re.escape("step parent e[] has no prior derivation")):
+        replay_certificate(bad)
+    with pytest.raises(ValueError, match=re.escape("step for e[] does not replay: got 0")):
+        bad.validate()
 
 
 def malformed():
@@ -200,6 +221,64 @@ def test_malformed_certificates_raise_like_the_oracle(case):
         replay_certificate(cert)
     with pytest.raises(ValueError):
         oracle_replay(cert)
+
+
+def test_a_mismatch_then_an_underived_parent_raises_in_both_replays():
+    # the walk goes on past a step that does not replay, so the integer replay still
+    # meets the later parent that nothing derives; validate stops at the mismatch
+    deep = max(certificates("chain", 6), key=lambda c: len(c.steps))
+    assert len(deep.steps) >= 3
+    first = deep.steps[0]
+    el = first.element
+    flipped = replace(first, element=ScaledElement(el.label, el.phase + 2, el.pow2))
+    bad = replace(deep, steps=(flipped, *deep.steps[2:]))
+    with pytest.raises(ValueError, match="does not replay"):
+        bad.validate()
+    with pytest.raises(ValueError, match="has no prior derivation"):
+        replay_certificate(bad)
+
+
+def integer_replay_refuses(cert):
+    try:
+        return replay_certificate(cert).deviation == math.inf
+    except ValueError:
+        return True
+
+
+def validate_refuses(cert):
+    try:
+        cert.validate()
+    except ValueError:
+        return True
+    return False
+
+
+SOURCES = {
+    "corruptions": lambda: [
+        bad
+        for family, ambient in [("universal", 4), ("chain", 6), ("scaled", 6)]
+        for cert in certificates(family, ambient)
+        for bad in (cert, *corruptions(cert))
+    ],
+    "relabelings": lambda: [
+        bad
+        for family, ambient in [("universal", 4), ("chain", 6), ("scaled", 6)]
+        for cert in certificates(family, ambient)
+        if cert.steps
+        for bad in (cert, *relabelings(cert))
+    ],
+    "malformed": lambda: [cert for cert in malformed().values() if cert.ambient % 2 == 0],
+}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_validate_and_the_integer_replay_refuse_alike(source):
+    # one walk, two arithmetics: each sound certificate passes both, each broken one
+    # fails both
+    certs = SOURCES[source]()
+    assert any(map(validate_refuses, certs))
+    for cert in certs:
+        assert validate_refuses(cert) == integer_replay_refuses(cert), cert
 
 
 @pytest.mark.parametrize("ambient", range(2, 65, 2))
