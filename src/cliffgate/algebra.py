@@ -233,15 +233,17 @@ def _require_same_ambient(a, b) -> int:
     return a.ambient
 
 
-def _swap_parity(a_mask: int, b_mask: int, ambient: int) -> int:
+def _swap_parity(a_mask: int, b_mask: int) -> int:
     # Parity of the transpositions of the stable sorted merge of the two
     # ascending index sequences, i.e. of the pairs (i in a, j in b) with
     # i > j.  Bit i of the prefix XOR of b is the parity of b's bits 0..i,
     # so after a shift by one each bit i of a picks up the parity of the
-    # b indices below i.
+    # b indices below i; only the bits below a's highest are read, so the
+    # doubling stops at a's bit length, whatever the ambient.
     prefix = b_mask
     shift = 1
-    while shift < ambient:
+    length = a_mask.bit_length()
+    while shift < length:
         prefix ^= prefix << shift
         shift += shift
     return (a_mask & (prefix << 1)).bit_count() & 1
@@ -269,7 +271,7 @@ def _nonzero_product(
     return _scaled(
         ma ^ mb,
         ambient,
-        (a.phase + b.phase + 2 * _swap_parity(ma, mb, ambient)) & 3,
+        (a.phase + b.phase + 2 * _swap_parity(ma, mb)) & 3,
         a.pow2 + b.pow2 + pow2,
     )
 

@@ -80,7 +80,10 @@ class UnreachableTargetError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Nonempty set of nonzero scaled basis terms over one ambient count."""
+    """Nonempty set of nonzero scaled basis terms over one ambient count,
+    checked once and then carried by its closure and certificates.  The
+    elements are held in canonical label order, so two sets with the same
+    elements are equal and close alike whatever their input order."""
 
     ambient: int
     elements: tuple[ScaledElement, ...]
@@ -97,6 +100,8 @@ class GeneratorSet:
             if el.label in seen:
                 raise ValueError(f"duplicate generator label {el.label}")
             seen.add(el.label)
+        canonical = tuple(sorted(self.elements, key=lambda el: canonical_key(el.label)))
+        object.__setattr__(self, "elements", canonical)
 
 
 def universal_generators(ambient: int) -> GeneratorSet:
@@ -142,8 +147,9 @@ class CertificateStep:
 
 @dataclass
 class ClosureResult:
-    ambient: int
-    initial: tuple[BasisLabel, ...]
+    """What :func:`close` found: ``generators`` is the set it closed."""
+
+    generators: GeneratorSet
     representatives: dict[BasisLabel, ScaledElement]
     provenance: dict[BasisLabel, CertificateStep]
     depth: dict[BasisLabel, int]
@@ -158,8 +164,8 @@ class ClosureResult:
         """True iff the closure spans su(2^n), i.e. reaches every label of
         ambient 2n but the unit.  Raises on an odd ambient, which has no
         matrix form."""
-        qubit_count(self.ambient)
-        return _spans_outside_centre(self.representatives, self.ambient)
+        qubit_count(self.generators.ambient)
+        return _spans_outside_centre(self.representatives, self.generators.ambient)
 
     def labels(self) -> list[BasisLabel]:
         return sorted(self.representatives, key=canonical_key)
@@ -184,8 +190,8 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
     """Smallest label set containing the generators and closed under
     nonvanishing pairwise commutators.
 
-    Layered breadth-first worklist: each layer brackets the newest labels,
-    in ascending canonical order, with the generators only, and records
+    Layered breadth-first worklist: each layer brackets the newest labels
+    with the generators only, both in canonical order, and records
     ``[previous label, generator]`` for each label it finds first.  That
     suffices: the algebra is spanned by the right-normed brackets
     ``[s1, [s2, ..., [s_{k-1}, s_k]]]`` with every ``s_i`` a generator, and
@@ -202,12 +208,11 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
     """
     ambient = gens.ambient
     reps: dict[BasisLabel, ScaledElement] = {el.label: el for el in gens.elements}
-    initial = tuple(sorted(reps, key=canonical_key))
-    depth = {label: 0 for label in initial}
+    depth = {label: 0 for label in reps}
     provenance: dict[BasisLabel, CertificateStep] = {}
-    seen = {label.mask for label in initial}
-    brackets = [(b, b.mask, b.order, reps[b]) for b in initial]
-    frontier = list(initial)
+    seen = {label.mask for label in reps}
+    brackets = [(b, b.mask, b.order, reps[b]) for b in reps]
+    frontier = list(reps)
     while frontier:
         found: dict[BasisLabel, CertificateStep] = {}
         for a in frontier:
@@ -246,8 +251,7 @@ def close(gens: GeneratorSet, *, cap: int = DEFAULT_LABEL_CAP) -> ClosureResult:
     if len(reps) > cap:
         raise _label_cap_exceeded(cap)
     return ClosureResult(
-        ambient=ambient,
-        initial=initial,
+        generators=gens,
         representatives=reps,
         provenance=provenance,
         depth=depth,
@@ -281,13 +285,14 @@ class Certificate:
     representative exactly; the recorded scalar relates that representative
     to the hermitized target.  An empty step list certifies either a
     generator itself or the unit label (the empty derivation).  ``ambient``
-    is the target's, for the text's ``ambient`` line and a replay's qubits.
-    Its rules live in one walk, :meth:`replay`, run by :meth:`validate` and
-    ``pauli.replay_certificate`` alike.
+    is the target's, for the text's ``ambient`` line and a replay's qubits,
+    and ``generators`` its closure's :class:`GeneratorSet`, checked once
+    when it was built.  Its rules live in one walk, :meth:`replay`, run by
+    :meth:`validate` and ``pauli.replay_certificate`` alike.
     """
 
     target: BasisLabel
-    generators: tuple[ScaledElement, ...]
+    generators: GeneratorSet
     steps: tuple[CertificateStep, ...]
     scalar_phase: int
     scalar_pow2: int
@@ -302,11 +307,11 @@ class Certificate:
         equals no value.  Yields a message for each step, and for a target,
         that differs from what it records (a recorded zero always does); the
         walk goes on, each step deriving what it records.  Raises ValueError
-        on generators that are no :class:`GeneratorSet` over the target's
-        ambient, a step element over another, a parent used before its
-        derivation and a target of order >= 1 never derived."""
-        GeneratorSet(self.ambient, self.generators)
-        values = {g.label: form(g) for g in self.generators}
+        on a generator set or a step element over another ambient than the
+        target's, a parent used before its derivation and a target of order
+        >= 1 never derived.  The set itself is not checked again."""
+        _require_same_ambient(self, self.generators)
+        values = {g.label: form(g) for g in self.generators.elements}
         for step in self.steps:
             el = step.element
             _require_same_ambient(self, el)
@@ -335,7 +340,7 @@ class Certificate:
 
     def to_text(self) -> str:
         lines = [f"ambient {self.ambient}", f"target {self.target}"]
-        lines += [f"generator {format_element(g)}" for g in self.generators]
+        lines += [f"generator {format_element(g)}" for g in self.generators.elements]
         for step in self.steps:
             head = f"step {step.element.label} := [{step.parent_a}, {step.parent_b}]"
             lines.append(f"{head} * {format_scalar(step.element.phase, step.element.pow2)}")
@@ -353,50 +358,47 @@ class Certificate:
             line = raw.strip(_BLANKS)
             if not line:
                 continue
-            kind, _, rest = line.partition(" ")
-            if kind == "ambient" and ambient is None:
-                try:
-                    ambient = _parse_number(rest, int, "ambient")
-                except ValueError:
-                    ambient = 0
-                if ambient < 1:
-                    raise ParseError(f"line {ln}: bad ambient {rest!r}")
-            elif ambient is None:
-                raise ParseError(f"line {ln}: ambient must come first")
-            elif kind == "target" and target is None:
-                target = parse_label(rest, ambient)
-            elif kind == "generator":
-                gens.append(parse_element(rest, ambient))
-            elif kind == "step":
-                head, _, coeff_text = rest.rpartition(" * ")
-                result_text, _, bracket = head.partition(" := ")
-                if not bracket.startswith("[") or not bracket.endswith("]"):
-                    raise ParseError(f"line {ln}: malformed step {raw!r}")
-                a_text, _, b_text = bracket[1:-1].partition(", ")
-                phase, pow2 = parse_scalar(coeff_text)
-                result = parse_label(result_text, ambient)
-                steps.append(
-                    CertificateStep(
-                        parent_a=parse_label(a_text, ambient),
-                        parent_b=parse_label(b_text, ambient),
-                        element=ScaledElement(result, phase=phase, pow2=pow2),
+            try:
+                kind, _, rest = line.partition(" ")
+                if kind == "ambient" and ambient is None:
+                    try:
+                        ambient = _parse_number(rest, int, "ambient")
+                    except ValueError:
+                        ambient = 0
+                    if ambient < 1:
+                        raise ParseError(f"bad ambient {rest!r}")
+                elif ambient is None:
+                    raise ParseError("ambient must come first")
+                elif kind == "target" and target is None:
+                    target = parse_label(rest, ambient)
+                elif kind == "generator":
+                    gens.append(parse_element(rest, ambient))
+                elif kind == "step":
+                    head, _, coeff_text = rest.rpartition(" * ")
+                    result_text, _, bracket = head.partition(" := ")
+                    if not bracket.startswith("[") or not bracket.endswith("]"):
+                        raise ParseError(f"malformed step {raw!r}")
+                    a_text, _, b_text = bracket[1:-1].partition(", ")
+                    phase, pow2 = parse_scalar(coeff_text)
+                    result = parse_label(result_text, ambient)
+                    steps.append(
+                        CertificateStep(
+                            parent_a=parse_label(a_text, ambient),
+                            parent_b=parse_label(b_text, ambient),
+                            element=ScaledElement(result, phase=phase, pow2=pow2),
+                        )
                     )
-                )
-            elif kind == "scalar" and scalar is None:
-                scalar = parse_scalar(rest)
-            elif kind in ("ambient", "target", "scalar"):
-                raise ParseError(f"line {ln}: repeated {kind} record")
-            else:
-                raise ParseError(f"line {ln}: unknown record {kind!r}")
+                elif kind == "scalar" and scalar is None:
+                    scalar = parse_scalar(rest)
+                elif kind in ("ambient", "target", "scalar"):
+                    raise ParseError(f"repeated {kind} record")
+                else:
+                    raise ParseError(f"unknown record {kind!r}")
+            except ParseError as exc:
+                raise ParseError(f"line {ln}: {exc}", exc.column)
         if ambient is None or target is None or scalar is None or not gens:
             raise ParseError("certificate text is missing ambient/target/generators/scalar")
-        cert = cls(
-            target=target,
-            generators=tuple(gens),
-            steps=tuple(steps),
-            scalar_phase=scalar[0],
-            scalar_pow2=scalar[1],
-        )
+        cert = cls(target, GeneratorSet(ambient, tuple(gens)), tuple(steps), *scalar)
         cert.validate()
         return cert
 
@@ -410,7 +412,7 @@ def certificate(result: ClosureResult, target: BasisLabel) -> Certificate:
     target to a generator; it has ``depth[target]`` steps, the minimal
     number of generator brackets that produce the target.
     """
-    _require_same_ambient(result, target)
+    _require_same_ambient(result.generators, target)
     if target not in result.representatives:
         raise UnreachableTargetError(target, result.dimension)
     steps = []
@@ -421,7 +423,7 @@ def certificate(result: ClosureResult, target: BasisLabel) -> Certificate:
     rep = result.representatives[target]
     return Certificate(
         target=target,
-        generators=tuple(result.representatives[label] for label in result.initial),
+        generators=result.generators,
         steps=tuple(reversed(steps)),
         scalar_phase=(rep.phase - hermitization_phase(target.order)) % 4,
         scalar_pow2=rep.pow2,

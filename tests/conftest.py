@@ -181,7 +181,7 @@ def oracle_replay(cert):
     elements and from the scalar times the hermitized target, and the step
     count."""
     n = qubit_count(cert.ambient)
-    mats = {g.label: represent(g) for g in cert.generators}
+    mats = {g.label: represent(g) for g in cert.generators.elements}
     worst = 0.0
     for step in cert.steps:
         for parent in (step.parent_a, step.parent_b):

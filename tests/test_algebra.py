@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from cliffgate import (
     represent,
     universal_generators,
 )
-from cliffgate.algebra import format_scalar, parse_scalar
+from cliffgate.algebra import _swap_parity, format_scalar, parse_scalar
 from cliffgate.closure import CertificateStep
 from cliffgate.matrices import signed_permutations
 from conftest import elem, inversions, label, labels_upto, maxabs, oracle_product
@@ -187,6 +188,26 @@ class TestFastPathOracle:
                     ScaledElement(BasisLabel(a, ambient)), ScaledElement(BasisLabel(b, ambient))
                 )
                 assert p.phase == 2 * (inversions(a, b) % 2)
+
+    def test_swap_parity_of_wide_masks_matches_the_inversion_count(self):
+        # masks of up to 70 bits, either one the wider, with no ambient to bound them
+        rng = random.Random(29)
+        for _ in range(5000):
+            a, b = (rng.getrandbits(rng.randint(0, 70)) for _ in range(2))
+            assert _swap_parity(a, b) == inversions(a, b) & 1
+
+    def test_swap_parity_does_not_grow_with_the_ambient(self):
+        # masks of one bit each at ambient 2^24: a prefix doubled up to the ambient
+        # would grow to about 2^24 bits; doubling up to the masks' bit length stops at once
+        a, b = generator(0, 1 << 24), generator(1, 1 << 24)
+        tracemalloc.start()
+        try:
+            c = commutator(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        assert c == ScaledElement(BasisLabel(0b11, 1 << 24), pow2=1)
 
     def test_zero_is_shared_and_immutable(self):
         z = ScaledElement.zero(6)
@@ -435,14 +456,15 @@ ODD_AMBIENT_CALLS = {
 def stray_certificates():
     # built directly, each with a label from another algebra than its target's: the
     # generator e[1] over 6 in a derivation of e[0,1] over 4, e[0] over 4 certifying the
-    # unit over 6, and a step that records 2 e[0,1] over 6 for [e[0], e[1]] over 4
+    # unit over 6, and a step that records 2 e[0,1] over 6 for [e[0], e[1]] over 4; the
+    # first is a builder, since its GeneratorSet refuses the stray generator
     a, b, b6 = elem([0], 4), elem([1], 4), elem([1], 6)
     step = CertificateStep(a.label, b6.label, elem([0, 1], 4, pow2=1))
     stray_step = CertificateStep(a.label, b.label, elem([0, 1], 6, pow2=1))
     return (
-        Certificate(label([0, 1], 4), (a, b6), (step,), 3, 1),
-        Certificate(label([], 6), (a,), (), 0, 0),
-        Certificate(label([0, 1], 4), (a, b), (stray_step,), 3, 1),
+        lambda: Certificate(label([0, 1], 4), GeneratorSet(4, (a, b6)), (step,), 3, 1),
+        Certificate(label([], 6), GeneratorSet(4, (a,)), (), 0, 0),
+        Certificate(label([0, 1], 4), GeneratorSet(4, (a, b)), (stray_step,), 3, 1),
     )
 
 
@@ -458,10 +480,10 @@ MIXED_AMBIENT_CALLS = {
     "commutator_gate": (lambda: commutator_gate(label([0], 4), label([1], 6), 0.3), DIFFER_4_6),
     "GeneratorSet": (lambda: GeneratorSet(4, (generator(0, 4), generator(1, 6))), DIFFER_4_6),
     "certificate": (lambda: certificate(close(universal_generators(4)), label([0], 6)), DIFFER_4_6),
-    "validate-c1": (C1.validate, DIFFER_4_6),
+    "validate-c1": (lambda: C1().validate(), DIFFER_4_6),
     "validate-c2": (C2.validate, "ambient generator counts differ: 6 vs 4"),
     "validate-c3": (C3.validate, DIFFER_4_6),
-    "replay_certificate-c1": (lambda: replay_certificate(C1), DIFFER_4_6),
+    "replay_certificate-c1": (lambda: replay_certificate(C1()), DIFFER_4_6),
     "replay_certificate-c2": (
         lambda: replay_certificate(C2), "ambient generator counts differ: 6 vs 4"
     ),

@@ -130,6 +130,11 @@ class TestCertifyCommand:
         assert out.count("step ") >= 1
         assert "scalar" in out
 
+    @pytest.mark.parametrize("fmt", ["human", "records"])
+    def test_generator_order_changes_no_byte(self, capsys, fmt):
+        argv = ["certify", "-m", "4", "--format", fmt, "--target", "e[0,1,2,3]"]
+        assert run(capsys, *argv, *reversed(self.GENS)) == run(capsys, *argv, *self.GENS)
+
     def test_unreachable_target(self, capsys):
         code, _, err = run(
             capsys, "certify", "-m", "4", "--target", "e[0,1,2]",

@@ -96,6 +96,7 @@ class TestClose:
     def test_deterministic_under_input_order(self):
         gens = universal_generators(4)
         shuffled = GeneratorSet(4, tuple(reversed(gens.elements)))
+        assert shuffled == gens
         a, b = close(gens), close(shuffled)
         assert a.representatives.keys() == b.representatives.keys()
         assert a.provenance == b.provenance
@@ -252,7 +253,7 @@ class TestDenseLieOracle:
             not r.unit_vacuous and max(lab.order for lab in r.representatives.keys()) >= 3
             for r in results
         )
-        assert any(r.universal and r.ambient == 2 for r in results)
+        assert any(r.universal and r.generators.ambient == 2 for r in results)
 
 
 class TestLabelCap:
@@ -352,6 +353,20 @@ class TestStockSets:
         with pytest.raises(ValueError, match="generator set must not be empty"):
             GeneratorSet(4, ())
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((), "generator set must not be empty"),
+            ((ScaledElement.zero(4),), "zero elements are not allowed as generators"),
+            ((generator(0, 4), elem([0], 4, phase=2)), "duplicate generator label e[0]"),
+        ],
+        ids=["empty", "zero", "duplicate"],
+    )
+    def test_a_certificate_needs_a_generator_set(self, elements, message):
+        # checked once, when the set is built, so no such set reaches a certificate
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeneratorSet(4, elements)
+
 
 @st.composite
 def small_generator_sets(draw):
@@ -389,7 +404,8 @@ class TestAuditMatchesOracle:
     def test_same_verdict_closed_and_with_a_label_deleted(self, gens, data):
         result = close(gens)
         assert result.audit_closed() is oracle_audit(result) is True
-        derived = sorted(result.representatives.keys() - set(result.initial), key=canonical_key)
+        initial = {el.label for el in gens.elements}
+        derived = sorted(result.representatives.keys() - initial, key=canonical_key)
         if derived:
             del result.representatives[data.draw(st.sampled_from(derived))]
             assert result.audit_closed() is oracle_audit(result)
@@ -451,6 +467,17 @@ class TestCertificates:
         assert back == cert
         assert back.to_text() == text
 
+    def test_certificates_share_the_closures_set(self):
+        result = close(chain_generators(6))
+        for lab in (BasisLabel.unit(6), label([1], 6), label([0, 1, 2, 3, 4, 5], 6)):
+            assert certificate(result, lab).generators is result.generators
+
+    def test_text_roundtrip_of_a_shuffled_set(self):
+        elements = list(universal_generators(6).elements)
+        random.Random(29).shuffle(elements)
+        cert = certificate(close(GeneratorSet(6, tuple(elements))), label([0, 1, 2, 3], 6))
+        assert Certificate.from_text(cert.to_text()) == cert
+
     def test_ambient_is_the_targets(self):
         # no second ambient to set: the text's first line is read off the target
         cert = certificate(close(universal_generators(6)), label([0, 1, 2, 3], 6))
@@ -508,14 +535,27 @@ class TestCertificates:
              "line 21: repeated scalar record"),
             (lambda t: t.replace("ambient 6\n", "ambient 0\n"), "line 1: bad ambient '0'"),
             (lambda t: t.replace("ambient 6\n", "ambient -6\n"), "line 1: bad ambient '-6'"),
+            (lambda t: t.replace("generator e[0]\n", "generator e[9]\n"),
+             "line 3: generator index 9 out of range for ambient 6"),
+            (lambda t: t.replace(":= [e[0,1], e[1,2]]", ":= [e[0,1], e[2,1]]"),
+             "line 10: indices must be strictly ascending, got 1 after 2"),
+            (lambda t: t.replace("scalar -2^10", "scalar -3^10"),
+             "line 20: expected a scalar like 2^1 or -i*1, got '-3^10'"),
         ],
         ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar",
              "repeated-ambient", "repeated-target", "repeated-scalar", "ambient-zero",
-             "ambient-negative"],
+             "ambient-negative", "bad-generator", "bad-step-parent", "bad-scalar"],
     )
     def test_from_text_parse_errors(self, tamper, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             Certificate.from_text(tamper(self.TOP6))
+
+    def test_a_parse_error_keeps_its_column(self):
+        # the column is the record's own, as the element parser reports it
+        with pytest.raises(ParseError) as err:
+            Certificate.from_text(self.TOP6.replace("generator e[0]\n", "generator e[0,9]\n"))
+        assert str(err.value) == "line 3: generator index 9 out of range for ambient 6"
+        assert err.value.column == 4
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -531,25 +571,10 @@ class TestCertificates:
         with pytest.raises(ValueError, match=re.escape(message)):
             Certificate.from_text(tamper(text))
 
-    @pytest.mark.parametrize(
-        "generators, message",
-        [
-            ((), "generator set must not be empty"),
-            ((ScaledElement.zero(4),), "zero elements are not allowed as generators"),
-            ((generator(0, 4), elem([0], 4, phase=2)), "duplicate generator label e[0]"),
-        ],
-        ids=["empty", "zero", "duplicate"],
-    )
-    def test_validate_needs_a_generator_set(self, generators, message):
-        # built directly: the unit's empty derivation, which replays from any generators
-        cert = Certificate(label([], 4), generators, (), 0, 0)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            cert.validate()
-
     def test_validate_rejects_a_vanishing_step(self):
         # [g, g] is zero, so a step may not record the zero element for it
         cert = certificate(close(universal_generators(4)), label([0, 1], 4))
-        g = cert.generators[0].label
+        g = cert.generators.elements[0].label
         vanishing = CertificateStep(g, g, ScaledElement.zero(4))
         with pytest.raises(ValueError, match=re.escape("step for e[] does not replay: got 0")):
             replace(cert, steps=(vanishing, *cert.steps)).validate()
@@ -566,14 +591,15 @@ class TestCertificates:
     @pytest.mark.parametrize("stock", [universal_generators, chain_generators])
     def test_certificates_are_generator_bracket_chains(self, stock):
         result = close(stock(6))
+        initial = {el.label for el in result.generators.elements}
         for lab in result.labels():
             cert = certificate(result, lab)
             assert len(cert.steps) == result.depth[lab]
             previous = None
             for step in cert.steps:
-                assert step.parent_b in result.initial
+                assert step.parent_b in initial
                 if previous is None:
-                    assert step.parent_a in result.initial
+                    assert step.parent_a in initial
                 else:
                     assert step.parent_a == previous
                 previous = step.element.label

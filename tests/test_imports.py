@@ -203,3 +203,33 @@ def test_only_closure_walks_a_certificates_steps(path):
     loops = [node.iter for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))]
     assert not any(isinstance(it, ast.Attribute) and it.attr == "steps" for it in loops)
+
+
+def generator_set_builders() -> set[str]:
+    """``module.function`` (with the class, for a method) of every call to
+    ``GeneratorSet(...)`` under ``src/cliffgate``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "GeneratorSet" in names_in(child.func):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in (SRC / "cliffgate").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_a_generator_set_is_built_only_where_generators_enter():
+    # GeneratorSet checks its elements once; the closure, its certificates and the
+    # certificate walk carry that set rather than building (and checking) another
+    assert generator_set_builders() == {
+        "closure.universal_generators",
+        "closure.chain_generators",
+        "closure.Certificate.from_text",
+        "cli._parse_generators",
+    }

@@ -162,7 +162,7 @@ def test_a_commuting_step_deviates():
     step = CertificateStep(a, b, ScaledElement(top, pow2=1))
     assert product(ScaledElement(a), ScaledElement(b)) == ScaledElement(top) == hermitize(top)
     assert commutator(ScaledElement(a), ScaledElement(b)).is_zero
-    cert = Certificate(top, (ScaledElement(a), ScaledElement(b)), (step,), 0, 1)
+    cert = Certificate(top, GeneratorSet(4, (ScaledElement(a), ScaledElement(b))), (step,), 0, 1)
     assert replay_certificate(cert).deviation == math.inf
     dense, steps = oracle_replay(cert)
     assert dense > 0 and steps == 1
@@ -175,7 +175,7 @@ def test_both_replays_refuse_a_recorded_zero():
     # its bracket vanishes ([e0, e0]) or not ([e0, e1] = 2 e01); the certificates are
     # built directly, since Certificate.from_text validates
     cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
-    e0, e1 = (g.label for g in cert.generators[:2])
+    e0, e1 = (g.label for g in cert.generators.elements[:2])
     zero = ScaledElement.zero(4)
     vanishing = replace(cert, steps=(CertificateStep(e0, e0, zero), *cert.steps))
     wrong = replace(cert, steps=(CertificateStep(e0, e1, zero), *cert.steps))
@@ -191,7 +191,7 @@ def test_both_replays_refuse_a_recorded_zero():
 def test_a_recorded_zero_derives_nothing():
     # not even the unit, whose label the zero carries: a later step on e[] has no parent
     cert = certificate(close(universal_generators(4)), BasisLabel(0b11, 4))
-    e0, e1 = (g.label for g in cert.generators[:2])
+    e0, e1 = (g.label for g in cert.generators.elements[:2])
     unit = BasisLabel.unit(4)
     steps = (CertificateStep(e0, e0, ScaledElement.zero(4)),
              CertificateStep(unit, e1, ScaledElement(e1, pow2=1)))
