@@ -64,7 +64,7 @@ class CapExceededError(RuntimeError):
     """A configured search or size cap was hit before the answer."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisLabel:
     """Index set of an ascending product of generators, as a bitmask.
 
@@ -151,7 +151,7 @@ def canonical_key(label: BasisLabel) -> tuple[int, int]:
     return (label.order, label.mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledElement:
     """Exactly (i^phase * 2^pow2) times a basis label, or the exact zero.
 
@@ -201,21 +201,24 @@ def _zero(ambient: int) -> ScaledElement:
 
 
 _new = object.__new__
-_set = object.__setattr__
+_set_mask, _set_ambient = BasisLabel.mask.__set__, BasisLabel.ambient.__set__
+_set_label, _set_phase = ScaledElement.label.__set__, ScaledElement.phase.__set__
+_set_pow2, _set_is_zero = ScaledElement.pow2.__set__, ScaledElement.is_zero.__set__
 
 
 def _scaled(mask: int, ambient: int, phase: int, pow2: int) -> ScaledElement:
-    # Internal constructor for a value derived from validated operands: the
-    # XOR of two in-range masks is in range and ``phase`` is already reduced
-    # mod 4, so the checks of the public constructors are skipped.
+    # The one internal constructor, for a value whose operands are already
+    # checked: the XOR of two in-range masks is in range and ``phase`` is
+    # already reduced mod 4, so the public constructors' checks are skipped
+    # and the slots are written through their descriptors.
     label = _new(BasisLabel)
-    _set(label, "mask", mask)
-    _set(label, "ambient", ambient)
+    _set_mask(label, mask)
+    _set_ambient(label, ambient)
     elem = _new(ScaledElement)
-    _set(elem, "label", label)
-    _set(elem, "phase", phase)
-    _set(elem, "pow2", pow2)
-    _set(elem, "is_zero", False)
+    _set_label(elem, label)
+    _set_phase(elem, phase)
+    _set_pow2(elem, pow2)
+    _set_is_zero(elem, False)
     return elem
 
 
@@ -224,13 +227,12 @@ def generator(k: int, ambient: int) -> ScaledElement:
     return ScaledElement(BasisLabel.from_indices([k], ambient))
 
 
-def _require_same_ambient(a, b) -> int:
-    """The common ambient of two labels or elements; raises if they differ."""
+def _require_same_ambient(a, b) -> None:
+    """Raise unless two labels or elements share one ambient."""
     if a.ambient != b.ambient:
         raise AmbientMismatchError(
             f"ambient generator counts differ: {a.ambient} vs {b.ambient}"
         )
-    return a.ambient
 
 
 def _swap_parity(a_mask: int, b_mask: int) -> int:
@@ -257,23 +259,15 @@ def product(a: ScaledElement, b: ScaledElement) -> ScaledElement:
     contributes a factor -1, and the adjacent equal pairs left afterwards
     cancel to +1.
     """
-    ambient = _require_same_ambient(a.label, b.label)
+    la, lb = a.label, b.label
+    ambient = la.ambient
+    if lb.ambient != ambient:
+        _require_same_ambient(la, lb)
     if a.is_zero or b.is_zero:
         return _zero(ambient)
-    return _nonzero_product(a, b, ambient, 0)
-
-
-def _nonzero_product(
-    a: ScaledElement, b: ScaledElement, ambient: int, pow2: int
-) -> ScaledElement:
-    # ab times 2^pow2, for nonzero operands over ``ambient``
-    ma, mb = a.label.mask, b.label.mask
-    return _scaled(
-        ma ^ mb,
-        ambient,
-        (a.phase + b.phase + 2 * _swap_parity(ma, mb)) & 3,
-        a.pow2 + b.pow2 + pow2,
-    )
+    ma, mb = la.mask, lb.mask
+    phase = a.phase + b.phase + 2 * _swap_parity(ma, mb)
+    return _scaled(ma ^ mb, ambient, phase & 3, a.pow2 + b.pow2)
 
 
 def commutes(a: BasisLabel, b: BasisLabel) -> bool:
@@ -284,19 +278,23 @@ def commutes(a: BasisLabel, b: BasisLabel) -> bool:
     even; otherwise it anticommutes.  There is no third option.
     """
     _require_same_ambient(a, b)
-    return _masks_commute(a.mask, b.mask)
-
-
-def _masks_commute(a_mask: int, b_mask: int) -> bool:
-    return (a_mask.bit_count() * b_mask.bit_count() - (a_mask & b_mask).bit_count()) & 1 == 0
+    return (a.mask.bit_count() * b.mask.bit_count() - (a.mask & b.mask).bit_count()) & 1 == 0
 
 
 def commutator(a: ScaledElement, b: ScaledElement) -> ScaledElement:
-    """[a, b] = ab - ba: the exact zero, or 2ab for anticommuting terms."""
-    ambient = _require_same_ambient(a.label, b.label)
-    if a.is_zero or b.is_zero or _masks_commute(a.label.mask, b.label.mask):
+    """[a, b] = ab - ba: the exact zero, or 2ab for anticommuting terms.
+
+    The zero's label is the unit, which commutes with everything, so the
+    commute test alone returns the zero for a zero operand."""
+    la, lb = a.label, b.label
+    ambient = la.ambient
+    if lb.ambient != ambient:
+        _require_same_ambient(la, lb)
+    ma, mb = la.mask, lb.mask
+    if (ma.bit_count() * mb.bit_count() - (ma & mb).bit_count()) & 1 == 0:
         return _zero(ambient)
-    return _nonzero_product(a, b, ambient, 1)
+    phase = a.phase + b.phase + 2 * _swap_parity(ma, mb)
+    return _scaled(ma ^ mb, ambient, phase & 3, a.pow2 + b.pow2 + 1)
 
 
 def hermitization_phase(order: int) -> int:
@@ -425,7 +423,9 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
             col += len(part) + 1
     if m.end() != len(stripped):
         raise ParseError(f"trailing text after label in {text!r}", offset + m.end())
-    return ScaledElement(BasisLabel(mask, ambient), phase=phase, pow2=pow2)
+    if ambient < 1:  # only e[] gets here; BasisLabel raises on the ambient
+        BasisLabel(mask, ambient)
+    return _scaled(mask, ambient, phase, pow2)
 
 
 def parse_label(text: str, ambient: int) -> BasisLabel:

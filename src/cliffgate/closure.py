@@ -135,7 +135,7 @@ def chain_generators(ambient: int) -> GeneratorSet:
     return GeneratorSet(ambient, (generator(0, ambient),) + pairs + (extra,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateStep:
     """One bracket: [rep(parent_a), rep(parent_b)] = element, the step's
     result.  In a closure's provenance ``parent_b`` is a generator."""
@@ -351,7 +351,7 @@ class Certificate:
     def from_text(cls, text: str) -> "Certificate":
         ambient = None
         target = None
-        gens: list[ScaledElement] = []
+        gens: list[tuple[int, ScaledElement]] = []  # (line, element)
         steps: list[CertificateStep] = []
         scalar = None
         for ln, raw in enumerate(_lines(text), start=1):
@@ -372,7 +372,7 @@ class Certificate:
                 elif kind == "target" and target is None:
                     target = parse_label(rest, ambient)
                 elif kind == "generator":
-                    gens.append(parse_element(rest, ambient))
+                    gens.append((ln, parse_element(rest, ambient)))
                 elif kind == "step":
                     head, _, coeff_text = rest.rpartition(" * ")
                     result_text, _, bracket = head.partition(" := ")
@@ -398,7 +398,17 @@ class Certificate:
                 raise ParseError(f"line {ln}: {exc}", exc.column)
         if ambient is None or target is None or scalar is None or not gens:
             raise ParseError("certificate text is missing ambient/target/generators/scalar")
-        cert = cls(target, GeneratorSet(ambient, tuple(gens)), tuple(steps), *scalar)
+        elements = tuple(el for _, el in gens)
+        try:
+            generators = GeneratorSet(ambient, elements)
+        except ValueError:
+            # the set's rules fail first at the first line whose prefix breaks them
+            for k, (ln, _) in enumerate(gens, start=1):
+                try:
+                    GeneratorSet(ambient, elements[:k])
+                except ValueError as exc:
+                    raise ParseError(f"line {ln}: {exc}") from None
+        cert = cls(target, generators, tuple(steps), *scalar)
         cert.validate()
         return cert
 

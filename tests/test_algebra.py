@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,82 @@ class TestFastPathOracle:
                 op(ScaledElement.zero(4), generator(0, 6))
             with pytest.raises(AmbientMismatchError):
                 op(generator(1, 64), ScaledElement.zero(3))
+
+
+def internal_and_public(ambient):
+    """(internal, public) pairs of equal values: the first from ``commutator``,
+    ``product`` and ``parse_element``, which build through the internal
+    constructor, the second through the checked public constructors."""
+    top = ambient - 1
+    ends = BasisLabel(1 | 1 << top, ambient)
+    g0, gtop = generator(0, ambient), generator(top, ambient)
+    return [
+        (commutator(g0, gtop), ScaledElement(ends, pow2=1)),
+        (product(gtop, g0), ScaledElement(ends, phase=2)),
+        (parse_element(f"-i*2^-3*e[0,{top}]", ambient), ScaledElement(ends, phase=3, pow2=-3)),
+        (parse_element("e[]", ambient), ScaledElement.unit(ambient)),
+    ]
+
+
+@pytest.mark.parametrize("ambient", [2, 8, 64])
+class TestInternalConstructor:
+    """Values built by ``algebra._scaled`` cannot be told apart from values
+    built by the public constructors."""
+
+    def test_equal_with_the_same_hash(self, ambient):
+        for internal, public in internal_and_public(ambient):
+            assert internal == public and public == internal
+            assert hash(internal) == hash(public)
+            assert internal.label == public.label and hash(internal.label) == hash(public.label)
+
+    def test_the_same_dict_key(self, ambient):
+        for internal, public in internal_and_public(ambient):
+            assert {public: "public"}[internal] == "public"
+            assert {internal: "internal"}[public] == "internal"
+            assert len({internal: 0, public: 1}) == 1
+            assert {public.label: "public"}[internal.label] == "public"
+
+    def test_frozen(self, ambient):
+        for internal, _ in internal_and_public(ambient):
+            for value in (internal, internal.label):
+                for field in fields(value):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(value, field.name, getattr(value, field.name))
+                    with pytest.raises(FrozenInstanceError):
+                        delattr(value, field.name)
+
+    def test_no_instance_dict(self, ambient):
+        for internal, public in internal_and_public(ambient):
+            for value in (internal, internal.label, public, public.label):
+                assert not hasattr(value, "__dict__")
+
+    def test_replace_runs_the_public_checks(self, ambient):
+        for internal, public in internal_and_public(ambient):
+            assert replace(internal, phase=public.phase + 4) == public
+            assert replace(internal, pow2=7) == ScaledElement(public.label, public.phase, 7)
+            assert replace(internal.label, mask=0) == BasisLabel.unit(ambient)
+            with pytest.raises(ValueError, match="out of range"):
+                replace(internal.label, mask=1 << ambient)
+            assert replace(internal, is_zero=True) == ScaledElement.zero(ambient)
+
+
+@pytest.mark.parametrize("ambient", [0, -1])
+def test_parsing_the_unit_still_checks_the_ambient(ambient):
+    with pytest.raises(ValueError) as err:
+        parse_element("e[]", ambient)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"ambient generator count must be >= 1, got {ambient}"
+
+
+def test_a_zero_brackets_to_zero_whatever_label_it_was_given():
+    # commutator returns the zero through its commute test alone, which holds
+    # because a zero's label is always the unit
+    for given_label in labels_upto(4):
+        zero = ScaledElement(given_label, phase=1, pow2=3, is_zero=True)
+        assert zero == ScaledElement.zero(4)
+        for x in labels_upto(4):
+            assert commutator(zero, hermitize(x)) is ScaledElement.zero(4)
+            assert commutator(hermitize(x), zero) is ScaledElement.zero(4)
 
 
 class TestHermitize:

@@ -560,16 +560,21 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda t: t.replace("generator e[0]\n", "generator 0\n"), "zero elements"),
+            (lambda t: t.replace("generator e[0]\n", "generator 0\n"),
+             "line 3: zero elements are not allowed as generators"),
             (lambda t: t.replace("generator e[0]\n", "generator e[0]\ngenerator -e[0]\n"),
-             "duplicate generator label e[0]"),
+             "line 4: duplicate generator label e[0]"),
+            (lambda t: t.replace("generator e[3]\n", "generator e[3]\ngenerator 0\n"),
+             "line 7: zero elements are not allowed as generators"),
         ],
-        ids=["zero", "duplicate"],
+        ids=["zero", "duplicate", "zero-last"],
     )
     def test_from_text_generators_form_a_generator_set(self, tamper, message):
+        # GeneratorSet's own message, on the line of the generator that breaks the set
         text = certificate(close(universal_generators(4)), label([0, 1], 4)).to_text()
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ParseError) as err:
             Certificate.from_text(tamper(text))
+        assert str(err.value) == message
 
     def test_validate_rejects_a_vanishing_step(self):
         # [g, g] is zero, so a step may not record the zero element for it

@@ -205,23 +205,27 @@ def test_only_closure_walks_a_certificates_steps(path):
     assert not any(isinstance(it, ast.Attribute) and it.attr == "steps" for it in loops)
 
 
-def generator_set_builders() -> set[str]:
-    """``module.function`` (with the class, for a method) of every call to
-    ``GeneratorSet(...)`` under ``src/cliffgate``."""
-    found = set()
+def scoped_nodes():
+    """``(scope, node)`` for every node under ``src/cliffgate``, where the
+    scope is ``module.function`` (with the class, for a method) or the bare
+    module at its top level."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Call) and "GeneratorSet" in names_in(child.func):
-                found.add(scope)
-            visit(child, scope)
+                inner = f"{scope}.{child.name}"
+            yield inner, child
+            yield from visit(child, inner)
 
     for path in (SRC / "cliffgate").glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+        yield from visit(ast.parse(path.read_text()), path.stem)
+
+
+def generator_set_builders() -> set[str]:
+    """The scope of every call to ``GeneratorSet(...)`` under ``src/cliffgate``."""
+    return {scope for scope, node in scoped_nodes()
+            if isinstance(node, ast.Call) and "GeneratorSet" in names_in(node.func)}
 
 
 def test_a_generator_set_is_built_only_where_generators_enter():
@@ -233,3 +237,27 @@ def test_a_generator_set_is_built_only_where_generators_enter():
         "closure.Certificate.from_text",
         "cli._parse_generators",
     }
+
+
+def test_only_the_internal_constructor_gets_round_a_values_checks():
+    # algebra._scaled is the one constructor that skips the public checks, and only
+    # algebra calls it: object.__new__ and the slot descriptors' __set__ are bound once,
+    # at algebra's top level, and only _scaled reads those names; object.__setattr__
+    # appears only in __post_init__ methods
+    nodes = list(scoped_nodes())
+    assert {scope.split(".")[0] for scope, node in nodes if "_scaled" in names_in(node)} == {
+        "algebra"
+    }
+    bypass = {"__new__", "__set__"}
+    attrs = [(scope, node.attr) for scope, node in nodes if isinstance(node, ast.Attribute)]
+    assert {scope for scope, attr in attrs if attr in bypass} == {"algebra"}
+    bound = set()
+    for scope, node in nodes:
+        if scope == "algebra" and isinstance(node, ast.Assign) and names_in(node.value) & bypass:
+            bound |= names_in(ast.Tuple(node.targets))
+    assert {"_new", "_set_mask", "_set_is_zero"} <= bound
+    readers = {scope for scope, node in nodes if isinstance(node, ast.Name)
+               and node.id in bound and isinstance(node.ctx, ast.Load)}
+    assert readers == {"algebra._scaled"}
+    setters = {scope for scope, attr in attrs if attr == "__setattr__"}
+    assert setters and all(scope.endswith(".__post_init__") for scope in setters)
