@@ -354,15 +354,21 @@ def _parse_prefix(text: str) -> tuple[int, int]:
     return 0, 0
 
 
-# The padding and separators of file and argv text: ASCII space, tab, CR
-# and LF.  str.strip(), split() and splitlines() alone also take Unicode
-# spaces and line breaks such as U+00A0, U+2003 and U+2028.
+# The padding and separators of file and argv text, spelled only here: ASCII
+# space, tab, CR and LF.  str.strip(), split() and splitlines() alone also
+# take Unicode spaces and line breaks such as U+00A0, U+2003 and U+2028.
 _BLANKS = " \t\r\n"
 
 
 def _lines(text: str) -> list[str]:
     # the lines of file text, ended by LF, CR LF or CR
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _words(line: str) -> list[str]:
+    # the words of a line: the text between runs of ASCII space and tab
+    words = line.replace("\t", " ").split(" ")
+    return list(filter(None, words)) if "" in words else words
 
 
 def _parse_number(text: str, kind: type, what: str, column: int = 0):

@@ -35,9 +35,11 @@ times.
 
 Every number in argv and in the matrix file is read by one rule
 (``algebra._parse_number``): ASCII text, padded only by space, tab, CR or
-LF, that ``int()`` or ``float()`` reads, with no ``_``.  Any other digit
-or blank (an Arabic-Indic digit, a form feed) is a parse or usage error
-(exit 2).
+LF, that ``int()`` or ``float()`` reads, with no ``_``.  The entries of a
+matrix row are its words (``algebra._words``), split at any run of space
+and tab, and ``--angle`` is stripped of ``algebra._BLANKS``.  Any other
+digit or blank (an Arabic-Indic digit, a form feed) is a parse or usage
+error (exit 2).
 
 Exit codes: 0 success, 2 parse/usage error (a matrix file that is not
 UTF-8 included), 3 precondition failure, 4 verification failure, 5 cap
@@ -62,6 +64,7 @@ from pathlib import Path
 from .algebra import (
     CapExceededError,
     ParseError,
+    _BLANKS,
     _parse_number,
     format_element,
     parse_element,
@@ -130,7 +133,7 @@ def _angle_value(text: str) -> float:
         value = _parse_number(text, float, "angle")
     except ParseError:
         number = r"[0-9]+\.?[0-9]*|\.[0-9]+"
-        m = re.fullmatch(rf"[ \t\r\n]*(-)?(?:({number})\*?)?pi(?:/({number}))?[ \t\r\n]*", text)
+        m = re.fullmatch(rf"(-)?(?:({number})\*?)?pi(?:/({number}))?", text.strip(_BLANKS))
         if m is None:
             raise ParseError(f"cannot parse angle {text!r}; use a float or k*pi/m") from None
         sign = -1.0 if m.group(1) else 1.0

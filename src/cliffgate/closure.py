@@ -37,10 +37,10 @@ from .algebra import (
     CapExceededError,
     ParseError,
     ScaledElement,
-    _BLANKS,
     _lines,
     _parse_number,
     _require_same_ambient,
+    _words,
     canonical_key,
     commutator,
     format_element,
@@ -288,7 +288,9 @@ class Certificate:
     is the target's, for the text's ``ambient`` line and a replay's qubits,
     and ``generators`` its closure's :class:`GeneratorSet`, checked once
     when it was built.  Its rules live in one walk, :meth:`replay`, run by
-    :meth:`validate` and ``pauli.replay_certificate`` alike.
+    :meth:`validate` and ``pauli.replay_certificate`` alike.  Its text has a
+    record per line, read from the line's words (``algebra._words``): a kind
+    and one value, or the seven words ``step L := [A, B] * S``.
     """
 
     target: BasisLabel
@@ -355,45 +357,33 @@ class Certificate:
         steps: list[CertificateStep] = []
         scalar = None
         for ln, raw in enumerate(_lines(text), start=1):
-            line = raw.strip(_BLANKS)
-            if not line:
-                continue
             try:
-                kind, _, rest = line.partition(" ")
-                if kind == "ambient" and ambient is None:
-                    try:
-                        ambient = _parse_number(rest, int, "ambient")
-                    except ValueError:
-                        ambient = 0
-                    if ambient < 1:
-                        raise ParseError(f"bad ambient {rest!r}")
-                elif ambient is None:
-                    raise ParseError("ambient must come first")
-                elif kind == "target" and target is None:
-                    target = parse_label(rest, ambient)
-                elif kind == "generator":
-                    gens.append((ln, parse_element(rest, ambient)))
-                elif kind == "step":
-                    head, _, coeff_text = rest.rpartition(" * ")
-                    result_text, _, bracket = head.partition(" := ")
-                    if not bracket.startswith("[") or not bracket.endswith("]"):
-                        raise ParseError(f"malformed step {raw!r}")
-                    a_text, _, b_text = bracket[1:-1].partition(", ")
-                    phase, pow2 = parse_scalar(coeff_text)
-                    result = parse_label(result_text, ambient)
-                    steps.append(
-                        CertificateStep(
-                            parent_a=parse_label(a_text, ambient),
-                            parent_b=parse_label(b_text, ambient),
-                            element=ScaledElement(result, phase=phase, pow2=pow2),
-                        )
-                    )
-                elif kind == "scalar" and scalar is None:
-                    scalar = parse_scalar(rest)
-                elif kind in ("ambient", "target", "scalar"):
-                    raise ParseError(f"repeated {kind} record")
-                else:
-                    raise ParseError(f"unknown record {kind!r}")
+                match _words(raw):
+                    case []:
+                        continue
+                    case ["ambient", value] if ambient is None:
+                        ambient = _parse_number(value, int, "ambient")
+                        if ambient < 1:
+                            raise ParseError(f"bad ambient {value!r}")
+                    case [kind, *_] if ambient is None and kind != "ambient":
+                        raise ParseError("ambient must come first")
+                    case ["generator", value]:
+                        gens.append((ln, parse_element(value, ambient)))
+                    case ["step", result, ":=", a, b, "*", coeff] if a[0] + a[-1] + b[-1] == "[,]":
+                        phase, pow2 = parse_scalar(coeff)
+                        element = ScaledElement(parse_label(result, ambient), phase, pow2)
+                        parents = parse_label(a[1:-1], ambient), parse_label(b[:-1], ambient)
+                        steps.append(CertificateStep(*parents, element))
+                    case ["target", value] if target is None:
+                        target = parse_label(value, ambient)
+                    case ["scalar", value] if scalar is None:
+                        scalar = parse_scalar(value)
+                    case [kind, _] if kind in ("ambient", "target", "scalar"):
+                        raise ParseError(f"repeated {kind} record")
+                    case [kind, *_] if kind in ("ambient", "target", "generator", "step", "scalar"):
+                        raise ParseError(f"malformed {kind} {raw!r}")
+                    case [kind, *_]:
+                        raise ParseError(f"unknown record {kind!r}")
             except ParseError as exc:
                 raise ParseError(f"line {ln}: {exc}", exc.column)
         if ambient is None or target is None or scalar is None or not gens:

@@ -25,7 +25,6 @@ gates of a sequence come from one stream of hermitized labels
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -39,6 +38,7 @@ from .algebra import (
     _parse_number,
     _require_qubits,
     _scalar_value,
+    _words,
     all_labels,
     commutator,
     commutes,
@@ -286,7 +286,7 @@ def parse_matrix(text: str) -> np.ndarray:
     rows = []
     for ln, line in enumerate(_lines(text), start=1):
         row = []
-        for tok in re.findall(r"[^ \t]+", line):
+        for tok in _words(line):
             parts = tok.split(",")
             if len(parts) != 2:
                 raise ParseError(f"line {ln}: expected re,im pairs, got {tok!r}")

@@ -541,14 +541,33 @@ class TestCertificates:
              "line 10: indices must be strictly ascending, got 1 after 2"),
             (lambda t: t.replace("scalar -2^10", "scalar -3^10"),
              "line 20: expected a scalar like 2^1 or -i*1, got '-3^10'"),
+            (lambda t: t.replace("ambient 6\n", "ambient x\n"), "line 1: bad ambient 'x'"),
+            (lambda t: t.replace("ambient 6\n", f"ambient {'6' * 5000}\n"),
+             "line 1: ambient of 5000 digits is too long"),
+            (lambda t: t.replace("e[0,2] := [", "e[0,2] = ["), "line 10: malformed step"),
+            (lambda t: t.replace("e[1,2]] * -2^1", "e[1,2]] x -2^1"), "line 10: malformed step"),
+            (lambda t: t.replace("[e[0,1], e[1,2]]", "[e[0,1]; e[1,2]]"), "line 10: malformed step"),
+            (lambda t: t.replace("[e[0,1], e[1,2]]", "[ e[0,1], e[1,2] ]"), "line 10: malformed step"),
         ],
         ids=["ambient-not-first", "malformed-step", "unknown-record", "missing-scalar",
              "repeated-ambient", "repeated-target", "repeated-scalar", "ambient-zero",
-             "ambient-negative", "bad-generator", "bad-step-parent", "bad-scalar"],
+             "ambient-negative", "bad-generator", "bad-step-parent", "bad-scalar",
+             "ambient-word", "ambient-too-long", "step-without-assign", "step-without-times",
+             "step-without-comma", "step-blank-inside-brackets"],
     )
     def test_from_text_parse_errors(self, tamper, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             Certificate.from_text(tamper(self.TOP6))
+
+    @pytest.mark.parametrize(
+        "kind, line", [("ambient", 1), ("target", 2), ("generator", 3), ("scalar", 20)]
+    )
+    def test_a_one_value_record_takes_one_word(self, kind, line):
+        lines = self.TOP6.splitlines()
+        lines[line - 1] += " e[0]"
+        with pytest.raises(ParseError) as err:
+            Certificate.from_text("\n".join(lines))
+        assert str(err.value) == f"line {line}: malformed {kind} {lines[line - 1]!r}"
 
     def test_a_parse_error_keeps_its_column(self):
         # the column is the record's own, as the element parser reports it

@@ -28,6 +28,7 @@ from cliffgate import (
     Certificate,
     ParseError,
     certificate,
+    chain_generators,
     close,
     parse_element,
     parse_matrix,
@@ -112,6 +113,12 @@ CERT = certificate(close(universal_generators(4)), BasisLabel(0b1111, 4)).to_tex
 STEP = "step e[0,1,2,3] := [e[3], e[0,1,2]] * -i*2^1"
 assert STEP in CERT
 
+
+def step_with(old, new):
+    # the certificate with one separator of its step line rewritten
+    return Certificate.from_text(CERT.replace(STEP, STEP.replace(old, new)))
+
+
 # each reader with the blank b where an ASCII space or tab reads the same
 BLANK_LIBRARY = {
     "element padding": lambda b: parse_element(f"{b}-i*2^1*e[0,3]{b}", 4),
@@ -123,6 +130,14 @@ BLANK_LIBRARY = {
         CERT.replace(STEP, f"step e[0,1,2,3]{b} := [e[3], {b}e[0,1,2]] * -i*2^1")
     ),
     "certificate ambient": lambda b: Certificate.from_text(CERT.replace("ambient 4", f"ambient {b}4")),
+    "certificate record kind": lambda b: Certificate.from_text(
+        "".join(line.replace(" ", b, 1) for line in CERT.splitlines(True))
+    ),
+    "certificate before :=": lambda b: step_with(" :=", f"{b}:="),
+    "certificate after :=": lambda b: step_with(":= ", f":={b}"),
+    "certificate before *": lambda b: step_with("] *", f"]{b}*"),
+    "certificate after *": lambda b: step_with("* -", f"*{b}-"),
+    "certificate after the comma": lambda b: step_with(", ", f",{b}"),
     "matrix separator": lambda b: parse_matrix(f"1,0{b}0,0\n0,0{b}{b}1,0\n"),
     "matrix padding": lambda b: parse_matrix(f"{b}1,0 0,0{b}\n0,0 1,0\n{b}\n"),
 }
@@ -140,6 +155,16 @@ def test_library_readers_refuse_other_blanks(entry, blank):
 def test_library_readers_take_ascii_blanks(entry, blank):
     got, want = BLANK_LIBRARY[entry](blank), BLANK_LIBRARY[entry](" ")
     assert np.array_equal(got, want) if "matrix" in entry else got == want
+
+
+@pytest.mark.parametrize("blank", ["\t", " \t "], ids=["tab", "mixed"])
+@pytest.mark.parametrize("stock", [universal_generators, chain_generators])
+def test_certificates_read_alike_whatever_blanks_separate_their_words(stock, blank):
+    for m in range(3, 9):
+        result = close(stock(m))
+        for label in result.labels():
+            cert = certificate(result, label)
+            assert Certificate.from_text(cert.to_text().replace(" ", blank)) == cert
 
 
 def test_lines_end_at_lf_cr_lf_and_cr_only():
@@ -277,29 +302,47 @@ def test_int_past_its_digit_limit_is_a_parse_error():
     assert _parse_number("1" * 4300, int, "exponent") == int("1" * 4300)
 
 
-# Source rules that keep the decision in one module: ``\d`` matches every
-# Unicode decimal digit, and argparse's ``type=int`` reads them too.
+# Source rules that keep each decision in one module: ``\d`` matches every
+# Unicode decimal digit, argparse's ``type=int`` reads them too, and a
+# reader that spells its own blanks drifts from ``algebra``'s.
+
+STR_READERS = {"split", "rsplit", "partition", "rpartition", "strip", "lstrip", "rstrip"}
 
 
-def regex_literals(tree):
-    # the pattern argument of every re.<function>(...) call
+def reader_literals(tree):
+    # ("re.<function>", pattern) for every regex call and (method, argument) for
+    # every str reader method call; an f-string gives its literal parts
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "re"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            yield node.args[0].value
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if isinstance(func.value, ast.Name) and func.value.id == "re":
+            callee, args = f"re.{func.attr}", node.args[:1]
+        elif func.attr in STR_READERS:
+            callee, args = func.attr, node.args
+        else:
+            continue
+        for arg in args:
+            for part in arg.values if isinstance(arg, ast.JoinedStr) else [arg]:
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield callee, part.value
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_regex_matches_unicode_digits(path):
     tree = ast.parse(path.read_text())
-    assert [p for p in regex_literals(tree) if re.search(r"\\d", p)] == []
+    patterns = [p for callee, p in reader_literals(tree) if callee.startswith("re.")]
+    assert [p for p in patterns if re.search(r"\\d", p)] == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "algebra.py"), ids=lambda p: p.name
+)
+def test_only_algebra_spells_a_separator(path):
+    # writers (" ".join, f-strings) may hold blanks; readers split on algebra's
+    tree = ast.parse(path.read_text())
+    spelled = [(callee, text) for callee, text in reader_literals(tree) if set(text) & set(" \t\r\n")]
+    assert spelled == []
 
 
 def test_no_flag_reads_numbers_with_the_builtins():
