@@ -14,8 +14,9 @@ basis terms are out of scope (the dense-matrix layer handles those).
 The other layers take three rules from here: an even ambient 2n is n
 qubits and an odd one has no matrix form (:func:`qubit_count`), values of
 two algebras never mix (:func:`_require_same_ambient`, :func:`_require_qubits`),
-and i^phase * 2^pow2 has one text form and one complex value.  The error
-types that every layer raises live here too.
+and i^phase * 2^pow2 has one complex value and one text head, shared by
+element and scalar text, with one writer (:func:`format_scalar`) and one
+reader (``_head``).  The error types that every layer raises live here too.
 """
 
 from __future__ import annotations
@@ -325,14 +326,14 @@ def all_labels(ambient: int) -> Iterator[BasisLabel]:
 # ---------------------------------------------------------------------------
 # Text form.  Canonical grammar:
 #   element := "0" | [prefix] ["2^" int "*"] label
+#   scalar  := [prefix] ("2^" int | "1")
 #   prefix  := "-" | "i*" | "-i*"
 #   label   := "e[" [index ("," index)*] "]"      indices strictly ascending
-# A bare scalar (for derivation coefficients) drops the label and prints
-# "1" in place of "2^0".
+# Element and scalar open with one head, [prefix] ["2^" int], that one
+# writer (format_scalar) and one reader (_head) spell.  An int is ASCII
+# digits, leading zeros allowed, and blanks may pad the whole text.
 
 _PREFIX_BY_PHASE = ("", "i*", "-", "-i*")
-_PREFIXES = (("-i*", 3), ("i*", 1), ("-", 2))
-_POW2_RE = re.compile(r"2\^(-?[0-9]+)\*")
 _LABEL_RE = re.compile(r"e\[([0-9,]*)\]")
 
 
@@ -344,14 +345,6 @@ def format_scalar(phase: int, pow2: int, body: str = "") -> str:
     if not body:
         return head + (f"2^{pow2}" if pow2 else "1")
     return head + (f"2^{pow2}*" if pow2 else "") + body
-
-
-def _parse_prefix(text: str) -> tuple[int, int]:
-    # (phase, length) of the optional "-", "i*" or "-i*" that opens text
-    for prefix, phase in _PREFIXES:
-        if text.startswith(prefix):
-            return phase, len(prefix)
-    return 0, 0
 
 
 # The padding and separators of file and argv text, spelled only here: ASCII
@@ -376,14 +369,28 @@ def _parse_number(text: str, kind: type, what: str, column: int = 0):
     ``kind`` int or float, when the text is ASCII without ``_`` and padded
     only with ``_BLANKS``, and a :class:`ParseError` at ``column``
     otherwise.  int() and float() alone also read non-ASCII digits, ``_``
-    separators and padding by vertical tab or form feed."""
+    separators and padding by vertical tab or form feed.  Only an int of
+    more digits than int() reads (4300) is "too long"; the rest is "bad"."""
     if text.isascii() and "_" not in text and text.strip() == text.strip(_BLANKS):
         try:
             return kind(text)
         except ValueError:
-            if text.lstrip("+-").isdigit():  # int() reads at most 4300 digits
-                raise ParseError(f"{what} of {len(text)} digits is too long", column) from None
+            digits = text.strip(_BLANKS)
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if kind is int and digits.isdigit():
+                raise ParseError(f"{what} of {len(digits)} digits is too long", column) from None
     raise ParseError(f"bad {what} {text!r}", column)
+
+
+# the head after its leading blanks: prefix, exponent and the "*" after it
+_HEAD_RE = re.compile(rf"[{_BLANKS}]*(-?(?:i\*)?)(?:2\^(-?[0-9]+)(\*?))?")
+
+
+def _head(text: str) -> tuple[int, re.Match]:
+    # the phase and match of text's head; a reader checks what follows the
+    # head before it reads the exponent, and refuses it at end(1)
+    head = _HEAD_RE.match(text)
+    return _PREFIX_BY_PHASE.index(head[1]), head
 
 
 def format_element(elem: ScaledElement) -> str:
@@ -394,24 +401,20 @@ def format_element(elem: ScaledElement) -> str:
 
 def parse_element(text: str, ambient: int) -> ScaledElement:
     """Parse the canonical element grammar; inverse of :func:`format_element`."""
-    stripped = text.strip(_BLANKS)
-    offset = len(text) - len(text.lstrip(_BLANKS))
-    if stripped == "0":
-        return ScaledElement.zero(ambient)
-    phase, pos = _parse_prefix(stripped)
-    pow2 = 0
-    m = _POW2_RE.match(stripped, pos)
-    if m:
-        pow2 = _parse_number(m.group(1), int, "exponent", offset + pos + 2)
-        pos = m.end()
-    m = _LABEL_RE.match(stripped, pos)
+    phase, head = _head(text)
+    pos, pow2 = head.end(1), 0
+    if head[3]:
+        pos, pow2 = head.end(), _parse_number(head[2], int, "exponent", head.start(2))
+    m = _LABEL_RE.match(text, pos)
     if m is None:
-        raise ParseError(f"expected a label like e[0,1] in {text!r}", offset + pos)
+        if text.strip(_BLANKS) == "0":
+            return ScaledElement.zero(ambient)
+        raise ParseError(f"expected a label like e[0,1] in {text!r}", pos)
     mask = 0
     last = -1
     body = m.group(1)
     if body:
-        col = offset + pos + 2
+        col = m.start(1)
         for part in body.split(","):
             if not part:
                 raise ParseError(f"bad generator index {part!r} in {text!r}", col)
@@ -427,8 +430,8 @@ def parse_element(text: str, ambient: int) -> ScaledElement:
             mask |= 1 << idx
             last = idx
             col += len(part) + 1
-    if m.end() != len(stripped):
-        raise ParseError(f"trailing text after label in {text!r}", offset + m.end())
+    if text[m.end():].strip(_BLANKS):
+        raise ParseError(f"trailing text after label in {text!r}", m.end())
     if ambient < 1:  # only e[] gets here; BasisLabel raises on the ambient
         BasisLabel(mask, ambient)
     return _scaled(mask, ambient, phase, pow2)
@@ -444,13 +447,7 @@ def parse_label(text: str, ambient: int) -> BasisLabel:
 
 def parse_scalar(text: str) -> tuple[int, int]:
     """Parse a coefficient of the form i^m * 2^p; returns (phase, pow2)."""
-    stripped = text.strip(_BLANKS)
-    offset = len(text) - len(text.lstrip(_BLANKS))
-    phase, pos = _parse_prefix(stripped)
-    rest = stripped[pos:]
-    if rest == "1":
-        return phase, 0
-    m = re.fullmatch(r"2\^(-?[0-9]+)", rest)
-    if m is None:
-        raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", offset + pos)
-    return phase, _parse_number(m.group(1), int, "exponent", offset + pos + 2)
+    phase, head = _head(text)
+    if head[3] or text[head.end():].rstrip(_BLANKS) != ("" if head[2] else "1"):
+        raise ParseError(f"expected a scalar like 2^1 or -i*1, got {text!r}", head.end(1))
+    return phase, _parse_number(head[2], int, "exponent", head.start(2)) if head[2] else 0

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffgate import (
@@ -34,7 +34,7 @@ from cliffgate import (
     represent,
     universal_generators,
 )
-from cliffgate.algebra import _swap_parity, format_scalar, parse_scalar
+from cliffgate.algebra import _BLANKS, _swap_parity, format_scalar, parse_scalar
 from cliffgate.closure import CertificateStep
 from cliffgate.matrices import signed_permutations
 from conftest import elem, inversions, label, labels_upto, maxabs, oracle_product
@@ -370,15 +370,52 @@ class TestTextForm:
         with pytest.raises(ParseError):
             parse_label("i*e[0,1]", 4)
 
-    def test_scalar_roundtrip(self):
-        for phase in range(4):
-            for pow2 in (-2, 0, 1, 5):
-                assert parse_scalar(format_scalar(phase, pow2)) == (phase, pow2)
+    # the leniencies of the reader: leading zeros, and a minus zero exponent
+    @pytest.mark.parametrize(
+        "text, want",
+        [("e[01,002]", "e[1,2]"), ("e[000]", "e[0]"), ("2^-0*e[0]", "e[0]"),
+         ("-2^007*e[3]", "-2^7*e[3]"), ("-i*2^-010*e[]", "-i*2^-10*e[]")],
+    )
+    def test_leading_zeros_and_a_minus_zero_exponent_read(self, text, want):
+        assert format_element(parse_element(text, 4)) == want
+
+    @pytest.mark.parametrize(
+        "text, want", [("2^-0", (0, 0)), ("-2^007", (2, 7)), ("i*2^-00", (1, 0)), ("-i*2^-010", (3, -10))]
+    )
+    def test_scalar_leading_zeros_and_a_minus_zero_exponent_read(self, text, want):
+        assert parse_scalar(text) == want
+
+    def test_label_leading_zeros_read(self):
+        assert parse_label("e[01,002]", 4) == label([1, 2], 4)
 
     @pytest.mark.parametrize("text", ["3", "", "2^", "i*2^1*e[0]"])
     def test_scalar_rejects_malformed(self, text):
         with pytest.raises(ParseError, match="expected a scalar"):
             parse_scalar(text)
+
+    # a head its reader cannot follow is refused just after the prefix, before
+    # its exponent is read: an element's power needs a "*", a scalar's none
+    @pytest.mark.parametrize(
+        "text, column",
+        [("2^3e[0]", 0), ("\t-i*2^1e[0]", 4), ("2^x*e[0]", 0), ("--e[0]", 1), ("i*2^1", 2),
+         (f"2^{'1' * 4301}e[0]", 0)],
+        ids=["no-star", "tab-no-star", "bad-exponent", "two-signs", "no-label", "long-no-star"],
+    )
+    def test_element_head_without_its_label(self, text, column):
+        with pytest.raises(ParseError, match="expected a label") as err:
+            parse_element(text, 4)
+        assert err.value.column == column
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("2^3*", 0), (" -2^1*", 2), ("i*2^1*e[0]", 2), ("- 1", 1), ("2^3 1", 0), ("1*", 0),
+         (f"2^{'1' * 4301}*", 0)],
+        ids=["star", "blank-star", "label", "blank-one", "blank-more", "one-star", "long-star"],
+    )
+    def test_scalar_head_with_more_after_it(self, text, column):
+        with pytest.raises(ParseError, match="expected a scalar") as err:
+            parse_scalar(text)
+        assert err.value.column == column
 
     # int() refuses more than 4300 digits, and a non-ASCII digit such as the
     # Arabic-Indic one is no digit of the grammar
@@ -447,6 +484,51 @@ def elements(draw, max_ambient=16):
     phase = draw(st.integers(0, 3))
     pow2 = draw(st.integers(-4, 4))
     return ScaledElement(BasisLabel(mask, ambient), phase=phase, pow2=pow2)
+
+
+# The whole value grammar round-trips: every phase, exponents of up to the
+# 4300 digits int() reads, labels at ambients 1..70, padded by blanks.
+POW2 = st.one_of(st.integers(-12, 12), st.integers(-(10**4299), 10**4299))
+BLANK_RUNS = st.text(st.sampled_from(_BLANKS), max_size=4)
+
+
+@st.composite
+def wide_labels(draw):
+    ambient = draw(st.integers(1, 70))
+    return BasisLabel(draw(st.integers(0, (1 << ambient) - 1)), ambient)
+
+
+@st.composite
+def values(draw):
+    # any element, the zero and the unit among them
+    name = draw(st.sampled_from(["zero", "unit", "element", "element"]))
+    if name == "zero":
+        return ScaledElement.zero(draw(st.integers(1, 70)))
+    base = ScaledElement.unit(draw(st.integers(1, 70))).label if name == "unit" else draw(wide_labels())
+    return ScaledElement(base, phase=draw(st.integers(0, 3)), pow2=draw(POW2))
+
+
+class TestTextRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(values(), BLANK_RUNS, BLANK_RUNS)
+    @example(ScaledElement.zero(1), "", "")
+    @example(ScaledElement.unit(70), " \t", "\r\n")
+    @example(ScaledElement(label([0, 69], 70), phase=3, pow2=-(10**4299)), "", "")
+    def test_element(self, value, left, right):
+        assert parse_element(left + format_element(value) + right, value.ambient) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3), POW2, BLANK_RUNS, BLANK_RUNS)
+    @example(0, 0, "", "")
+    @example(3, 10**4299, "\t", " ")
+    def test_scalar(self, phase, pow2, left, right):
+        assert parse_scalar(left + format_scalar(phase, pow2) + right) == (phase, pow2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_labels(), BLANK_RUNS, BLANK_RUNS)
+    @example(BasisLabel.unit(1), "", "")
+    def test_label(self, value, left, right):
+        assert parse_label(left + str(value) + right, value.ambient) == value
 
 
 @st.composite

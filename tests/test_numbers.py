@@ -302,11 +302,41 @@ def test_int_past_its_digit_limit_is_a_parse_error():
     assert _parse_number("1" * 4300, int, "exponent") == int("1" * 4300)
 
 
+# "too long" is the message of an int alone, and of nothing but a sign and
+# digits; the count is of the digits
+@pytest.mark.parametrize(
+    "text, digits",
+    [(" " + "1" * 5000, 5000), ("7" * 4301 + "\t", 4301), ("-" + "1" * 4301, 4301),
+     ("\r\n+" + "9" * 4302, 4302)],
+    ids=["blank-before", "tab-after", "minus", "crlf-plus"],
+)
+def test_only_an_int_counts_its_digits_against_the_limit(text, digits):
+    with pytest.raises(ParseError) as err:
+        _parse_number(text, int, "exponent", 4)
+    assert (str(err.value), err.value.column) == (f"exponent of {digits} digits is too long", 4)
+    assert _parse_number(text, float, "exponent") == float(text)
+
+
+@pytest.mark.parametrize("text", ["--5", "+-3", "-+12"])
+@pytest.mark.parametrize("kind", [int, float])
+def test_two_signs_are_a_bad_number(text, kind):
+    with pytest.raises(ParseError) as err:
+        _parse_number(text, kind, "number", 4)
+    assert (str(err.value), err.value.column) == (f"bad number {text!r}", 4)
+
+
+def test_an_ambient_with_two_signs_is_a_bad_ambient():
+    with pytest.raises(ParseError) as err:
+        Certificate.from_text("ambient --5\ntarget e[0]\ngenerator e[0]\nscalar 1\n")
+    assert str(err.value) == "line 1: bad ambient '--5'"
+
+
 # Source rules that keep each decision in one module: ``\d`` matches every
 # Unicode decimal digit, argparse's ``type=int`` reads them too, and a
-# reader that spells its own blanks drifts from ``algebra``'s.
+# reader that spells its own blanks or exponent drifts from ``algebra``'s.
 
-STR_READERS = {"split", "rsplit", "partition", "rpartition", "strip", "lstrip", "rstrip"}
+STR_READERS = {"split", "rsplit", "partition", "rpartition", "strip", "lstrip", "rstrip",
+               "startswith", "endswith", "removeprefix", "removesuffix"}
 
 
 def reader_literals(tree):
@@ -343,6 +373,17 @@ def test_only_algebra_spells_a_separator(path):
     tree = ast.parse(path.read_text())
     spelled = [(callee, text) for callee, text in reader_literals(tree) if set(text) & set(" \t\r\n")]
     assert spelled == []
+
+
+def test_one_regex_spells_the_exponent():
+    # the head [-|i*|-i*][2^p] of element and scalar text has one reader
+    spelled = [
+        (path.name, text)
+        for path in sorted(SRC.glob("*.py"))
+        for callee, text in reader_literals(ast.parse(path.read_text()))
+        if (r"2\^" if callee.startswith("re.") else "2^") in text
+    ]
+    assert [name for name, _ in spelled] == ["algebra.py"], spelled
 
 
 def test_no_flag_reads_numbers_with_the_builtins():
